@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tier-1 build + tests, the resilience
-# and chaos/resume suites, the serve smoke test, and the benchmarks (emit
-# BENCH_characterize.json and BENCH_serve.json at the repo root). Run
-# from anywhere; operates on the repo that contains it.
+# Full CI gate: formatting, lints, tier-1 build + tests, every workspace
+# crate's tests, the resilience and chaos/resume suites, the serve smoke
+# test, and the benchmarks (emit BENCH_characterize.json and
+# BENCH_serve.json at the repo root). Run from anywhere; operates on the
+# repo that contains it.
 #
 # Every step runs under a wall-clock timeout so a wedged solver (or a
 # chaos child that never dies) fails CI with a timeout error instead of
@@ -29,9 +30,14 @@ step() {
 step 5m  "cargo fmt --check"                 cargo fmt --all -- --check
 step 15m "cargo clippy -- -D warnings"       cargo clippy --workspace --all-targets -- -D warnings
 step 20m "tier-1: cargo build --release"     cargo build --release
+# The root package's build leaves out the other crates' binaries that the
+# smoke tests and benches below run (trace2chrome, bench_characterize,
+# bench_serve).
+step 20m "workspace: cargo build --release"  cargo build --release --workspace
 step 20m "tier-1: cargo test -q"             cargo test -q
+step 30m "workspace: cargo test --workspace" cargo test -q --workspace
 step 15m "resilience: fault injection"       cargo test -q --features fault-injection --test fault_injection
-step 15m "batch: byte identity + eviction"   cargo test -q --features fault-injection --test batch_identity
+step 15m "workers: byte identity + faults"   cargo test -q --features fault-injection --test worker_identity
 step 15m "audit: invariants + self-repair"   cargo test -q --features fault-injection --test audit
 step 10m "observability: trace round-trip"   cargo test -q --test observability
 step 10m "observability: flight + serve"     cargo test -q --test flight_recorder --test serve_observability

@@ -11,17 +11,14 @@
 //! Measures, on a NAND2 at reduced (`fast`) grids with glitch and load–slew
 //! surfaces enabled so every job kind is exercised:
 //!
-//! 1. sequential scalar characterization (`jobs = 1`, `batch_lanes = 1`) —
-//!    the pre-batching baseline the perf gate compares against,
-//! 2. the batched SoA kernel at the same single worker (`jobs = 1`,
-//!    `batch_lanes = 8`), asserting byte-identical output and reporting the
-//!    kernel-only speedup,
-//! 3. parallel characterization (`jobs = N`, default
-//!    `available_parallelism()`), again asserting byte identity,
-//! 4. a cold-miss / warm-hit pass through the on-disk [`ModelCache`].
+//! 1. sequential characterization (`jobs = 1`) — the baseline the perf
+//!    gate compares against,
+//! 2. parallel characterization (`jobs = N`, default
+//!    `available_parallelism()`), asserting byte-identical output,
+//! 3. a cold-miss / warm-hit pass through the on-disk [`ModelCache`].
 //!
-//! `--scaling` adds a worker sweep over `{1, 2, 4, host_cpus}` (deduplicated)
-//! and emits a `scaling` section with per-point wall-clock, throughput,
+//! `--scaling` adds a worker sweep over `{1, 2, 4, host_cpus}` (deduplicated;
+//! the single-worker point is the sequential run) and emits a `scaling` section with per-point wall-clock, throughput,
 //! speedup, and efficiency. `--pool-smoke` runs a quick two-worker
 //! characterization and fails unless both workers actually claimed jobs —
 //! the regression test for a dead worker pool — then exits without writing
@@ -34,12 +31,12 @@
 //! `"parallel_limited": true` instead of failing.
 //!
 //! Per-run per-phase wall-clock and sims/sec come from [`CharStats`]; the
-//! speedup line compares total wall-clock of (3) against (1). The run also
+//! speedup line compares total wall-clock of (2) against (1). The run also
 //! drives the observability stack end-to-end:
 //!
 //! - metrics are always on ([`obs::Level::Metrics`]); the report's
-//!   `"histograms"` section carries per-job wall-time, Newton-iteration,
-//!   and batch lane-occupancy percentiles from the global registry, and the
+//!   `"histograms"` section carries per-job wall-time and Newton-iteration
+//!   percentiles from the global registry, and the
 //!   registry summary table is printed at the end of the run;
 //! - `PROXIM_TRACE=trace.jsonl` raises the level to [`obs::Level::Trace`]
 //!   and streams spans/events to that file (convert with `trace2chrome` and
@@ -75,15 +72,9 @@ fn host_cpus() -> usize {
 }
 
 /// One timed characterization; returns (model JSON, stats, wall seconds).
-fn run(
-    cell: &Cell,
-    tech: &Technology,
-    jobs: usize,
-    batch_lanes: usize,
-) -> (String, CharStats, f64) {
+fn run(cell: &Cell, tech: &Technology, jobs: usize) -> (String, CharStats, f64) {
     let opts = CharacterizeOptions {
         jobs,
-        batch_lanes,
         ..bench_opts()
     };
     let t0 = Instant::now();
@@ -131,12 +122,7 @@ fn stats_json(stats: &CharStats, wall: f64) -> String {
 /// Percentile summaries of the interesting global-registry histograms.
 fn histograms_json(snap: &obs::Snapshot) -> String {
     let mut body = String::new();
-    for name in [
-        "char.job.seconds",
-        "spice.tran.newton_iters_per_solve",
-        obs::batch_metrics::LANES,
-        obs::batch_metrics::ACTIVE_LANES,
-    ] {
+    for name in ["char.job.seconds", "spice.tran.newton_iters_per_solve"] {
         let Some(h) = snap.histogram(name) else {
             continue;
         };
@@ -323,7 +309,6 @@ fn main() -> ExitCode {
         ..bench_opts()
     }
     .worker_threads();
-    let lanes = bench_opts().batch_lanes;
     // Honest accounting up front: a bench invoked with default jobs on a
     // multi-core host that still resolves to one worker is the bug, not an
     // environment quirk.
@@ -342,26 +327,14 @@ fn main() -> ExitCode {
 
     // Untimed warmup so the baseline is not penalized for cold page/file
     // caches relative to the runs after it.
-    run(&cell, &tech, 1, 1);
+    run(&cell, &tech, 1);
 
-    eprintln!("sequential scalar baseline (jobs = 1, batch_lanes = 1)...");
-    let (json_seq, seq, wall_seq) = run(&cell, &tech, 1, 1);
+    eprintln!("sequential baseline (jobs = 1)...");
+    let (json_seq, seq, wall_seq) = run(&cell, &tech, 1);
     eprintln!("  {} sims in {:.2} s", seq.sims_run, wall_seq);
 
-    eprintln!("batched kernel (jobs = 1, batch_lanes = {lanes})...");
-    let (json_batched, batched, wall_batched) = run(&cell, &tech, 1, lanes);
-    let kernel_speedup = wall_seq / wall_batched.max(1e-12);
-    eprintln!(
-        "  {} sims in {:.2} s ({:.2}x the scalar kernel)",
-        batched.sims_run, wall_batched, kernel_speedup
-    );
-    assert_eq!(
-        json_seq, json_batched,
-        "batched output must be byte-identical"
-    );
-
-    eprintln!("parallel (jobs = {threads}, batch_lanes = {lanes})...");
-    let (json_par, par, wall_par) = run(&cell, &tech, threads.max(1), lanes);
+    eprintln!("parallel (jobs = {threads})...");
+    let (json_par, par, wall_par) = run(&cell, &tech, threads.max(1));
     eprintln!(
         "  {} sims in {:.2} s, {} of {} worker(s) engaged",
         par.sims_run, wall_par, par.workers_engaged, par.threads
@@ -373,23 +346,21 @@ fn main() -> ExitCode {
     }
 
     // Optional worker sweep: throughput at 1/2/4/host workers, each point
-    // byte-checked against the scalar baseline. `speedup` is relative to
-    // the sweep's own single-worker point (same batched kernel), so it
-    // isolates thread scaling from kernel gains; `efficiency` divides by
-    // the worker count.
+    // byte-checked against the sequential baseline, which doubles as the
+    // single-worker point. `speedup` is relative to it; `efficiency`
+    // divides by the worker count.
     let mut scaling_json = String::from("[]");
     if scaling {
         let mut ns: Vec<usize> = vec![1, 2, 4, cpus];
         ns.sort_unstable();
         ns.dedup();
         let mut points = Vec::new();
-        let mut wall_one = wall_batched;
         for &n in &ns {
             let (json_n, stats_n, wall_n) = if n == 1 {
-                (json_batched.clone(), batched, wall_batched)
+                (json_seq.clone(), seq, wall_seq)
             } else {
                 eprintln!("scaling sweep (jobs = {n})...");
-                run(&cell, &tech, n, lanes)
+                run(&cell, &tech, n)
             };
             assert_eq!(
                 json_seq, json_n,
@@ -399,10 +370,7 @@ fn main() -> ExitCode {
                 eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
-            if n == 1 {
-                wall_one = wall_n;
-            }
-            let speedup = wall_one / wall_n.max(1e-12);
+            let speedup = wall_seq / wall_n.max(1e-12);
             points.push(format!(
                 concat!(
                     "{{\"jobs\": {}, \"threads\": {}, \"workers_engaged\": {}, ",
@@ -490,9 +458,7 @@ fn main() -> ExitCode {
             "  \"parallel_limited\": {},\n",
             "  \"byte_identical\": true,\n",
             "  \"speedup\": {:.3},\n",
-            "  \"kernel_speedup\": {:.3},\n",
             "  \"sequential\": {},\n",
-            "  \"batched\": {},\n",
             "  \"parallel\": {},\n",
             "  \"scaling\": {},\n",
             "  \"cache_cold\": {},\n",
@@ -505,9 +471,7 @@ fn main() -> ExitCode {
         cpus,
         parallel_limited,
         speedup,
-        kernel_speedup,
         stats_json(&seq, wall_seq),
-        stats_json(&batched, wall_batched),
         stats_json(&par, wall_par),
         scaling_json,
         stats_json(&cold, wall_cold),
@@ -523,10 +487,7 @@ fn main() -> ExitCode {
     }
     println!("{report}");
     eprintln!("{}", snap.render_summary());
-    eprintln!(
-        "wrote {out} (speedup {speedup:.2}x on {threads} worker(s), \
-         batched kernel {kernel_speedup:.2}x)"
-    );
+    eprintln!("wrote {out} (speedup {speedup:.2}x on {threads} worker(s))");
 
     // Close out the trace with a final metrics record so the JSONL file is
     // self-describing, then gate (tracing skews timing, so only untraced

@@ -8,10 +8,10 @@
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use crate::thresholds::Thresholds;
-use proxim_cells::{Cell, CellNetlist, Technology};
+use proxim_cells::{Cell, Technology};
 use proxim_numeric::grid::{linspace, logspace};
 use proxim_numeric::pwl::{Edge, Pwl};
-use proxim_spice::tran::{TranOptions, TranResult};
+use proxim_spice::tran::TranOptions;
 use proxim_spice::{CancelToken, RecoveryTrace};
 
 /// Grids and knobs controlling characterization cost and fidelity.
@@ -46,16 +46,11 @@ pub struct CharacterizeOptions {
     /// Optional load axis for NLDM-style 2-D load-slew surfaces
     /// ([`crate::nldm`]); `None` skips that characterization.
     pub load_grid: Option<Vec<f64>>,
-    /// Worker threads for the batched characterization phases
-    /// ([`crate::jobs`]). `0` (the default) resolves to
+    /// Worker threads for the job-queue characterization phases (singles
+    /// and pairs, [`crate::jobs`]). `0` (the default) resolves to
     /// `std::thread::available_parallelism()`. The assembled model is
     /// byte-identical for every value.
     pub jobs: usize,
-    /// Maximum lanes per batched transient ([`proxim_spice::tran_batch`]):
-    /// consecutive same-topology jobs are advanced in lockstep through the
-    /// shared-structure SoA kernel. `1` disables batching. Like `jobs`,
-    /// the assembled model is byte-identical for every value.
-    pub batch_lanes: usize,
 }
 
 impl Default for CharacterizeOptions {
@@ -75,7 +70,6 @@ impl Default for CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 11),
             load_grid: Some(logspace(10e-15, 400e-15, 5)),
             jobs: 0,
-            batch_lanes: 8,
         }
     }
 }
@@ -99,7 +93,6 @@ impl CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 8),
             load_grid: Some(logspace(10e-15, 300e-15, 4)),
             jobs: 0,
-            batch_lanes: 8,
         }
     }
 
@@ -121,7 +114,6 @@ impl CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 5),
             load_grid: None,
             jobs: 0,
-            batch_lanes: 8,
         }
     }
 
@@ -139,8 +131,7 @@ impl CharacterizeOptions {
 
     /// A canonical description of every field that affects the characterized
     /// model — the options half of the cache key ([`crate::persist`]).
-    /// Deliberately excludes `jobs` and `batch_lanes`: worker count and
-    /// transient batching never change the result.
+    /// Deliberately excludes `jobs`: worker count never changes the result.
     pub fn cache_key_string(&self) -> String {
         format!(
             "c_load={:?};vtc_points={};tau_grid={:?};dual_u={:?};dual_v={:?};dual_w={:?};\
@@ -283,22 +274,19 @@ impl<'a> Simulator<'a> {
         (12.0 * c_total * vdd / i_min).max(1e-9)
     }
 
-    /// Elaborates a switching scenario without running its transient: the
-    /// first half of [`Simulator::simulate`], yielding a [`PreparedSim`]
-    /// whose circuit and options can be handed to the transient engine —
-    /// scalar or batched ([`proxim_spice::tran_batch`]) — and whose
-    /// measurement context is finished by [`Simulator::finish`].
+    /// Simulates a switching scenario and returns the measured response.
     ///
     /// Stable pins are driven at sensitizing levels resolved by
     /// [`Scenario::resolve`]. All events are shifted together so that every
     /// ramp starts after `t = 0` (the DC initial condition then reflects the
-    /// initial rails); the shifted events are kept so measurements stay
+    /// initial rails); the shifted events are returned so measurements stay
     /// consistent.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if the scenario is unsensitizable.
-    pub fn prepare(&self, events: &[InputEvent]) -> Result<PreparedSim, ModelError> {
+    /// Returns [`ModelError`] if the scenario is unsensitizable or the
+    /// simulation fails.
+    pub fn simulate(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
         let scenario = Scenario::resolve(self.cell, events)?;
 
         // Shift so the earliest ramp starts at a small positive time.
@@ -328,68 +316,14 @@ impl<'a> Simulator<'a> {
         let options = TranOptions::to(t_stop)
             .with_dv_max(self.dv_max)
             .with_tolerance_scale(self.tol_scale);
-        Ok(PreparedSim {
+        let result = net.circuit.tran_cancellable(&options, &self.cancel)?;
+        let output = result.waveform(net.out);
+        Ok(SimResponse {
             events,
-            output_edge: scenario.output_edge,
-            net,
-            options,
-        })
-    }
-
-    /// Turns a prepared scenario plus its transient result into the measured
-    /// response: the second half of [`Simulator::simulate`].
-    pub fn finish(&self, prep: PreparedSim, result: TranResult) -> SimResponse {
-        let output = result.waveform(prep.net.out);
-        SimResponse {
-            events: prep.events,
             output,
-            output_edge: prep.output_edge,
+            output_edge: scenario.output_edge,
             recovery: result.recovery,
-        }
-    }
-
-    /// Simulates a switching scenario and returns the measured response:
-    /// [`Simulator::prepare`], one scalar transient, [`Simulator::finish`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the scenario is unsensitizable or the
-    /// simulation fails.
-    pub fn simulate(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
-        let prep = self.prepare(events)?;
-        let result = prep
-            .net
-            .circuit
-            .tran_cancellable(&prep.options, &self.cancel)?;
-        Ok(self.finish(prep, result))
-    }
-}
-
-/// A fully elaborated scenario whose transient has not run yet: the output
-/// of [`Simulator::prepare`], consumed by [`Simulator::finish`]. The batched
-/// job executor collects several of these, runs their transients in lockstep
-/// through [`proxim_spice::tran_batch`], and finishes each lane separately.
-#[derive(Debug, Clone)]
-pub struct PreparedSim {
-    /// The events as applied (time-shifted past `t = 0`).
-    events: Vec<InputEvent>,
-    /// The output transition direction of the resolved scenario.
-    output_edge: Edge,
-    /// The elaborated netlist, stimuli applied.
-    net: CellNetlist,
-    /// The transient options for this scenario.
-    options: TranOptions,
-}
-
-impl PreparedSim {
-    /// The elaborated circuit (the batch kernel borrows this per lane).
-    pub fn circuit(&self) -> &proxim_spice::Circuit {
-        &self.net.circuit
-    }
-
-    /// The transient options for this scenario.
-    pub fn options(&self) -> TranOptions {
-        self.options
+        })
     }
 }
 

@@ -16,13 +16,13 @@
 //! poison the pool, and assembly surfaces the first failed job in index
 //! order.
 
-use crate::characterize::{SimResponse, Simulator};
+use crate::characterize::Simulator;
 use crate::checkpoint::{stimulus_hash, CheckpointJournal};
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use proxim_numeric::pwl::Edge;
 use proxim_obs as obs;
-use proxim_spice::{tran_batch, AnalysisError, BatchRun, RecoveryTrace};
+use proxim_spice::{AnalysisError, RecoveryTrace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ pub mod metric {
     /// (resume path; see [`crate::checkpoint`]). These also count as
     /// succeeded — the skip counter measures work *avoided*.
     pub const JOBS_SKIPPED: &str = "char.jobs.skipped_checkpoint";
-    /// Transient simulations actually run (batched jobs plus the
+    /// Transient simulations actually run (queued jobs plus the
     /// sequential calibration/correction tail).
     pub const SIMS_RUN: &str = "char.sims_run";
     /// Recovery-ladder actions across all transients.
@@ -70,8 +70,8 @@ pub mod metric {
     pub const REPAIR_DEMOTED: &str = "audit.repair.demoted";
     /// Transient simulations the repair pass ran.
     pub const REPAIR_SIMS: &str = "audit.repair.sims";
-    /// High-water count of pool workers that claimed at least one work item
-    /// in a batched phase (gauge). `1` on inline runs; on a healthy
+    /// High-water count of pool workers that claimed at least one job in a
+    /// job-queue phase (gauge). `1` on inline runs; on a healthy
     /// multi-worker run this equals the resolved thread count, and the
     /// bench harness fails when a parallel section unexpectedly resolves
     /// to a single engaged worker.
@@ -251,8 +251,26 @@ fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTra
                 }
                 None => sim,
             };
+            let th = s.thresholds;
             let r = s.simulate(events)?;
-            measure_events(s, r, *measure_wide)
+            let delay = r.delay_from(0, &th)?;
+            let trans = r.transition_time(&th)?;
+            let vdd = s.tech.vdd;
+            let wide = if *measure_wide {
+                r.output
+                    .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
+            } else {
+                None
+            };
+            Ok((
+                JobOutcome::Response {
+                    output_edge: r.output_edge,
+                    delay,
+                    trans,
+                    wide,
+                },
+                r.recovery,
+            ))
         }
         Stimulus::Glitch {
             scenario,
@@ -269,37 +287,6 @@ fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTra
             Ok((JobOutcome::Peak(v), recovery))
         }
     }
-}
-
-/// Measures an [`Stimulus::Events`] response: delay from `events[0]`, the
-/// output transition time, and optionally the wide 5–95 % edge time. Shared
-/// verbatim between the scalar job path ([`run_job`]) and the batched group
-/// executor, so a lane measured after [`tran_batch`] produces the same
-/// outcome bits as the same job run scalar.
-fn measure_events(
-    s: &Simulator<'_>,
-    r: SimResponse,
-    measure_wide: bool,
-) -> Result<(JobOutcome, RecoveryTrace), ModelError> {
-    let th = s.thresholds;
-    let delay = r.delay_from(0, &th)?;
-    let trans = r.transition_time(&th)?;
-    let vdd = s.tech.vdd;
-    let wide = if measure_wide {
-        r.output
-            .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
-    } else {
-        None
-    };
-    Ok((
-        JobOutcome::Response {
-            output_edge: r.output_edge,
-            delay,
-            trans,
-            wide,
-        },
-        r.recovery,
-    ))
 }
 
 /// One supervised job execution: its outcome plus per-job telemetry.
@@ -412,7 +399,7 @@ pub struct JobBatch {
     pub skipped: usize,
     /// Wall-clock seconds each job held a worker, in job order.
     pub job_seconds: Vec<f64>,
-    /// Pool workers that claimed at least one work item (`1` for inline
+    /// Pool workers that claimed at least one job (`1` for inline
     /// execution). A parallel batch where this stays at `1` means the pool
     /// was dead weight — the condition the bench harness gates on.
     pub workers_engaged: usize,
@@ -481,246 +468,18 @@ pub fn execute_jobs_controlled(
     threads: usize,
     checkpoint: Option<(&CheckpointJournal, &str)>,
 ) -> JobBatch {
-    execute_jobs_policy(
-        sim,
-        jobs,
-        ExecPolicy {
-            threads,
-            batch_lanes: 1,
-        },
-        checkpoint,
-    )
-}
-
-/// How a job batch is executed: pool width and transient batching.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecPolicy {
-    /// Worker threads pulling work items from the shared queue. `<= 1`
-    /// runs inline on the caller thread.
-    pub threads: usize,
-    /// Maximum lanes per batched transient: runs of consecutive
-    /// [`Stimulus::Events`] jobs are grouped and advanced in lockstep
-    /// through [`tran_batch`]. `<= 1` disables batching (every job runs
-    /// its own scalar transient).
-    pub batch_lanes: usize,
-}
-
-/// One claimable unit of the work queue: a single job, or a contiguous run
-/// of events jobs executed as one batched transient.
-#[derive(Debug, Clone, Copy)]
-enum WorkItem {
-    Scalar(usize),
-    /// `(first job index, job count)`; planning guarantees `count >= 2` and
-    /// that every member is a [`Stimulus::Events`] job.
-    Group(usize, usize),
-}
-
-/// Splits a job list into work items: maximal runs of consecutive events
-/// jobs become lockstep groups of at most `batch_lanes` lanes; glitch jobs
-/// and leftovers of length one stay scalar. Jobs keep their indices — the
-/// grouping decides only *how* a slot is computed, never what lands in it.
-fn plan_work(jobs: &[SimJob], batch_lanes: usize) -> Vec<WorkItem> {
-    if batch_lanes <= 1 {
-        return (0..jobs.len()).map(WorkItem::Scalar).collect();
-    }
-    let mut items = Vec::new();
-    let mut i = 0;
-    while i < jobs.len() {
-        if matches!(jobs[i].stimulus, Stimulus::Events { .. }) {
-            let mut j = i + 1;
-            while j < jobs.len()
-                && j - i < batch_lanes
-                && matches!(jobs[j].stimulus, Stimulus::Events { .. })
-            {
-                j += 1;
-            }
-            if j - i >= 2 {
-                items.push(WorkItem::Group(i, j - i));
-            } else {
-                items.push(WorkItem::Scalar(i));
-            }
-            i = j;
-        } else {
-            items.push(WorkItem::Scalar(i));
-            i += 1;
-        }
-    }
-    items
-}
-
-/// Executes one group of events jobs through the batched transient kernel,
-/// returning the runs in group order. Any job that cannot take the batched
-/// path — checkpoint hit (replayed), unsensitizable scenario, or a panic
-/// anywhere in the group — is resolved through the scalar
-/// [`run_controlled`] path instead, which reproduces the exact outcome the
-/// job would have had in a batch-off run.
-fn run_group(
-    sim: &Simulator<'_>,
-    start: usize,
-    jobs: &[SimJob],
-    checkpoint: Option<(&CheckpointJournal, &str)>,
-) -> Vec<JobRun> {
-    let scalar_all = |note: Option<String>| {
-        if let Some(detail) = note {
-            let _ = obs::event("char.batch.fallback").arg("detail", detail);
-        }
-        (0..jobs.len())
-            .map(|k| run_controlled(sim, start + k, &jobs[k], checkpoint))
-            .collect::<Vec<_>>()
-    };
-    // A panic while preparing or measuring the group must not take down
-    // sibling jobs: rerun everything scalar, where per-job supervision
-    // confines any repeat to its own slot.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_group_batched(sim, start, jobs, checkpoint)
-    })) {
-        Ok(runs) => runs,
-        Err(payload) => {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            scalar_all(Some(format!("group panicked: {detail}")))
-        }
-    }
-}
-
-fn run_group_batched(
-    sim: &Simulator<'_>,
-    start: usize,
-    jobs: &[SimJob],
-    checkpoint: Option<(&CheckpointJournal, &str)>,
-) -> Vec<JobRun> {
-    let mut slots: Vec<Option<JobRun>> = vec![None; jobs.len()];
-    // Lanes still needing a transient: `(group offset, simulator with the
-    // job's load applied, prepared scenario, measure_wide)`.
-    let mut lanes = Vec::new();
-    for (k, job) in jobs.iter().enumerate() {
-        // Checkpoint hits replay without simulating, exactly as in
-        // `run_controlled`; the cancellation check also matches the scalar
-        // per-job boundary.
-        if let Err(e) = sim.cancel.check("characterization job") {
-            slots[k] = Some(JobRun::failed(start + k, e.into(), 0.0));
-            continue;
-        }
-        if let Some((journal, phase)) = checkpoint {
-            if let Some(outcome) = journal.lookup(phase, start + k, stimulus_hash(job)) {
-                slots[k] = Some(JobRun {
-                    outcome,
-                    recovery: RecoveryTrace::default(),
-                    seconds: 0.0,
-                    skipped: true,
-                });
-                continue;
-            }
-        }
-        let Stimulus::Events {
-            events,
-            c_load,
-            measure_wide,
-        } = &job.stimulus
-        else {
-            // Planning only groups events jobs; a mismatch is a planner bug
-            // but still resolves correctly through the scalar path.
-            slots[k] = Some(run_controlled(sim, start + k, job, checkpoint));
-            continue;
-        };
-        let s = match c_load {
-            Some(c) => Simulator {
-                c_load: *c,
-                ..sim.clone()
-            },
-            None => sim.clone(),
-        };
-        match s.prepare(events) {
-            Ok(prep) => lanes.push((k, s, prep, *measure_wide)),
-            // Scenario resolution failed before any transient: the scalar
-            // path re-derives the identical typed failure (and journals it).
-            Err(_) => slots[k] = Some(run_controlled(sim, start + k, job, checkpoint)),
-        }
-    }
-
-    if lanes.len() < 2 {
-        // Not enough lanes left to batch (checkpoint replay or failures ate
-        // the group): finish the stragglers scalar.
-        for (k, ..) in lanes {
-            slots[k] = Some(run_controlled(sim, start + k, &jobs[k], checkpoint));
-        }
-    } else {
-        let group_start = Instant::now();
-        let runs: Vec<BatchRun<'_>> = lanes
-            .iter()
-            .map(|(_, _, prep, _)| BatchRun {
-                ckt: prep.circuit(),
-                options: prep.options(),
-            })
-            .collect();
-        let results = tran_batch(&runs, &sim.cancel);
-        drop(runs);
-        // Per-lane attribution of the lockstep wall time is meaningless;
-        // split it evenly (telemetry only — never fed back into results).
-        let seconds = group_start.elapsed().as_secs_f64() / lanes.len() as f64;
-        for ((k, s, prep, measure_wide), result) in lanes.into_iter().zip(results) {
-            let span = obs::span("char.job")
-                .arg("job", start + k)
-                .arg("kind", "events");
-            let run = match result {
-                Ok(tr) => match measure_events(&s, s.finish(prep, tr), measure_wide) {
-                    Ok((outcome, recovery)) => JobRun {
-                        outcome,
-                        recovery,
-                        seconds,
-                        skipped: false,
-                    },
-                    Err(reason) => JobRun::failed(start + k, reason, seconds),
-                },
-                Err(e) => JobRun::failed(start + k, e.into(), seconds),
-            };
-            drop(
-                span.arg("ok", !matches!(run.outcome, JobOutcome::Failed { .. }))
-                    .arg("recoveries", run.recovery.total()),
-            );
-            if let Some((journal, phase)) = checkpoint {
-                journal.record(phase, start + k, stimulus_hash(&jobs[k]), &run.outcome);
-            }
-            slots[k] = Some(run);
-        }
-    }
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(k, slot)| {
-            slot.unwrap_or_else(|| run_controlled(sim, start + k, &jobs[k], checkpoint))
-        })
-        .collect()
-}
-
-/// [`execute_jobs_controlled`] under a full [`ExecPolicy`]: the work queue
-/// holds batchable groups as single claimable items, so a pool worker
-/// advances a whole lockstep batch while its siblings claim other items.
-/// Per-batch results stay byte-identical across every `(threads,
-/// batch_lanes)` combination.
-pub fn execute_jobs_policy(
-    sim: &Simulator<'_>,
-    jobs: &[SimJob],
-    policy: ExecPolicy,
-    checkpoint: Option<(&CheckpointJournal, &str)>,
-) -> JobBatch {
     let _span = obs::span("char.execute")
         .arg("jobs", jobs.len())
-        .arg("threads", policy.threads)
-        .arg("batch_lanes", policy.batch_lanes);
-    let items = plan_work(jobs, policy.batch_lanes);
-    if policy.threads <= 1 || jobs.len() <= 1 {
-        return JobBatch::collect(items.iter().flat_map(|item| match *item {
-            WorkItem::Scalar(i) => vec![run_controlled(sim, i, &jobs[i], checkpoint)],
-            WorkItem::Group(s, len) => run_group(sim, s, &jobs[s..s + len], checkpoint),
-        }));
+        .arg("threads", threads);
+    if threads <= 1 || jobs.len() <= 1 {
+        return JobBatch::collect(
+            jobs.iter()
+                .enumerate()
+                .map(|(i, j)| run_controlled(sim, i, j, checkpoint)),
+        );
     }
 
-    let workers = policy.threads.min(items.len());
+    let workers = threads.min(jobs.len());
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<JobRun>> = vec![None; jobs.len()];
     let mut worker_panic: Option<String> = None;
@@ -729,23 +488,14 @@ pub fn execute_jobs_policy(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next = &next;
-                let items = &items;
                 scope.spawn(move || {
-                    let mut local: Vec<(usize, JobRun)> = Vec::new();
+                    let mut local = Vec::new();
                     loop {
-                        let w = next.fetch_add(1, Ordering::Relaxed);
-                        if w >= items.len() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs.len() {
                             break;
                         }
-                        match items[w] {
-                            WorkItem::Scalar(i) => {
-                                local.push((i, run_controlled(sim, i, &jobs[i], checkpoint)));
-                            }
-                            WorkItem::Group(s, len) => {
-                                let runs = run_group(sim, s, &jobs[s..s + len], checkpoint);
-                                local.extend(runs.into_iter().enumerate().map(|(k, r)| (s + k, r)));
-                            }
-                        }
+                        local.push((i, run_controlled(sim, i, &jobs[i], checkpoint)));
                     }
                     local
                 })
@@ -832,13 +582,13 @@ pub struct CharStats {
     pub cache_quarantined: usize,
     /// Transient simulations actually run.
     pub sims_run: usize,
-    /// Worker threads used for the batched phases.
+    /// Worker threads used for the job-queue phases.
     pub threads: usize,
     /// High-water count of pool workers that actually claimed work in a
-    /// batched phase. On a healthy multi-worker run this equals `threads`;
+    /// job-queue phase. On a healthy multi-worker run this equals `threads`;
     /// `1` with `threads > 1` means the pool was dead weight.
     pub workers_engaged: usize,
-    /// Jobs submitted to the batched phases.
+    /// Jobs submitted to the job-queue phases.
     pub enumerated_jobs: usize,
     /// Jobs that produced a measurement.
     pub succeeded_jobs: usize,
@@ -1060,99 +810,6 @@ mod tests {
         assert!(batch.outcomes[1].failure().is_none());
         assert!(batch.outcomes[2].failure().is_none());
         assert!(first_error(&batch.outcomes).is_err());
-    }
-
-    #[test]
-    fn batched_execution_matches_scalar_bitwise() {
-        let (cell, tech) = env();
-        let sim = Simulator::new(&cell, &tech, Thresholds::new(1.2, 3.4, 5.0), 100e-15, 0.1);
-        // A consecutive run of events jobs with varying stimuli and loads —
-        // exactly what the model phases enumerate.
-        let mut jobs: Vec<SimJob> = [100e-12, 300e-12, 900e-12]
-            .iter()
-            .map(|&tau| SimJob::events_wide(vec![InputEvent::new(0, Edge::Rising, 0.0, tau)]))
-            .collect();
-        jobs.push(SimJob::events_at_load(
-            vec![InputEvent::new(1, Edge::Rising, 0.0, 400e-12)],
-            250e-15,
-        ));
-        let base = execute_jobs(&sim, &jobs, 1);
-        assert_eq!(base.failed_jobs, 0);
-        for (threads, batch_lanes) in [(1, 4), (1, 2), (4, 4)] {
-            let b = execute_jobs_policy(
-                &sim,
-                &jobs,
-                ExecPolicy {
-                    threads,
-                    batch_lanes,
-                },
-                None,
-            );
-            for (k, (a, c)) in base.outcomes.iter().zip(&b.outcomes).enumerate() {
-                assert_eq!(
-                    a, c,
-                    "outcome {k} diverged at threads={threads} lanes={batch_lanes}"
-                );
-            }
-            assert_eq!(base.recoveries, b.recoveries);
-        }
-    }
-
-    #[test]
-    fn work_planning_groups_only_consecutive_events() {
-        let ev = |pin: usize| SimJob::events(vec![InputEvent::new(pin, Edge::Rising, 0.0, 3e-10)]);
-        let (cell, _tech) = env();
-        let scenario =
-            Scenario::resolve(&cell, &[InputEvent::new(0, Edge::Rising, 0.0, 3e-10)]).unwrap();
-        let glitch = SimJob::glitch(
-            scenario,
-            InputEvent::new(0, Edge::Rising, 0.0, 3e-10),
-            InputEvent::new(1, Edge::Falling, 0.0, 3e-10),
-        );
-        let jobs = vec![ev(0), ev(1), ev(0), glitch, ev(1)];
-        let items = plan_work(&jobs, 2);
-        // [0,1] group, [2] scalar (run cut by the cap then the glitch),
-        // [3] scalar glitch, [4] scalar leftover.
-        assert!(matches!(items[0], WorkItem::Group(0, 2)));
-        assert!(matches!(items[1], WorkItem::Scalar(2)));
-        assert!(matches!(items[2], WorkItem::Scalar(3)));
-        assert!(matches!(items[3], WorkItem::Scalar(4)));
-        // Lanes of 1 disable grouping entirely.
-        assert!(plan_work(&jobs, 1)
-            .iter()
-            .all(|i| matches!(i, WorkItem::Scalar(_))));
-        // A wide cap batches the leading run whole.
-        let items = plan_work(&jobs, 8);
-        assert!(matches!(items[0], WorkItem::Group(0, 3)));
-    }
-
-    #[test]
-    fn a_failing_lane_degrades_to_scalar_without_poisoning_the_group() {
-        let (cell, tech) = env();
-        let sim = Simulator::new(&cell, &tech, Thresholds::new(1.2, 3.4, 5.0), 100e-15, 0.1);
-        // Opposite-direction events are rejected at scenario resolution —
-        // inside a group, that lane must fail exactly as it does scalar.
-        let bad = SimJob::events(vec![
-            InputEvent::new(0, Edge::Rising, 0.0, 300e-12),
-            InputEvent::new(1, Edge::Falling, 0.0, 300e-12),
-        ]);
-        let good = SimJob::events(vec![InputEvent::new(0, Edge::Rising, 0.0, 300e-12)]);
-        let jobs = [good.clone(), bad, good];
-        let scalar = execute_jobs(&sim, &jobs, 1);
-        let batched = execute_jobs_policy(
-            &sim,
-            &jobs,
-            ExecPolicy {
-                threads: 1,
-                batch_lanes: 3,
-            },
-            None,
-        );
-        assert_eq!(batched.failed_jobs, 1);
-        assert!(batched.outcomes[1].failure().is_some());
-        for (a, b) in scalar.outcomes.iter().zip(&batched.outcomes) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::dual::DualInputModel;
 use crate::error::ModelError;
 use crate::glitch::GlitchModel;
 use crate::jobs::{
-    bump, execute_jobs_policy, first_error, metric, record_batch, CharStats, ExecPolicy,
-    PhaseTimes, SimJob,
+    bump, execute_jobs_controlled, first_error, metric, record_batch, CharStats, PhaseTimes, SimJob,
 };
 use crate::measure::{InputEvent, Scenario};
 use crate::nldm::LoadSlewModel;
@@ -282,11 +281,7 @@ impl ProximityModel {
                 }
             }
         }
-        let policy = ExecPolicy {
-            threads,
-            batch_lanes: opts.batch_lanes.max(1),
-        };
-        let batch = execute_jobs_policy(&sim, &jobs, policy, journal.map(|j| (j, "singles")));
+        let batch = execute_jobs_controlled(&sim, &jobs, threads, journal.map(|j| (j, "singles")));
         record_batch(&reg, jobs.len(), &batch);
         let mut degraded: Vec<DegradedSlice> = Vec::new();
         let mut singles: Vec<[Option<SingleInputModel>; 2]> = vec![[None, None]; n];
@@ -422,7 +417,7 @@ impl ProximityModel {
                 });
             }
         }
-        let batch = execute_jobs_policy(&sim, &jobs, policy, journal.map(|j| (j, "pairs")));
+        let batch = execute_jobs_controlled(&sim, &jobs, threads, journal.map(|j| (j, "pairs")));
         record_batch(&reg, jobs.len(), &batch);
 
         let mut duals: Vec<[Option<DualInputModel>; 2]> = vec![[None, None]; n];
@@ -990,7 +985,7 @@ mod tests {
     #[test]
     fn parallel_characterization_is_byte_identical_to_sequential() {
         // Reduced opts with every job kind enabled: singles, duals, the
-        // load–slew surface, and glitch peaks all go through the batched
+        // load–slew surface, and glitch peaks all go through the job-queue
         // executor, so this covers the whole enumerate → execute → assemble
         // pipeline, not just the cheap phases.
         let tech = Technology::demo_5v();

@@ -909,7 +909,7 @@ mod tests {
     #[test]
     fn symbolic_solution_bitwise_stable_across_refactorization() {
         // Factoring the same values twice must produce identical bits —
-        // the foundation of the batched kernel's byte-identity argument.
+        // what keeps characterization byte-identical across worker counts.
         let (a, b) = mna_like(1e-12, 7e-4, 1.3);
         let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), vec![2, 1, 0]);
         let mut f1 = LuFactors::empty();

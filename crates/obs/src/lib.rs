@@ -54,25 +54,16 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use trace::{event, span, Event, Span};
 
-/// Shared metric names (and bucket bounds) for the batched transient kernel,
-/// owned here so the producer (`proxim-spice`) and the consumers
-/// (`proxim-core` stats, `proxim-bench` reports) cannot drift apart.
+/// Metric names of the batched transient kernel, which has been removed.
+/// Nothing books them any more, so they always read zero; they stay only so
+/// existing readers of these names keep compiling.
 pub mod batch_metrics {
-    /// Histogram: requested batch size (lanes per `tran_batch` call).
+    /// Histogram: requested batch size. Nothing books it any more.
     pub const LANES: &str = "spice.batch.lanes";
-    /// Bucket bounds for [`LANES`] and [`ACTIVE_LANES`].
-    pub const LANE_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-    /// Histogram: live (non-evicted, unfinished) lanes observed per
-    /// round of the lockstep loop — the occupancy the SoA layout actually
-    /// achieved.
+    /// Histogram: live lanes per lockstep round. Nothing books it any more.
     pub const ACTIVE_LANES: &str = "spice.batch.active_lanes";
-    /// Counter: batched calls issued.
-    pub const GROUPS: &str = "spice.batch.groups";
-    /// Counter: lanes that left the lockstep loop for the scalar path
-    /// (Newton failure, fault injection, budget exhaustion).
+    /// Counter: lanes evicted to the scalar path. Nothing books it any more.
     pub const EVICTIONS: &str = "spice.batch.evictions";
-    /// Counter: lanes that completed inside the lockstep loop.
-    pub const LANES_COMPLETED: &str = "spice.batch.lanes_completed";
 }
 
 /// Shared metric names (and bucket bounds) for the timing-query daemon,

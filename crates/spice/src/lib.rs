@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod batch;
 pub mod cancel;
 pub mod circuit;
 pub mod device;
@@ -54,7 +53,6 @@ pub mod solver;
 pub mod sweep;
 pub mod tran;
 
-pub use batch::{tran_batch, BatchRun};
 pub use cancel::CancelToken;
 pub use circuit::{Circuit, NodeId, Waveform};
 pub use device::{MosParams, MosType};

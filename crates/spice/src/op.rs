@@ -122,10 +122,8 @@ pub(crate) fn dc_solve_at(
 }
 
 /// The body of [`dc_solve_at`] over a caller-provided system and workspace,
-/// so the transient path (scalar and batched alike) can run the DC init
-/// through its reusable arena — symbolic factorization included. Every
-/// configuration funnels through the same solve sequence, which keeps the
-/// initial condition bit-identical across them.
+/// so the transient path can run the DC init through its reusable arena —
+/// symbolic factorization included.
 pub(crate) fn dc_solve_with(
     ckt: &Circuit,
     sys: &System<'_>,

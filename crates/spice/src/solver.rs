@@ -13,7 +13,6 @@ use crate::device::eval_mosfet;
 use crate::recover::RecoveryTrace;
 use proxim_numeric::linalg::{LuFactors, Matrix, SparsityPattern, SymbolicLu};
 use std::fmt;
-use std::sync::Arc;
 
 /// The error returned when an analysis fails.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,41 +186,16 @@ impl<'a> System<'a> {
         f: &mut [f64],
         jac: &mut Matrix,
     ) {
-        self.assemble_prelude(x, gmin, f, jac);
-        for (ei, e) in self.ckt.elements.iter().enumerate() {
-            self.stamp_element(ei, e, x, t, src_scale, caps, f, jac);
-        }
-    }
-
-    /// Zeroes `f`/`jac` and stamps the gmin tie from every non-ground node
-    /// to ground. The first half of [`Self::assemble`], split out so the
-    /// batched transient kernel can run the element loop lane-innermost
-    /// while each lane still sees the exact scalar stamping sequence.
-    pub fn assemble_prelude(&self, x: &[f64], gmin: f64, f: &mut [f64], jac: &mut Matrix) {
         f.fill(0.0);
         jac.clear();
+
+        // gmin from every non-ground node to ground.
         for i in 0..self.nv {
             f[i] += gmin * x[i];
             jac.add(i, i, gmin);
         }
-    }
 
-    /// Stamps one element — the body of [`Self::assemble`]'s element loop.
-    /// `ei` is the element's index (capacitor history lookups are by element
-    /// index).
-    #[allow(clippy::too_many_arguments)]
-    pub fn stamp_element(
-        &self,
-        ei: usize,
-        e: &Element,
-        x: &[f64],
-        t: f64,
-        src_scale: f64,
-        caps: CapMode<'_>,
-        f: &mut [f64],
-        jac: &mut Matrix,
-    ) {
-        {
+        for (ei, e) in self.ckt.elements.iter().enumerate() {
             match e {
                 Element::Resistor { a, b, ohms } => {
                     let g = 1.0 / ohms;
@@ -372,8 +346,7 @@ impl<'a> System<'a> {
     /// swapped with its plus (or minus) node row — putting the `±1`
     /// constraint coefficient on the diagonal for the node column and the
     /// `±1` branch-current coefficient on the diagonal for the branch
-    /// column. A pure function of topology, shared by every lane of a
-    /// batch.
+    /// column. A pure function of topology.
     pub fn static_pivot_order(&self) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..self.n).collect();
         let mut used = vec![false; self.n];
@@ -399,12 +372,12 @@ impl<'a> System<'a> {
         perm
     }
 
-    /// Builds the shared symbolic factorization for this system, or `None`
-    /// when the static order is structurally impossible (every solve then
-    /// uses dense partial pivoting, as before the split).
-    pub fn symbolic_lu(&self) -> Option<Arc<SymbolicLu>> {
+    /// Builds the symbolic factorization for this system, or `None` when
+    /// the static order is structurally impossible (every solve then uses
+    /// dense partial pivoting, as before the split).
+    pub fn symbolic_lu(&self) -> Option<SymbolicLu> {
         let sym = SymbolicLu::analyze(&self.sparsity_pattern(), self.static_pivot_order());
-        sym.is_viable().then(|| Arc::new(sym))
+        sym.is_viable().then_some(sym)
     }
 
     /// Stamps a two-terminal branch with current `i` (from `a` to `b`) and
@@ -505,19 +478,19 @@ pub(crate) struct NewtonWorkspace {
     pub time_lu: bool,
     /// Accumulated LU factor/solve wall time (see `time_lu`), in seconds.
     pub lu_seconds: f64,
-    /// When present, factorizations first try the shared static-order
-    /// symbolic path ([`SymbolicLu::factor_into`]); a declined factorization
-    /// falls back to dense partial pivoting. `None` → always dense.
-    pub symbolic: Option<Arc<SymbolicLu>>,
+    /// When present, factorizations first try the static-order symbolic
+    /// path ([`SymbolicLu::factor_into`]); a declined factorization falls
+    /// back to dense partial pivoting. `None` → always dense.
+    pub symbolic: Option<SymbolicLu>,
     /// Factorizations that took the static-order path.
     pub static_solves: u64,
     /// Factorizations where the static order declined (threshold pivot
     /// failure) and dense partial pivoting ran instead.
     pub static_fallbacks: u64,
-    pub(crate) f: Vec<f64>,
+    f: Vec<f64>,
     neg_f: Vec<f64>,
-    pub(crate) dx: Vec<f64>,
-    pub(crate) jac: Matrix,
+    dx: Vec<f64>,
+    jac: Matrix,
     lu: LuFactors,
 }
 
@@ -539,7 +512,7 @@ impl NewtonWorkspace {
     }
 
     /// Sizes every buffer for an `n`-unknown system and seeds the iterate.
-    pub(crate) fn prepare(&mut self, x0: &[f64]) {
+    fn prepare(&mut self, x0: &[f64]) {
         let n = x0.len();
         self.x.clear();
         self.x.extend_from_slice(x0);
@@ -559,10 +532,8 @@ impl NewtonWorkspace {
     /// Dispatch: the static-order symbolic path when installed and its
     /// stability threshold holds, else dense partial pivoting — a pure
     /// function of the Jacobian's values, so identical matrices take
-    /// identical paths regardless of which kernel (scalar or batched)
-    /// issued the solve. That is the linchpin of the byte-identity
-    /// guarantee across `jobs`/`batch` configurations.
-    pub(crate) fn factor_and_solve(&mut self) -> bool {
+    /// identical paths on every worker.
+    fn factor_and_solve(&mut self) -> bool {
         let lu_start = self.time_lu.then(std::time::Instant::now);
         let mut static_ok = false;
         let factored = match &self.symbolic {
@@ -599,7 +570,7 @@ impl NewtonWorkspace {
     /// voltage clamp, returning `(max_dv, max_res)` — the unclamped maximum
     /// voltage update and the maximum KCL residual, the two convergence
     /// measures.
-    pub(crate) fn apply_update(&mut self, sys: &System<'_>, opts: &NewtonOptions) -> (f64, f64) {
+    fn apply_update(&mut self, sys: &System<'_>, opts: &NewtonOptions) -> (f64, f64) {
         let mut max_dv = 0.0f64;
         for i in 0..sys.n {
             // Clamp voltage updates; branch currents are left unclamped.

@@ -27,24 +27,24 @@ use std::time::Instant;
 /// Global-registry handles for transient-solver telemetry, resolved once
 /// per run so the per-solve path never touches the registry mutex. `None`
 /// when the observability level is [`obs::Level::Off`].
-pub(crate) struct TranMetrics {
-    pub(crate) runs: obs::Counter,
-    pub(crate) recoveries: obs::Counter,
-    pub(crate) recovery_seconds: obs::Gauge,
-    pub(crate) lu_seconds: obs::Gauge,
-    /// Factorizations that took the shared static-order (symbolic) path.
-    pub(crate) lu_static_solves: obs::Counter,
+struct TranMetrics {
+    runs: obs::Counter,
+    recoveries: obs::Counter,
+    recovery_seconds: obs::Gauge,
+    lu_seconds: obs::Gauge,
+    /// Factorizations that took the static-order (symbolic) path.
+    lu_static_solves: obs::Counter,
     /// Factorizations where the static order declined and dense partial
     /// pivoting ran instead.
-    pub(crate) lu_static_fallbacks: obs::Counter,
+    lu_static_fallbacks: obs::Counter,
     /// Newton iterations per converged solve.
-    pub(crate) newton_iters: obs::Histogram,
+    newton_iters: obs::Histogram,
     /// Recovery-ladder attempts per transient run.
-    pub(crate) recovery_depth: obs::Histogram,
+    recovery_depth: obs::Histogram,
 }
 
 impl TranMetrics {
-    pub(crate) fn new() -> Option<Self> {
+    fn new() -> Option<Self> {
         if !obs::metrics_enabled() {
             return None;
         }
@@ -66,13 +66,6 @@ impl TranMetrics {
             ),
         })
     }
-
-    /// Books a run's static-vs-fallback factorization counts from the
-    /// workspace counters (which the caller resets per run).
-    pub(crate) fn record_lu_dispatch(&self, ws: &NewtonWorkspace) {
-        self.lu_static_solves.add(ws.static_solves);
-        self.lu_static_fallbacks.add(ws.static_fallbacks);
-    }
 }
 
 /// Per-thread reusable transient state: the Newton workspace (Jacobian, LU
@@ -82,17 +75,17 @@ impl TranMetrics {
 ///
 /// A characterization worker runs hundreds of transients back to back; the
 /// arena makes every run after the first allocation-free on the solver path.
-pub(crate) struct TranArena {
-    pub(crate) ws: NewtonWorkspace,
-    pub(crate) hist: Vec<(f64, f64)>,
-    pub(crate) breakpoints: Vec<f64>,
+struct TranArena {
+    ws: NewtonWorkspace,
+    hist: Vec<(f64, f64)>,
+    breakpoints: Vec<f64>,
     times_hint: usize,
     samples_hint: usize,
     branch_hint: usize,
 }
 
 impl TranArena {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             ws: NewtonWorkspace::new(),
             hist: Vec::new(),
@@ -105,8 +98,8 @@ impl TranArena {
 }
 
 thread_local! {
-    /// One arena per worker thread, reused across every scalar transient
-    /// run the thread executes.
+    /// One arena per worker thread, reused across every transient run the
+    /// thread executes.
     static ARENA: std::cell::RefCell<TranArena> = std::cell::RefCell::new(TranArena::new());
 }
 
@@ -252,33 +245,6 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// Assembles a result from raw sample buffers — used by the batched
-    /// transient kernel, which records lanes outside `tran_attempt`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        node_count: usize,
-        branch_count: usize,
-        samples: Vec<f64>,
-        branch_samples: Vec<f64>,
-        newton_iterations: usize,
-        accepted_steps: usize,
-        lu_seconds: f64,
-        recovery: RecoveryTrace,
-    ) -> Self {
-        Self {
-            times,
-            node_count,
-            branch_count,
-            samples,
-            branch_samples,
-            newton_iterations,
-            accepted_steps,
-            lu_seconds,
-            recovery,
-        }
-    }
-
     /// The accepted time points.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -424,8 +390,8 @@ fn tran_in_arena(
     let mut trace = RecoveryTrace::default();
     let mut solves = 0usize;
     let mut attempt_opts = *options;
-    // The shared symbolic factorization is a pure function of topology,
-    // computed once per run and used by every solve (DC init included).
+    // The symbolic factorization is a pure function of topology, computed
+    // once per run and used by every solve (DC init included).
     arena.ws.symbolic = sys.symbolic_lu();
     arena.ws.static_solves = 0;
     arena.ws.static_fallbacks = 0;
@@ -454,7 +420,8 @@ fn tran_in_arena(
                     m.recovery_seconds.add(result.recovery.total_seconds());
                     m.lu_seconds.add(result.lu_seconds);
                     m.recovery_depth.observe(result.recovery.total() as f64);
-                    m.record_lu_dispatch(&arena.ws);
+                    m.lu_static_solves.add(arena.ws.static_solves);
+                    m.lu_static_fallbacks.add(arena.ws.static_fallbacks);
                 }
                 if span.is_active() {
                     span.add_arg("steps", result.accepted_steps);
