@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tier-1 build + tests, every workspace
-# crate's tests, the resilience and chaos/resume suites, the serve smoke
-# test, and the benchmarks (emit BENCH_characterize.json and
-# BENCH_serve.json at the repo root). Run from anywhere; operates on the
-# repo that contains it.
+# Full CI gate: formatting, lints, tier-1 build + tests, the benchmark
+# package's build + tests, every workspace crate's tests, the resilience and
+# chaos/resume suites, the serve smoke test, and the benchmarks (emit
+# BENCH_characterize.json and BENCH_serve.json at the repo root). Run from
+# anywhere; operates on the repo that contains it.
 #
 # Every step runs under a wall-clock timeout so a wedged solver (or a
 # chaos child that never dies) fails CI with a timeout error instead of
@@ -35,6 +35,11 @@ step 20m "tier-1: cargo build --release"     cargo build --release
 # bench_serve).
 step 20m "workspace: cargo build --release"  cargo build --release --workspace
 step 20m "tier-1: cargo test -q"             cargo test -q
+# The benchmark package (proxbench/) is a workspace of its own that builds
+# the crates through path dependencies; compile and test it here so an API
+# change that breaks it fails CI instead of the next benchmark run.
+step 20m "proxbench: cargo build --release"  cargo build --release --offline --manifest-path proxbench/Cargo.toml
+step 20m "proxbench: cargo test --release"   cargo test --release --offline --manifest-path proxbench/Cargo.toml
 step 30m "workspace: cargo test --workspace" cargo test -q --workspace
 step 15m "resilience: fault injection"       cargo test -q --features fault-injection --test fault_injection
 step 15m "workers: byte identity + faults"   cargo test -q --features fault-injection --test worker_identity

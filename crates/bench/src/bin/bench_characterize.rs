@@ -43,9 +43,15 @@
 //!   open in Perfetto);
 //! - unless tracing is armed, the sequential run is gated against the
 //!   committed baseline report: a `sims_per_sec` regression beyond
-//!   `PROXIM_BENCH_TOLERANCE` percent (default 5) fails the run. Set
-//!   `PROXIM_BENCH_NO_GATE=1` to skip, e.g. on a different machine than the
-//!   one that produced the baseline.
+//!   `PROXIM_BENCH_TOLERANCE` percent (default 5) fails the run;
+//! - the sequential section also records the solver work per transient run,
+//!   `steps_per_sim` (accepted time steps) and `newton_iters_per_sim`, from
+//!   the registry's `spice.tran.*` counters. Both are deterministic, so they
+//!   are gated tightly whether or not tracing is armed: more than 0.5 % above
+//!   the committed baseline fails the run.
+//!
+//! Set `PROXIM_BENCH_NO_GATE=1` to skip both gates, e.g. on a different
+//! machine than the one that produced the baseline.
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
@@ -84,11 +90,38 @@ fn run(cell: &Cell, tech: &Technology, jobs: usize) -> (String, CharStats, f64) 
     (model.to_json().expect("model serializes"), stats, wall)
 }
 
-fn stats_json(stats: &CharStats, wall: f64) -> String {
+/// Solver work per transient run, from the global registry's counters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Work {
+    steps_per_sim: f64,
+    newton_iters_per_sim: f64,
+}
+
+impl Work {
+    /// The work done between two registry snapshots.
+    fn between(before: &obs::Snapshot, after: &obs::Snapshot) -> Self {
+        let delta = |name: &str| after.counter(name).saturating_sub(before.counter(name)) as f64;
+        let runs = delta("spice.tran.runs").max(1.0);
+        Self {
+            steps_per_sim: delta("spice.tran.accepted_steps") / runs,
+            newton_iters_per_sim: delta("spice.tran.newton_iterations") / runs,
+        }
+    }
+}
+
+/// One run's report section, with the per-transient solver work when given.
+fn stats_json(stats: &CharStats, wall: f64, work: Option<Work>) -> String {
     let p = stats.phases;
+    let work = work.map_or(String::new(), |w| {
+        format!(
+            "\"steps_per_sim\": {:.3}, \"newton_iters_per_sim\": {:.3}, ",
+            w.steps_per_sim, w.newton_iters_per_sim
+        )
+    });
     format!(
         concat!(
             "{{\"threads\": {}, \"workers_engaged\": {}, \"sims_run\": {}, ",
+            "{}",
             "\"wall_s\": {:.6}, ",
             "\"sims_per_sec\": {:.1}, ",
             "\"phases_s\": {{\"vtc\": {:.6}, \"singles\": {:.6}, ",
@@ -101,6 +134,7 @@ fn stats_json(stats: &CharStats, wall: f64) -> String {
         stats.threads,
         stats.workers_engaged,
         stats.sims_run,
+        work,
         wall,
         stats.sims_run as f64 / wall.max(1e-12),
         p.vtc,
@@ -145,11 +179,49 @@ fn histograms_json(snap: &obs::Snapshot) -> String {
     format!("{{{body}}}")
 }
 
-/// Pulls `"sequential" → "sims_per_sec"` out of a previously written report.
-fn baseline_sims_per_sec(path: &str) -> Option<f64> {
+/// Pulls `"sequential" → name` out of a previously written report.
+fn baseline_sequential(path: &str, name: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
     let json = obs::json::Json::parse(&text).ok()?;
-    json.get("sequential")?.get("sims_per_sec")?.as_f64()
+    json.get("sequential")?.get(name)?.as_f64()
+}
+
+/// Fails when the sequential run's solver work per transient exceeds the
+/// baseline's by more than 0.5 %. The counters are deterministic, so the
+/// tolerance only absorbs the report's rounding.
+fn work_gate(current: Work, baseline: Option<Work>, baseline_path: &str) -> Result<String, String> {
+    if std::env::var_os("PROXIM_BENCH_NO_GATE").is_some() {
+        return Ok("work gate: skipped (PROXIM_BENCH_NO_GATE)".into());
+    }
+    let Some(baseline) = baseline else {
+        return Ok(format!(
+            "work gate: no work counters in {baseline_path}, skipped"
+        ));
+    };
+    let mut verdicts = Vec::new();
+    let mut failed = false;
+    for (name, now, base) in [
+        (
+            "steps_per_sim",
+            current.steps_per_sim,
+            baseline.steps_per_sim,
+        ),
+        (
+            "newton_iters_per_sim",
+            current.newton_iters_per_sim,
+            baseline.newton_iters_per_sim,
+        ),
+    ] {
+        let delta_pct = (now / base - 1.0) * 100.0;
+        failed |= now > base * 1.005;
+        verdicts.push(format!("{name} {now:.3} ({delta_pct:+.2}% vs {base:.3})"));
+    }
+    let msg = verdicts.join(", ");
+    if failed {
+        Err(format!("work gate FAILED (limit +0.5%): {msg}"))
+    } else {
+        Ok(format!("work gate: {msg}"))
+    }
 }
 
 /// Compares the fresh sequential throughput against the baseline rate
@@ -295,7 +367,14 @@ fn main() -> ExitCode {
     if let Some(p) = &trace_path {
         eprintln!("tracing to {} (perf gate disabled)", p.display());
     }
-    let baseline_rate = baseline_sims_per_sec(&baseline);
+    let baseline_rate = baseline_sequential(&baseline, "sims_per_sec");
+    // Absent from reports written before the work counters existed.
+    let baseline_work = baseline_sequential(&baseline, "steps_per_sim")
+        .zip(baseline_sequential(&baseline, "newton_iters_per_sim"))
+        .map(|(steps_per_sim, newton_iters_per_sim)| Work {
+            steps_per_sim,
+            newton_iters_per_sim,
+        });
 
     let tech = Technology::demo_5v();
     let cell = Cell::nand(2);
@@ -330,8 +409,13 @@ fn main() -> ExitCode {
     run(&cell, &tech, 1);
 
     eprintln!("sequential baseline (jobs = 1)...");
+    let before = obs::Registry::global().snapshot();
     let (json_seq, seq, wall_seq) = run(&cell, &tech, 1);
-    eprintln!("  {} sims in {:.2} s", seq.sims_run, wall_seq);
+    let work_seq = Work::between(&before, &obs::Registry::global().snapshot());
+    eprintln!(
+        "  {} sims in {:.2} s, {:.1} steps and {:.1} Newton iterations per sim",
+        seq.sims_run, wall_seq, work_seq.steps_per_sim, work_seq.newton_iters_per_sim
+    );
 
     eprintln!("parallel (jobs = {threads})...");
     let (json_par, par, wall_par) = run(&cell, &tech, threads.max(1));
@@ -471,11 +555,11 @@ fn main() -> ExitCode {
         cpus,
         parallel_limited,
         speedup,
-        stats_json(&seq, wall_seq),
-        stats_json(&par, wall_par),
+        stats_json(&seq, wall_seq, Some(work_seq)),
+        stats_json(&par, wall_par, None),
         scaling_json,
-        stats_json(&cold, wall_cold),
-        stats_json(&warm, wall_warm),
+        stats_json(&cold, wall_cold, None),
+        stats_json(&warm, wall_warm, None),
         audit_report.len(),
         wall_audit,
         audit_pct,
@@ -494,9 +578,16 @@ fn main() -> ExitCode {
     // runs are compared against the committed baseline).
     obs::trace::emit_metrics(&snap);
     obs::sink::flush();
+    // Re-reading the baseline now would see our own report; use the values
+    // captured before the write.
+    match work_gate(work_seq, baseline_work, &baseline) {
+        Ok(msg) => eprintln!("{msg}"),
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    }
     if trace_path.is_none() {
-        // Re-reading the baseline now would see our own report; use the
-        // rate captured before the write.
         let current = seq.sims_run as f64 / wall_seq.max(1e-12);
         match perf_gate(current, baseline_rate, &baseline) {
             Ok(msg) => eprintln!("{msg}"),

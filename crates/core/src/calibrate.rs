@@ -9,7 +9,9 @@
 //! matters). Rather than guessing, the stretch is calibrated per output
 //! edge: a two-stage chain of the cell driving itself is simulated at a few
 //! input slopes, and the factor is solved so the *modeled* two-stage
-//! arrival matches the simulated one.
+//! arrival matches the simulated one. Each chain transient ends once the
+//! second stage's output has crossed both §2 thresholds (see
+//! [`proxim_spice::StopRule`]); only its first crossing is read.
 
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
@@ -19,7 +21,8 @@ use proxim_cells::{Cell, Technology};
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::rootfind::brent;
 use proxim_spice::circuit::{Circuit, Waveform};
-use proxim_spice::tran::TranOptions;
+use proxim_spice::tran::{StopRule, TranOptions};
+use proxim_spice::CancelToken;
 
 /// One simulated two-stage data point.
 struct ChainPoint {
@@ -34,6 +37,7 @@ struct ChainPoint {
 /// Simulates `cell` driving an identical copy of itself, pin 0 to pin 0,
 /// with stable pins at sensitizing levels, and returns the second-stage
 /// output arrival.
+#[allow(clippy::too_many_arguments)]
 fn simulate_chain(
     cell: &Cell,
     tech: &Technology,
@@ -42,6 +46,7 @@ fn simulate_chain(
     tau: f64,
     c_load: f64,
     dv_max: f64,
+    cancel: &CancelToken,
 ) -> Result<ChainPoint, ModelError> {
     let probe = [InputEvent::new(0, input_edge, 0.0, tau)];
     let scenario = Scenario::resolve(cell, &probe)?;
@@ -93,10 +98,19 @@ fn simulate_chain(
     ckt.capacitor("CL", out, Circuit::GND, c_load);
 
     let t_stop = t_start + tau + 12e-9;
-    let r = ckt.tran(&TranOptions::to(t_stop).with_dv_max(dv_max))?;
+    let near = th.threshold_for(b_out_edge);
+    let options = TranOptions::to(t_stop)
+        .with_dv_max(dv_max)
+        .with_stop(StopRule {
+            node: out,
+            edge: b_out_edge,
+            near,
+            far: th.threshold_for(b_out_edge.opposite()),
+        });
+    let r = ckt.tran_cancellable(&options, cancel)?;
     let w = r.waveform(out);
     let t2_sim = w
-        .first_crossing(th.threshold_for(b_out_edge), b_out_edge)
+        .first_crossing(near, b_out_edge)
         .ok_or_else(|| ModelError::MissingCrossing {
             what: "calibrating the two-stage chain".into(),
         })?;
@@ -111,11 +125,14 @@ fn simulate_chain(
 /// `input_edge` on pin 0, using the pin-0 single-input models of both
 /// stages (`single_a` drives, `single_b` receives).
 ///
-/// Returns a factor in `[0.8, 2.5]` (clamped if the bracket fails).
+/// Returns a factor in `[0.8, 2.5]` (clamped if the bracket fails). Every
+/// chain transient polls `cancel`.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] if the chain simulations fail.
+/// Returns [`ModelError`] if the chain simulations fail, including the
+/// typed cancellation errors ([`ModelError::is_cancellation`]) once
+/// `cancel` trips.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn calibrate_stretch(
     cell: &Cell,
@@ -126,6 +143,7 @@ pub(crate) fn calibrate_stretch(
     single_b: &SingleInputModel,
     c_ref: f64,
     dv_max: f64,
+    cancel: &CancelToken,
 ) -> Result<f64, ModelError> {
     let (tau_lo, tau_hi) = single_a.tau_range();
     let taus = [tau_lo * 1.5, (tau_lo * tau_hi).sqrt(), tau_hi * 0.7];
@@ -135,7 +153,7 @@ pub(crate) fn calibrate_stretch(
     let mut points = Vec::with_capacity(taus.len());
     for &tau in &taus {
         points.push(simulate_chain(
-            cell, tech, th, input_edge, tau, c_ref, dv_max,
+            cell, tech, th, input_edge, tau, c_ref, dv_max, cancel,
         )?);
     }
 
@@ -189,6 +207,7 @@ mod tests {
             &single,
             100e-15,
             0.08,
+            &CancelToken::new(),
         )
         .unwrap();
         assert!(f > 1.0, "real edges are slower than linear: {f}");
@@ -197,5 +216,31 @@ mod tests {
             "stretch {f} should not exceed the full 5-95% tail {}",
             single.tail_factor()
         );
+    }
+
+    #[test]
+    fn a_cancelled_token_stops_calibration_typed() {
+        let tech = Technology::demo_5v();
+        let cell = Cell::nand(2);
+        let th = Thresholds::new(1.8, 3.78, 5.0);
+        let sim = Simulator::new(&cell, &tech, th, 100e-15, 0.08);
+        let single =
+            SingleInputModel::characterize(&sim, 0, Edge::Rising, &[100e-12, 400e-12, 1500e-12])
+                .unwrap();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let err = calibrate_stretch(
+            &cell,
+            &tech,
+            &th,
+            Edge::Rising,
+            &single,
+            &single,
+            100e-15,
+            0.08,
+            &cancel,
+        )
+        .unwrap_err();
+        assert!(err.is_cancellation(), "got {err:?}");
     }
 }

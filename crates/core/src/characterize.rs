@@ -3,7 +3,9 @@
 //! The paper builds its macromodels from HSPICE runs; [`Simulator`] plays
 //! that role here on top of [`proxim_spice`]. It elaborates the cell once
 //! per scenario, applies controlled PWL ramps, picks a settling horizon from
-//! the drive strength, and returns the measured output waveform.
+//! the drive strength, and returns the measured output waveform — ended as
+//! soon as the threshold crossings a measurement reads are fixed (see
+//! [`proxim_spice::StopRule`]).
 
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
@@ -11,7 +13,7 @@ use crate::thresholds::Thresholds;
 use proxim_cells::{Cell, Technology};
 use proxim_numeric::grid::{linspace, logspace};
 use proxim_numeric::pwl::{Edge, Pwl};
-use proxim_spice::tran::TranOptions;
+use proxim_spice::tran::{StopRule, TranOptions};
 use proxim_spice::{CancelToken, RecoveryTrace};
 
 /// Grids and knobs controlling characterization cost and fidelity.
@@ -160,7 +162,13 @@ pub struct SimResponse {
     /// The events as actually applied (time-shifted so every ramp starts
     /// strictly after `t = 0`).
     pub events: Vec<InputEvent>,
-    /// The simulated output waveform.
+    /// The simulated output waveform. It ends one accepted solver step
+    /// after the step in which the output first crossed the far
+    /// measurement threshold (`V_ih` rising, `V_il` falling; the 95 %/5 %
+    /// bound for [`Simulator::simulate_wide`]) after the near one — or at
+    /// the settling horizon if the output never gets that far. Every first crossing of the thresholds between the two is the
+    /// same as on the full-horizon waveform, but the settled tail is not
+    /// there: read extrema or final values from a transient of your own.
     pub output: Pwl,
     /// The output transition direction.
     pub output_edge: Edge,
@@ -260,8 +268,9 @@ impl<'a> Simulator<'a> {
 
     /// A conservative settling horizon after the last ramp ends: the time to
     /// slew the loaded output several times over, accounting for the series
-    /// stack dividing the drive strength.
-    fn settle_margin(&self) -> f64 {
+    /// stack dividing the drive strength. [`Simulator::simulate`] sets each
+    /// transient's `t_stop` this far past the end of the last input ramp.
+    pub fn settle_margin(&self) -> f64 {
         let n = self.cell.input_count() as f64;
         let vdd = self.tech.vdd;
         let k_n = self.tech.k_n(self.cell.wn());
@@ -287,6 +296,21 @@ impl<'a> Simulator<'a> {
     /// Returns [`ModelError`] if the scenario is unsensitizable or the
     /// simulation fails.
     pub fn simulate(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
+        self.simulate_until(events, false)
+    }
+
+    /// [`Simulator::simulate`] for a response that is also read for its
+    /// 5–95 %-of-swing edge: the transient runs on until the output has
+    /// crossed the farther of that bound and the §2 threshold.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::simulate`].
+    pub fn simulate_wide(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
+        self.simulate_until(events, true)
+    }
+
+    fn simulate_until(&self, events: &[InputEvent], wide: bool) -> Result<SimResponse, ModelError> {
         let scenario = Scenario::resolve(self.cell, events)?;
 
         // Shift so the earliest ramp starts at a small positive time.
@@ -313,9 +337,24 @@ impl<'a> Simulator<'a> {
             net.set_waveform(e.pin, e.ramp.waveform(self.tech.vdd));
         }
 
+        let th = &self.thresholds;
+        let edge = scenario.output_edge;
+        let vdd = self.tech.vdd;
+        let far = match (edge, wide) {
+            (Edge::Rising, false) => th.v_ih,
+            (Edge::Falling, false) => th.v_il,
+            (Edge::Rising, true) => th.v_ih.max(0.95 * vdd),
+            (Edge::Falling, true) => th.v_il.min(0.05 * vdd),
+        };
         let options = TranOptions::to(t_stop)
             .with_dv_max(self.dv_max)
-            .with_tolerance_scale(self.tol_scale);
+            .with_tolerance_scale(self.tol_scale)
+            .with_stop(StopRule {
+                node: net.out,
+                edge,
+                near: th.threshold_for(edge),
+                far,
+            });
         let result = net.circuit.tran_cancellable(&options, &self.cancel)?;
         let output = result.waveform(net.out);
         Ok(SimResponse {

@@ -269,7 +269,8 @@ pub(crate) fn simulate_glitch(
     let options = proxim_spice::tran::TranOptions::to(t_stop)
         .with_dv_max(sim.dv_max)
         .with_tolerance_scale(sim.tol_scale);
-    let result = net.circuit.tran(&options)?;
+    // No stop rule: the peak is read over the whole waveform.
+    let result = net.circuit.tran_cancellable(&options, &sim.cancel)?;
     let out = result.waveform(net.out);
     let peak = match output_edge {
         Edge::Falling => out.min().1,
@@ -330,6 +331,20 @@ mod tests {
         );
         assert!(late_blocker < 1.0, "full transition reaches near ground");
         assert!(early_blocker > 3.0, "blocked output stays high");
+    }
+
+    #[test]
+    fn a_cancelled_token_stops_the_glitch_transient_typed() {
+        let (cell, tech) = glitch_env();
+        let th = Thresholds::new(1.2, 3.4, 5.0);
+        let cancel = proxim_spice::CancelToken::new();
+        cancel.cancel();
+        let sim = Simulator::new(&cell, &tech, th, 100e-15, 0.1).with_cancel(cancel);
+        let e_c = InputEvent::new(1, Edge::Rising, 0.0, 300e-12);
+        let e_b = InputEvent::new(0, Edge::Falling, 200e-12, 300e-12);
+        let scenario = Scenario::resolve(&cell, &[e_c]).unwrap();
+        let err = simulate_glitch(&sim, &scenario, e_c, e_b, scenario.output_edge).unwrap_err();
+        assert!(err.is_cancellation(), "got {err:?}");
     }
 
     #[test]

@@ -252,7 +252,11 @@ fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTra
                 None => sim,
             };
             let th = s.thresholds;
-            let r = s.simulate(events)?;
+            let r = if *measure_wide {
+                s.simulate_wide(events)?
+            } else {
+                s.simulate(events)?
+            };
             let delay = r.delay_from(0, &th)?;
             let trans = r.transition_time(&th)?;
             let vdd = s.tech.vdd;

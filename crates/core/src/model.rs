@@ -546,7 +546,9 @@ impl ProximityModel {
             let Some(single_b) = model.singles[0][eidx(out_edge)].as_ref() else {
                 continue;
             };
-            if let Ok(f) = crate::calibrate::calibrate_stretch(
+            // A failed calibration keeps the unit stretch; a cancelled
+            // one stops the run.
+            match crate::calibrate::calibrate_stretch(
                 cell,
                 tech,
                 &thresholds,
@@ -555,9 +557,14 @@ impl ProximityModel {
                 single_b,
                 opts.c_load,
                 opts.dv_max,
+                cancel,
             ) {
-                bump(&reg, metric::SIMS_RUN, 3); // the calibration chain's three sims
-                model.ramp_stretch[eidx(out_edge)] = f;
+                Ok(f) => {
+                    bump(&reg, metric::SIMS_RUN, 3); // the calibration chain's three sims
+                    model.ramp_stretch[eidx(out_edge)] = f;
+                }
+                Err(e) if e.is_cancellation() => return Err(e),
+                Err(_) => {}
             }
         }
 

@@ -193,23 +193,7 @@ impl Pwl {
     pub fn crossings(&self, threshold: f64) -> Vec<(f64, Edge)> {
         let mut out: Vec<(f64, Edge)> = Vec::new();
         for w in self.points.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, v1) = w[1];
-            let below0 = v0 < threshold;
-            let below1 = v1 < threshold;
-            if below0 != below1 && v1 != v0 {
-                let t = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0);
-                let edge = if v1 > v0 { Edge::Rising } else { Edge::Falling };
-                // A waveform that only touches the threshold at a knot
-                // produces a zero-width opposite-edge pair; drop both.
-                if let Some(&(tp, ep)) = out.last() {
-                    if tp == t && ep == edge.opposite() {
-                        out.pop();
-                        continue;
-                    }
-                }
-                out.push((t, edge));
-            }
+            push_crossing(&mut out, threshold, w[0], w[1]);
         }
         out
     }
@@ -299,6 +283,35 @@ impl Pwl {
             .find(|&(t, e)| e == edge && t >= t_first)
             .map(|(t, _)| t)?;
         Some(t_second - t_first)
+    }
+}
+
+/// Extends the crossing list `out` of [`Pwl::crossings`] by one segment,
+/// `a → b`, of the waveform.
+///
+/// Feeding every consecutive knot pair of a waveform through this function,
+/// in order, produces exactly [`Pwl::crossings`]; a transient solver uses it
+/// to track crossings while the waveform is still being computed. The
+/// touching-knot rule means a segment can remove the entry the previous
+/// segment added, but only one lying exactly at `a`'s time: entries strictly
+/// earlier than the last knot fed in are final.
+pub fn push_crossing(out: &mut Vec<(f64, Edge)>, threshold: f64, a: (f64, f64), b: (f64, f64)) {
+    let (t0, v0) = a;
+    let (t1, v1) = b;
+    let below0 = v0 < threshold;
+    let below1 = v1 < threshold;
+    if below0 != below1 && v1 != v0 {
+        let t = t0 + (threshold - v0) * (t1 - t0) / (v1 - v0);
+        let edge = if v1 > v0 { Edge::Rising } else { Edge::Falling };
+        // A waveform that only touches the threshold at a knot produces a
+        // zero-width opposite-edge pair; drop both.
+        if let Some(&(tp, ep)) = out.last() {
+            if tp == t && ep == edge.opposite() {
+                out.pop();
+                return;
+            }
+        }
+        out.push((t, edge));
     }
 }
 

@@ -13,7 +13,8 @@
 //! - DC sweeps with solution continuation, used for voltage-transfer-curve
 //!   extraction ([`sweep`]),
 //! - trapezoidal/backward-Euler transient analysis with adaptive
-//!   voltage-limited time stepping and PWL-source breakpoints ([`tran`]).
+//!   voltage-limited time stepping and PWL-source breakpoints, optionally
+//!   ended early by a measurement-driven [`StopRule`] ([`tran`]).
 //!
 //! The circuits of interest are standard cells — a handful of transistors —
 //! so the solver uses dense LU throughout.
@@ -61,4 +62,4 @@ pub use op::OpResult;
 pub use recover::{RecoveryPolicy, RecoveryTrace};
 pub use solver::AnalysisError;
 pub use sweep::DcSweepResult;
-pub use tran::{TranOptions, TranResult};
+pub use tran::{StopRule, TranOptions, TranResult};

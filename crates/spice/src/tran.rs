@@ -11,6 +11,11 @@
 //! damping, then with gmin continuation, then cuts the step, and finally
 //! restarts the whole run with halved `dt_init`/`dv_max`. Everything the
 //! ladder did is reported in [`TranResult::recovery`].
+//!
+//! A run normally integrates to `t_stop`. With a [`StopRule`] it ends early,
+//! one accepted step after one node's waveform has made the threshold
+//! crossings a measurement reads; the shortened result is a bit-exact prefix
+//! of the full run.
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, Element, NodeId};
@@ -20,7 +25,7 @@ use crate::recover::{RecoveryPolicy, RecoveryStage, RecoveryTrace};
 use crate::solver::{
     newton_solve, AnalysisError, CapMode, NewtonOptions, NewtonOutcome, NewtonWorkspace, System,
 };
-use proxim_numeric::pwl::Pwl;
+use proxim_numeric::pwl::{push_crossing, Edge, Pwl};
 use proxim_obs as obs;
 use std::time::Instant;
 
@@ -32,6 +37,10 @@ struct TranMetrics {
     recoveries: obs::Counter,
     recovery_seconds: obs::Gauge,
     lu_seconds: obs::Gauge,
+    /// Accepted time steps, summed over runs.
+    accepted_steps: obs::Counter,
+    /// Newton iterations, summed over runs.
+    newton_iterations: obs::Counter,
     /// Factorizations that took the static-order (symbolic) path.
     lu_static_solves: obs::Counter,
     /// Factorizations where the static order declined and dense partial
@@ -54,6 +63,8 @@ impl TranMetrics {
             recoveries: reg.counter("spice.tran.recoveries"),
             recovery_seconds: reg.gauge("spice.tran.recovery_seconds"),
             lu_seconds: reg.gauge("spice.tran.lu_seconds"),
+            accepted_steps: reg.counter("spice.tran.accepted_steps"),
+            newton_iterations: reg.counter("spice.tran.newton_iterations"),
             lu_static_solves: reg.counter("spice.lu.static_solves"),
             lu_static_fallbacks: reg.counter("spice.lu.static_fallbacks"),
             newton_iters: reg.histogram(
@@ -79,6 +90,8 @@ struct TranArena {
     ws: NewtonWorkspace,
     hist: Vec<(f64, f64)>,
     breakpoints: Vec<f64>,
+    /// Crossing lists of a [`StopRule`]'s near and far thresholds.
+    crossings: [Vec<(f64, Edge)>; 2],
     times_hint: usize,
     samples_hint: usize,
     branch_hint: usize,
@@ -90,6 +103,7 @@ impl TranArena {
             ws: NewtonWorkspace::new(),
             hist: Vec::new(),
             breakpoints: Vec::new(),
+            crossings: [Vec::new(), Vec::new()],
             times_hint: 0,
             samples_hint: 0,
             branch_hint: 0,
@@ -141,6 +155,52 @@ pub struct TranOptions {
     pub integrator: Integrator,
     /// Recovery ladder applied on Newton failures (see [`crate::recover`]).
     pub recovery: RecoveryPolicy,
+    /// Ends the run early once a measurement's crossings are fixed; `None`
+    /// (the default) integrates to `t_stop`.
+    pub stop: Option<StopRule>,
+}
+
+/// A measurement-driven end for a transient run.
+///
+/// The run watches `node` for its first `edge`-direction crossing of `near`
+/// and, at or after it, the first `edge`-direction crossing of `far`, with
+/// the crossing semantics of [`Pwl::crossings`]. After each accepted step it
+/// ends if both crossings lie strictly before the *previous* time point: in
+/// the usual case that is one accepted step after the step that crossed
+/// `far`. Later samples cannot change a crossing that old (the touching-knot
+/// rule reaches back only to the last knot), so every first crossing the
+/// caller reads off the shortened waveform equals the full run's. If `far`
+/// is never crossed the run goes to `t_stop` as without a rule.
+///
+/// Nothing else moves: `t_stop` and everything derived from it (step
+/// bounds, the final breakpoint, the fault-injection entropy) keep their
+/// values, so the shortened run's samples are a bit-exact prefix of the
+/// full run's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StopRule {
+    /// The watched node.
+    pub node: NodeId,
+    /// Direction of the watched transition.
+    pub edge: Edge,
+    /// The threshold the transition crosses first.
+    pub near: f64,
+    /// The threshold whose crossing, after `near`'s, ends the run.
+    pub far: f64,
+}
+
+impl StopRule {
+    /// Whether the crossing lists `near`/`far` hold the rule's two
+    /// crossings, both strictly before `t_fixed`.
+    fn met(&self, near: &[(f64, Edge)], far: &[(f64, Edge)], t_fixed: f64) -> bool {
+        let Some(&(t1, _)) = near.iter().find(|&&(_, e)| e == self.edge) else {
+            return false;
+        };
+        t1 < t_fixed
+            && far
+                .iter()
+                .find(|&&(t, e)| e == self.edge && t >= t1)
+                .is_some_and(|&(t2, _)| t2 < t_fixed)
+    }
 }
 
 impl TranOptions {
@@ -164,6 +224,7 @@ impl TranOptions {
             dv_max: 0.05,
             integrator: Integrator::Trapezoidal,
             recovery: RecoveryPolicy::default(),
+            stop: None,
         }
     }
 
@@ -187,6 +248,12 @@ impl TranOptions {
     /// Returns the options with a different recovery policy.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
+        self
+    }
+
+    /// Returns the options with a measurement-driven stop rule.
+    pub fn with_stop(mut self, stop: StopRule) -> Self {
+        self.stop = Some(stop);
         self
     }
 
@@ -416,6 +483,8 @@ fn tran_in_arena(
                 result.recovery = trace;
                 if let Some(m) = &metrics {
                     m.runs.incr();
+                    m.accepted_steps.add(result.accepted_steps as u64);
+                    m.newton_iterations.add(result.newton_iterations as u64);
                     m.recoveries.add(result.recovery.total() as u64);
                     m.recovery_seconds.add(result.recovery.total_seconds());
                     m.lu_seconds.add(result.lu_seconds);
@@ -485,6 +554,7 @@ fn tran_attempt(
         ws,
         hist,
         breakpoints,
+        crossings: [near_crossings, far_crossings],
         times_hint,
         samples_hint,
         branch_hint,
@@ -528,6 +598,9 @@ fn tran_attempt(
         b.extend_from_slice(&x[sys.nv..]);
     };
     record(0.0, &x, &mut times, &mut samples, &mut branch_samples);
+    near_crossings.clear();
+    far_crossings.clear();
+    let mut v_watch = options.stop.map_or(0.0, |rule| sys.v(&x, rule.node));
 
     let mut t = 0.0;
     let mut h = options.dt_init.min(options.dt_max);
@@ -681,9 +754,23 @@ fn tran_attempt(
         // The old iterate becomes the workspace's scratch buffer for the
         // next step — no allocation on accept.
         std::mem::swap(&mut x, &mut ws.x);
+        let t_prev = t;
         t = t_new;
         accepted_steps += 1;
         record(t, &x, &mut times, &mut samples, &mut branch_samples);
+        if let Some(rule) = &options.stop {
+            // Only a later segment's crossing at exactly `t` can still drop
+            // an entry, so entries before `t` are already final; waiting
+            // until both crossings lie before `t_prev` keeps one accepted
+            // step of margin.
+            let v = sys.v(&x, rule.node);
+            push_crossing(near_crossings, rule.near, (t_prev, v_watch), (t, v));
+            push_crossing(far_crossings, rule.far, (t_prev, v_watch), (t, v));
+            v_watch = v;
+            if rule.met(near_crossings, far_crossings, t_prev) {
+                break;
+            }
+        }
         // Grow the step when comfortably inside the accuracy target.
         h = if max_dv < 0.5 * options.dv_max {
             h_eff * 1.6
