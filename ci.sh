@@ -35,6 +35,11 @@ step 20m "tier-1: cargo build --release"     cargo build --release
 # bench_serve).
 step 20m "workspace: cargo build --release"  cargo build --release --workspace
 step 20m "tier-1: cargo test -q"             cargo test -q
+# STA scaling smoke: times Sta::new and Sta::run on ripple-carry adders up
+# to 9 216 gates and fails only if a run errors or a vector switches no
+# output; the ns/gate table is printed, never gated (wall-clock on a shared
+# host is too noisy to gate on).
+step 10m "sta: scaling smoke (<= 9216 gates)" cargo run --release --quiet --example sta_scaling -- 9216
 # The benchmark package (proxbench/) is a workspace of its own that builds
 # the crates through path dependencies; compile and test it here so an API
 # change that breaks it fails CI instead of the next benchmark run.

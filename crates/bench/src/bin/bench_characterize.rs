@@ -50,8 +50,9 @@
 //!   are gated tightly whether or not tracing is armed: more than 0.5 % above
 //!   the committed baseline fails the run.
 //!
-//! Set `PROXIM_BENCH_NO_GATE=1` to skip both gates, e.g. on a different
-//! machine than the one that produced the baseline.
+//! Set `PROXIM_BENCH_NO_GATE=1` (any value but empty or `0`) to skip both
+//! gates, e.g. on a different machine than the one that produced the
+//! baseline.
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
@@ -190,7 +191,7 @@ fn baseline_sequential(path: &str, name: &str) -> Option<f64> {
 /// baseline's by more than 0.5 %. The counters are deterministic, so the
 /// tolerance only absorbs the report's rounding.
 fn work_gate(current: Work, baseline: Option<Work>, baseline_path: &str) -> Result<String, String> {
-    if std::env::var_os("PROXIM_BENCH_NO_GATE").is_some() {
+    if !proxim_bench::gates_enabled() {
         return Ok("work gate: skipped (PROXIM_BENCH_NO_GATE)".into());
     }
     let Some(baseline) = baseline else {
@@ -232,7 +233,7 @@ fn perf_gate(
     baseline_rate: Option<f64>,
     baseline_path: &str,
 ) -> Result<String, String> {
-    if std::env::var_os("PROXIM_BENCH_NO_GATE").is_some() {
+    if !proxim_bench::gates_enabled() {
         return Ok("perf gate: skipped (PROXIM_BENCH_NO_GATE)".into());
     }
     let Some(baseline) = baseline_rate else {

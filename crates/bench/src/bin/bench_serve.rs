@@ -41,7 +41,8 @@
 //! measurement attempts; a real regression is sustained and trips all of
 //! them, co-tenant interference moves on
 //! (`PROXIM_SERVE_TRACE_TOLERANCE` overrides the percentage,
-//! `PROXIM_BENCH_NO_GATE` skips the assert).
+//! `PROXIM_BENCH_NO_GATE` set to anything but empty or `0` skips the
+//! assert).
 //!
 //! Two lifecycle sections follow: **reload latency** — p50/p99 of the
 //! load-validate-swap cycle, measured while 8 closed-loop clients keep
@@ -487,7 +488,7 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(5.0);
-    let gate_enabled = std::env::var_os("PROXIM_BENCH_NO_GATE").is_none();
+    let gate_enabled = proxim_bench::gates_enabled();
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("qps is finite"));
         v[v.len() / 2]

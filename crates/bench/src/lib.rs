@@ -21,3 +21,30 @@ pub mod path_validation;
 pub mod table5_1;
 
 pub use env::ExperimentEnv;
+
+use std::ffi::OsStr;
+
+/// Whether the benches' regression gates run: yes unless
+/// `PROXIM_BENCH_NO_GATE` is set to something other than empty or `0`.
+pub fn gates_enabled() -> bool {
+    gates_enabled_for(std::env::var_os("PROXIM_BENCH_NO_GATE").as_deref())
+}
+
+fn gates_enabled_for(value: Option<&OsStr>) -> bool {
+    value.is_none_or(|v| v.is_empty() || v == "0")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gates_run_unless_the_variable_asks_otherwise() {
+        assert!(gates_enabled_for(None));
+        assert!(gates_enabled_for(Some(OsStr::new(""))));
+        assert!(gates_enabled_for(Some(OsStr::new("0"))));
+        assert!(!gates_enabled_for(Some(OsStr::new("1"))));
+        assert!(!gates_enabled_for(Some(OsStr::new("yes"))));
+        assert!(!gates_enabled_for(Some(OsStr::new("00"))));
+    }
+}

@@ -55,6 +55,10 @@ pub struct GateNetlist {
     net_index: HashMap<String, NetId>,
     gates: Vec<Gate>,
     primary_inputs: Vec<NetId>,
+    /// Per net: whether it is a primary input.
+    is_primary_input: Vec<bool>,
+    /// Per net: the first gate (by index) that drives it.
+    driver: Vec<Option<usize>>,
 }
 
 impl GateNetlist {
@@ -71,6 +75,8 @@ impl GateNetlist {
         let id = NetId(self.net_names.len());
         self.net_names.push(name.to_string());
         self.net_index.insert(name.to_string(), id);
+        self.is_primary_input.push(false);
+        self.driver.push(None);
         id
     }
 
@@ -84,14 +90,28 @@ impl GateNetlist {
     }
 
     /// Marks a net as a primary input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the net does not belong to this netlist.
     pub fn mark_primary_input(&mut self, net: NetId) {
-        if !self.primary_inputs.contains(&net) {
+        if !std::mem::replace(&mut self.is_primary_input[net.0], true) {
             self.primary_inputs.push(net);
         }
     }
 
+    /// Whether a net is a primary input.
+    pub(crate) fn is_primary_input(&self, net: NetId) -> bool {
+        self.is_primary_input.get(net.0).copied().unwrap_or(false)
+    }
+
     /// Adds a gate instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output net does not belong to this netlist.
     pub fn add_gate(&mut self, name: &str, cell: CellId, inputs: &[NetId], output: NetId) {
+        self.driver[output.0].get_or_insert(self.gates.len());
         self.gates.push(Gate {
             name: name.to_string(),
             cell,
@@ -125,7 +145,7 @@ impl GateNetlist {
         }
         (0..self.net_count())
             .map(NetId)
-            .filter(|n| !used[n.0] && self.gates.iter().any(|g| g.output == *n))
+            .filter(|n| !used[n.0] && self.driver[n.0].is_some())
             .collect()
     }
 
@@ -137,14 +157,25 @@ impl GateNetlist {
     /// Returns [`NetlistError`] on multiply-driven nets, undriven non-PI
     /// gate inputs, or combinational cycles.
     pub fn topo_order(&self) -> Result<Vec<usize>, NetlistError> {
-        let mut driver: Vec<Option<usize>> = vec![None; self.net_count()];
+        // Kahn's algorithm over gate dependencies, with each gate's fan-out
+        // gates held in one flat array (`fanout[start[g]..start[g + 1]]`,
+        // in gate, then pin order). Counting leaves `start[g]` at the end
+        // of g's span; filling in reverse walks it back to the beginning.
+        //
+        // The counting pass also validates. A badly driven output anywhere
+        // outranks an undriven input, so the first undriven input is only
+        // reported once every gate's output has passed.
+        let n = self.gates.len();
+        let mut indegree = vec![0usize; n];
+        let mut start = vec![0usize; n + 1];
+        let mut undriven = None;
         for (gi, g) in self.gates.iter().enumerate() {
-            if driver[g.output.0].is_some() {
+            if self.driver[g.output.0] != Some(gi) {
                 return Err(NetlistError {
                     what: format!("net {} driven more than once", self.net_name(g.output)),
                 });
             }
-            if self.primary_inputs.contains(&g.output) {
+            if self.is_primary_input[g.output.0] {
                 return Err(NetlistError {
                     what: format!(
                         "primary input {} is driven by a gate",
@@ -152,40 +183,45 @@ impl GateNetlist {
                     ),
                 });
             }
-            driver[g.output.0] = Some(gi);
-        }
-        for g in &self.gates {
             for &i in &g.inputs {
-                if driver[i.0].is_none() && !self.primary_inputs.contains(&i) {
-                    return Err(NetlistError {
-                        what: format!(
-                            "gate {} input {} is neither driven nor a primary input",
-                            g.name,
-                            self.net_name(i)
-                        ),
-                    });
+                match self.driver[i.0] {
+                    Some(src) => {
+                        indegree[gi] += 1;
+                        start[src] += 1;
+                    }
+                    None if undriven.is_none() && !self.is_primary_input[i.0] => {
+                        undriven = Some(NetlistError {
+                            what: format!(
+                                "gate {} input {} is neither driven nor a primary input",
+                                g.name,
+                                self.net_name(i)
+                            ),
+                        });
+                    }
+                    None => {}
                 }
             }
         }
-
-        // Kahn's algorithm over gate dependencies.
-        let mut indegree = vec![0usize; self.gates.len()];
-        let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); self.gates.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for &i in &g.inputs {
-                if let Some(src) = driver[i.0] {
-                    indegree[gi] += 1;
-                    fanout[src].push(gi);
+        if let Some(e) = undriven {
+            return Err(e);
+        }
+        for g in 0..n {
+            start[g + 1] += start[g];
+        }
+        let mut fanout = vec![0usize; start[n]];
+        for (gi, g) in self.gates.iter().enumerate().rev() {
+            for &i in g.inputs.iter().rev() {
+                if let Some(src) = self.driver[i.0] {
+                    start[src] -= 1;
+                    fanout[start[src]] = gi;
                 }
             }
         }
-        let mut queue: Vec<usize> = (0..self.gates.len())
-            .filter(|&g| indegree[g] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(self.gates.len());
+        let mut queue: Vec<usize> = (0..n).filter(|&g| indegree[g] == 0).collect();
+        let mut order = Vec::with_capacity(n);
         while let Some(g) = queue.pop() {
             order.push(g);
-            for &f in &fanout[g] {
+            for &f in &fanout[start[g]..start[g + 1]] {
                 indegree[f] -= 1;
                 if indegree[f] == 0 {
                     queue.push(f);
@@ -200,22 +236,11 @@ impl GateNetlist {
         Ok(order)
     }
 
-    /// The gate driving `net`, if any.
+    /// The gate driving `net` (the first one added, if several do), if
+    /// any.
     pub fn driver_of(&self, net: NetId) -> Option<&Gate> {
-        self.gates.iter().find(|g| g.output == net)
-    }
-
-    /// The gates with `net` on an input pin, as `(gate index, pin)` pairs.
-    pub fn fanout_of(&self, net: NetId) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (gi, g) in self.gates.iter().enumerate() {
-            for (pin, &i) in g.inputs.iter().enumerate() {
-                if i == net {
-                    out.push((gi, pin));
-                }
-            }
-        }
-        out
+        let gi = self.driver.get(net.0).copied().flatten()?;
+        Some(&self.gates[gi])
     }
 }
 
@@ -261,11 +286,29 @@ mod tests {
     }
 
     #[test]
-    fn fanout_and_driver() {
+    fn driver_lookup() {
         let (nl, a, mid, _) = two_gate_chain();
-        assert_eq!(nl.fanout_of(a), vec![(0, 0)]);
         assert_eq!(nl.driver_of(mid).unwrap().name, "g1");
         assert!(nl.driver_of(a).is_none());
+    }
+
+    #[test]
+    fn primary_inputs_deduplicate() {
+        let (mut nl, a, mid, _) = two_gate_chain();
+        nl.mark_primary_input(a);
+        assert_eq!(nl.primary_inputs().len(), 2);
+        assert!(nl.is_primary_input(a));
+        assert!(!nl.is_primary_input(mid));
+    }
+
+    #[test]
+    fn driver_of_is_the_first_driver() {
+        let mut nl = GateNetlist::new();
+        let a = nl.net("a");
+        let out = nl.net("out");
+        nl.add_gate("g1", CellId(0), &[a], out);
+        nl.add_gate("g2", CellId(0), &[a], out);
+        assert_eq!(nl.driver_of(out).unwrap().name, "g1");
     }
 
     #[test]

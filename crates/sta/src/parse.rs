@@ -224,7 +224,7 @@ pub fn parse_bench(
 
     netlist.topo_order().map_err(|e| err(0, e.to_string()))?;
     for &po in &outputs {
-        if netlist.driver_of(po).is_none() && !netlist.primary_inputs().contains(&po) {
+        if netlist.driver_of(po).is_none() && !netlist.is_primary_input(po) {
             return Err(err(
                 0,
                 format!("output {} is undriven", netlist.net_name(po)),

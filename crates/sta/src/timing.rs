@@ -1,13 +1,14 @@
 //! The timing engine: topological propagation of transitions with
 //! proximity-aware gate evaluation.
 
-use crate::library::TimingLibrary;
+use crate::library::{CellId, TimingLibrary};
 use crate::netlist::{GateNetlist, NetId, NetlistError};
 use proxim_model::baseline::single_switching_timing_at_load;
 use proxim_model::measure::InputEvent;
 use proxim_model::{GateTiming, ModelError, ProximityModel};
 use proxim_numeric::pwl::Edge;
 use std::fmt;
+use std::ops::Range;
 
 /// Which delay model evaluates multi-input gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,9 +175,11 @@ impl TimingReport {
         };
         let mut path = vec![end];
         let mut cur = end;
+        // A path through a combinational netlist visits each net at most
+        // once; the bound only stops a malformed `cause` chain that loops.
         while let Some(prev) = self.cause.get(cur.index()).copied().flatten() {
-            if path.contains(&prev) {
-                break; // defensive: combinational netlists cannot loop
+            if path.len() >= self.cause.len() {
+                break;
             }
             path.push(prev);
             cur = prev;
@@ -204,37 +207,114 @@ impl TimingReport {
 }
 
 /// The static timing analyzer.
+///
+/// [`Sta::new`] compiles the netlist once into a timing graph; each
+/// [`Sta::run`] then does only per-vector work, in time linear in the
+/// netlist's size.
 #[derive(Debug, Clone)]
 pub struct Sta<'a> {
     library: &'a TimingLibrary,
     netlist: &'a GateNetlist,
+    /// Per net: the capacitive load its driver sees ([`Sta::net_load`]).
+    loads: Vec<f64>,
+    /// The compiled graph, or why the netlist is invalid.
+    graph: Result<TimingGraph, NetlistError>,
+}
+
+/// What every run of a valid netlist shares: the gates in topological
+/// order, each with what its evaluation reads, laid out flat so a run walks
+/// memory in order.
+#[derive(Debug, Clone)]
+struct TimingGraph {
+    /// The gates, in [`GateNetlist::topo_order`]'s order.
+    nodes: Vec<GateNode>,
+    /// Every node's input nets in pin order, node after node.
+    pins: Vec<NetId>,
+    /// Driven nets that drive no gate input (the primary outputs), as
+    /// [`GateNetlist::sink_nets`] lists them.
+    sink_nets: Vec<NetId>,
+}
+
+/// One gate of a [`TimingGraph`].
+#[derive(Debug, Clone)]
+struct GateNode {
+    /// Index into [`GateNetlist::gates`], for error messages.
+    gate: usize,
+    cell: CellId,
+    output: NetId,
+    /// This gate's span of [`TimingGraph::pins`].
+    pins: Range<usize>,
 }
 
 impl<'a> Sta<'a> {
-    /// Creates an analyzer over a library and netlist.
+    /// Creates an analyzer over a library and netlist, compiling the netlist
+    /// into a timing graph. An invalid netlist is reported by
+    /// [`Sta::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's cell does not belong to `library`.
     pub fn new(library: &'a TimingLibrary, netlist: &'a GateNetlist) -> Self {
-        Self { library, netlist }
+        // Summing each net's fan-out caps in gate, then pin order keeps
+        // every load's floating-point rounding fixed.
+        let mut loads = vec![0.0; netlist.net_count()];
+        let mut has_fanout = vec![false; netlist.net_count()];
+        let mut pin_count = 0;
+        for gate in netlist.gates() {
+            let m = library.model(gate.cell);
+            let cap = m.cell().input_cap(m.tech());
+            pin_count += gate.inputs.len();
+            for &net in &gate.inputs {
+                loads[net.index()] += cap;
+                has_fanout[net.index()] = true;
+            }
+        }
+        let mut sink_nets = Vec::new();
+        for (i, load) in loads.iter_mut().enumerate() {
+            if has_fanout[i] {
+                continue;
+            }
+            if let Some(g) = netlist.driver_of(NetId(i)) {
+                *load = library.model(g.cell).reference_load();
+                sink_nets.push(NetId(i));
+            }
+        }
+        let graph = netlist.topo_order().map(|order| {
+            let gates = netlist.gates();
+            let mut pins = Vec::with_capacity(pin_count);
+            let nodes = order
+                .into_iter()
+                .map(|gi| {
+                    let gate = &gates[gi];
+                    let start = pins.len();
+                    pins.extend_from_slice(&gate.inputs);
+                    GateNode {
+                        gate: gi,
+                        cell: gate.cell,
+                        output: gate.output,
+                        pins: start..pins.len(),
+                    }
+                })
+                .collect();
+            TimingGraph {
+                nodes,
+                pins,
+                sink_nets,
+            }
+        });
+        Self {
+            library,
+            netlist,
+            loads,
+            graph,
+        }
     }
 
     /// The capacitive load on a net: the summed input capacitance of its
     /// fanout pins, or (for a sink net) the reference load of its driver's
     /// model.
     pub fn net_load(&self, net: NetId) -> f64 {
-        let fanout = self.netlist.fanout_of(net);
-        if fanout.is_empty() {
-            return self
-                .netlist
-                .driver_of(net)
-                .map(|g| self.library.model(g.cell).reference_load())
-                .unwrap_or(0.0);
-        }
-        fanout
-            .iter()
-            .map(|&(gi, _)| {
-                let m = self.library.model(self.netlist.gates()[gi].cell);
-                m.cell().input_cap(m.tech())
-            })
-            .sum()
+        self.loads.get(net.index()).copied().unwrap_or(0.0)
     }
 
     /// Runs timing propagation.
@@ -248,7 +328,8 @@ impl<'a> Sta<'a> {
         assignments: &[PiAssignment],
         mode: DelayMode,
     ) -> Result<TimingReport, StaError> {
-        let order = self.netlist.topo_order()?;
+        let graph = self.graph.as_ref().map_err(NetlistError::clone)?;
+        let gates = self.netlist.gates();
         let n_nets = self.netlist.net_count();
         let mut levels: Vec<Option<(bool, bool)>> = vec![None; n_nets];
         let mut events: Vec<Option<NetEvent>> = vec![None; n_nets];
@@ -273,19 +354,24 @@ impl<'a> Sta<'a> {
             }
         }
 
-        for gi in order {
-            let gate = &self.netlist.gates()[gi];
-            let model = self.library.model(gate.cell);
+        // Per-gate scratch, cleared for each gate.
+        let mut initial = Vec::new();
+        let mut fin = Vec::new();
+        let mut pin_events = Vec::new();
+        let mut stable_levels = Vec::new();
+        for node in &graph.nodes {
+            let inputs = &graph.pins[node.pins.clone()];
+            let model = self.library.model(node.cell);
             let cell = model.cell();
-            if gate.inputs.len() != cell.input_count() {
+            if inputs.len() != cell.input_count() {
                 return Err(StaError::PinMismatch {
-                    gate: gate.name.clone(),
+                    gate: gates[node.gate].name.clone(),
                 });
             }
 
-            let mut initial = Vec::with_capacity(gate.inputs.len());
-            let mut fin = Vec::with_capacity(gate.inputs.len());
-            for &net in &gate.inputs {
+            initial.clear();
+            fin.clear();
+            for &net in inputs {
                 let Some((i0, i1)) = levels[net.index()] else {
                     return Err(StaError::Unassigned {
                         net: self.netlist.net_name(net).to_string(),
@@ -296,7 +382,7 @@ impl<'a> Sta<'a> {
             }
             let out0 = cell.output_for(&initial);
             let out1 = cell.output_for(&fin);
-            levels[gate.output.index()] = Some((out0, out1));
+            levels[node.output.index()] = Some((out0, out1));
             if out0 == out1 {
                 continue;
             }
@@ -307,9 +393,10 @@ impl<'a> Sta<'a> {
             // belongs to a glitch the single-transition abstraction drops).
             let output_edge = if out0 { Edge::Falling } else { Edge::Rising };
             let relevant_edge = output_edge.opposite();
-            let mut pin_events = Vec::new();
-            let mut stable_levels: Vec<Option<bool>> = fin.iter().map(|&l| Some(l)).collect();
-            for (pin, &net) in gate.inputs.iter().enumerate() {
+            pin_events.clear();
+            stable_levels.clear();
+            stable_levels.extend(fin.iter().map(|&l| Some(l)));
+            for (pin, &net) in inputs.iter().enumerate() {
                 if initial[pin] == fin[pin] {
                     continue;
                 }
@@ -324,20 +411,20 @@ impl<'a> Sta<'a> {
             if pin_events.is_empty() {
                 // Output flip attributable only to opposing-edge inputs:
                 // outside the single-transition abstraction; leave unswitched.
-                levels[gate.output.index()] = Some((out0, out0));
+                levels[node.output.index()] = Some((out0, out0));
                 continue;
             }
 
-            let c_load = self.net_load(gate.output);
+            let c_load = self.loads[node.output.index()];
             let timing = self
                 .evaluate(model, &pin_events, &stable_levels, c_load, mode)
                 .map_err(|source| StaError::Model {
-                    gate: gate.name.clone(),
+                    gate: gates[node.gate].name.clone(),
                     source,
                 })?;
 
-            events[gate.output.index()] = Some(self.output_event(model, &timing));
-            cause[gate.output.index()] = Some(gate.inputs[timing.reference_pin]);
+            events[node.output.index()] = Some(self.output_event(model, &timing));
+            cause[node.output.index()] = Some(inputs[timing.reference_pin]);
         }
 
         Ok(TimingReport {
@@ -345,7 +432,7 @@ impl<'a> Sta<'a> {
             levels,
             cause,
             mode,
-            sink_nets: self.netlist.sink_nets(),
+            sink_nets: graph.sink_nets.clone(),
         })
     }
 
@@ -576,6 +663,53 @@ mod tests {
         // A looser requirement gives positive slack everywhere.
         for (_, s) in report.sink_slacks(critical + 1e-9) {
             assert!(s > 0.0);
+        }
+    }
+
+    #[test]
+    fn critical_path_stops_on_a_looping_cause_chain() {
+        let event = NetEvent {
+            edge: Edge::Rising,
+            t_start: 0.0,
+            transition: 1e-10,
+            arrival: 5e-11,
+        };
+        // net2 <- net1 <- net0 <- net1 <- ...: no combinational netlist
+        // produces this, but the walk must still end.
+        let report = TimingReport {
+            events: vec![None, None, Some(event)],
+            levels: vec![None; 3],
+            cause: vec![Some(NetId(1)), Some(NetId(0)), Some(NetId(1))],
+            mode: DelayMode::Proximity,
+            sink_nets: vec![NetId(2)],
+        };
+        let path = report.critical_path();
+        assert_eq!(path.len(), 3, "{path:?}");
+        assert_eq!(path.last(), Some(&NetId(2)));
+    }
+
+    #[test]
+    fn analyzer_is_shareable_across_threads() {
+        fn clone_sync<T: Clone + Sync>() {}
+        clone_sync::<Sta<'_>>();
+    }
+
+    #[test]
+    fn invalid_netlist_fails_every_run() {
+        let lib = shared_library();
+        let nand2 = crate::library::CellId(0);
+        let mut nl = GateNetlist::new();
+        let a = nl.net("a");
+        let b = nl.net("b");
+        nl.mark_primary_input(a);
+        nl.add_gate("g1", nand2, &[a, b], b);
+        let sta = Sta::new(lib, &nl);
+        let assignments = [PiAssignment::stable(a, true)];
+        for _ in 0..2 {
+            assert!(matches!(
+                sta.run(&assignments, DelayMode::Proximity),
+                Err(StaError::Netlist(_))
+            ));
         }
     }
 
