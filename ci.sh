@@ -60,6 +60,11 @@ step 15m "serve: lifecycle + disk faults"    cargo test -q --features fault-inje
 # Fleet suite: supervised replicas, SIGKILL failover under churn, crash-loop
 # quarantine on a corrupt store, rolling reload, and hedged requests.
 step 15m "serve: fleet suite"                cargo test -q --test serve_fleet
+# Differential suite: a seeded population of queries and 16-query batches,
+# answered over the wire after a store save/load round trip, must match the
+# in-process model bit for bit — degraded-slice provenance included (via the
+# feature).
+step 15m "serve: wire vs in-process answers" cargo test -q --features fault-injection --test serve_differential
 
 # Daemon smoke: start on a temp socket, round-trip a query and a health
 # probe through the CLI client, then SIGTERM and require a clean drain

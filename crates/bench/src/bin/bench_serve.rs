@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Two measurements, both against an in-process [`Server`] with a real
-//! socket (so framing, admission, and worker dispatch are all on the
+//! socket (so framing, admission, and the in-flight permits are all on the
 //! measured path):
 //!
 //! 1. **Latency/throughput** — closed-loop clients at 1, 8, and 64
@@ -17,15 +17,15 @@
 //!    next. Reports p50/p99 latency and aggregate qps per concurrency
 //!    level. The server is sized (queue ≥ client count, generous deadline)
 //!    so nothing is shed — this measures the happy path.
-//! 2. **Overload** — a deliberately starved server (one worker with an
-//!    artificial per-job stall, tiny admission queue) under 64 closed-loop
+//! 2. **Overload** — a deliberately starved server (one permit with an
+//!    artificial per-request stall, a tiny wait line) under 64 closed-loop
 //!    clients. Reports the shed rate and cross-checks the client-observed
 //!    counts against the server's own `serve.requests` / `serve.shed`
 //!    counters: every request must be either answered or shed typed —
 //!    never dropped.
 //!
 //! Latencies are wall-clock microseconds measured around one
-//! request/response round trip ([`proto::call`]), queue wait included.
+//! request/response round trip ([`proto::call`]), permit wait included.
 //! Each response also carries the server's per-phase breakdown
 //! (`admit_us`/`queue_us`/`execute_us`), which the bench cross-checks
 //! against the client-observed end-to-end time — the server cannot claim
@@ -377,7 +377,7 @@ fn main() -> ExitCode {
     let phases = phases_json(&all_samples, &happy_snap);
     println!("phases: {phases}");
 
-    // --- deliberate overload: 1 stalled worker, tiny queue, 64 clients ---
+    // --- deliberate overload: 1 stalled permit, tiny line, 64 clients ---
     let overload_socket = scratch.join("overload.sock");
     let overload = Server::start(
         ModelLibrary::open(&store),

@@ -71,13 +71,14 @@ pub mod batch_metrics {
 /// (`proxim-bench`'s `bench_serve`, operational dashboards reading the
 /// final-metrics flush) cannot drift apart.
 pub mod serve_metrics {
-    /// Counter: requests admitted to the work queue (everything that was
-    /// not shed, including requests that later fail typed).
+    /// Counter: requests admitted (everything that was not shed, including
+    /// requests that later fail typed).
     pub const REQUESTS: &str = "serve.requests";
     /// Counter: requests shed at admission with a typed `overloaded`
-    /// response because the bounded queue was full.
+    /// response because every permit was held and the wait line was full.
     pub const SHED: &str = "serve.shed";
-    /// Gauge: instantaneous admission-queue depth.
+    /// Gauge: instantaneous admission-queue depth: admitted requests
+    /// waiting for an in-flight permit.
     pub const QUEUE_DEPTH: &str = "serve.queue.depth";
     /// Counter: frames rejected at the protocol boundary (oversized,
     /// truncated, non-UTF-8, malformed JSON, structural caps).
@@ -105,14 +106,22 @@ pub mod serve_metrics {
     pub const REQUEST_SECONDS_BOUNDS: &[f64] = &[
         10e-6, 30e-6, 100e-6, 300e-6, 1e-3, 3e-3, 10e-3, 30e-3, 100e-3, 1.0,
     ];
+    /// Histogram: time from a request frame's first byte arriving to its
+    /// last, seconds.
+    pub const PHASE_READ_SECONDS: &str = "serve.phase.read.seconds";
+    /// Histogram: time spent decoding a request frame, seconds.
+    pub const PHASE_PARSE_SECONDS: &str = "serve.phase.parse.seconds";
     /// Histogram: time a request spent in admission (model resolution +
-    /// queue reservation), seconds.
+    /// the shed decision), seconds.
     pub const PHASE_ADMIT_SECONDS: &str = "serve.phase.admit.seconds";
-    /// Histogram: time a request waited in the admission queue before a
-    /// worker picked it up, seconds.
+    /// Histogram: time an admitted request waited for an in-flight permit,
+    /// seconds.
     pub const PHASE_QUEUE_SECONDS: &str = "serve.phase.queue_wait.seconds";
-    /// Histogram: time a worker spent evaluating the request, seconds.
+    /// Histogram: time spent evaluating the request under its permit,
+    /// seconds.
     pub const PHASE_EXECUTE_SECONDS: &str = "serve.phase.execute.seconds";
+    /// Histogram: time spent rendering the response, seconds.
+    pub const PHASE_RENDER_SECONDS: &str = "serve.phase.render.seconds";
     /// Histogram: time spent writing the response frame to the client,
     /// seconds.
     pub const PHASE_WRITE_SECONDS: &str = "serve.phase.write.seconds";

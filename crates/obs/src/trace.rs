@@ -46,6 +46,13 @@ pub fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
+/// `at` on the [`now_us`] clock: microseconds since the process trace
+/// epoch, or 0 for an instant before it. Lets a caller stamp a span with a
+/// clock reading it already took.
+pub fn instant_us(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch()).as_micros() as u64
+}
+
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 

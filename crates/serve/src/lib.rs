@@ -27,12 +27,13 @@
 //!   recursion-bomb frames all produce *typed* protocol errors, never a
 //!   panic. Responses carry the degraded-slice provenance end to end
 //!   (`GateTiming::degradation` → the wire `degraded` field).
-//! - [`server`]: the daemon loop. A bounded admission queue sheds load
-//!   with a typed `overloaded` response (never a silent drop), every
-//!   request runs under a wall-clock deadline plumbed into the existing
-//!   [`CancelToken`](proxim_spice::CancelToken), slow clients are bounded
-//!   by write timeouts, health/readiness probes bypass the queue so they
-//!   answer even under full overload, and `SIGTERM` drains: stop
+//! - [`server`]: the daemon loop. Each connection thread evaluates its own
+//!   queries under a bounded number of in-flight permits; a full wait line
+//!   sheds load with a typed `overloaded` response (never a silent drop),
+//!   every request runs under a wall-clock deadline plumbed into the
+//!   existing [`CancelToken`](proxim_spice::CancelToken), slow clients are
+//!   bounded by write timeouts, health/readiness probes never wait for a
+//!   permit so they answer even under full overload, and `SIGTERM` drains: stop
 //!   accepting, finish (or shed) in-flight work, flush final metrics,
 //!   exit cleanly.
 //! - [`diskfault`]: typed ENOSPC/EIO classification for every durable sink

@@ -24,7 +24,7 @@
 use proxim_model::{DegradedReason, GateTiming, InputEvent, ModelError};
 use proxim_numeric::pwl::Edge;
 use proxim_obs::json::{push_escaped, push_f64, Json};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 
 /// Hard cap on a frame payload. Every real request is far smaller; the cap
@@ -46,8 +46,8 @@ pub const MAX_EVENTS_PER_QUERY: usize = 16;
 /// The typed category of a protocol-level failure, as spelled on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// The bounded admission queue was full; the request was shed, not
-    /// silently dropped.
+    /// Every in-flight permit was held and the wait line was full; the
+    /// request was shed, not silently dropped.
     Overloaded,
     /// The frame itself was unusable: oversized, truncated, or not UTF-8.
     BadFrame,
@@ -691,20 +691,20 @@ fn push_error(out: &mut String, e: &ProtoError) {
 }
 
 /// The per-request trace context echoed into a response: the correlation
-/// id plus the server-side phase breakdown in microseconds. The `write`
-/// phase cannot appear here — a response is rendered before its own write
-/// happens — so write time lands only in the trace and the phase
-/// histograms.
+/// id plus the server-side phase breakdown in microseconds. The `render`
+/// and `write` phases cannot appear here — a response is rendered before
+/// its own rendering is timed and before its write happens — so they land
+/// only in the trace and the phase histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEcho {
     /// The request's correlation id (client-supplied or server-generated).
     pub trace_id: String,
-    /// Microseconds spent in admission (decode + model resolution + queue
-    /// reservation).
+    /// Microseconds spent in admission (model resolution + the shed
+    /// decision).
     pub admit_us: u64,
-    /// Microseconds spent waiting in the admission queue.
+    /// Microseconds the admitted request waited for an in-flight permit.
     pub queue_us: u64,
-    /// Microseconds a worker spent evaluating the request.
+    /// Microseconds spent evaluating the request under its permit.
     pub execute_us: u64,
     /// `Some(load_us)` when serving this request paid a cold model load
     /// from the store (the model was outside the memory budget's resident
@@ -712,16 +712,43 @@ pub struct TraceEcho {
     pub cold_load_us: Option<u64>,
 }
 
-fn push_trace_echo(out: &mut String, echo: &TraceEcho) {
+/// The two phases a served request passes on its connection before
+/// admission, echoed in `breakdown` (by [`render_served`]) ahead of
+/// [`TraceEcho`]'s three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FramePhases {
+    /// Microseconds from the frame's first byte arriving to its last.
+    pub read_us: u64,
+    /// Microseconds spent decoding the frame into a request.
+    pub parse_us: u64,
+}
+
+/// Opens a success envelope, `{"ok":true` plus the trace echo if any.
+fn open_ok(echo: Option<&TraceEcho>, frame: Option<FramePhases>) -> String {
+    let mut out = String::from("{\"ok\":true");
+    let Some(echo) = echo else {
+        return out;
+    };
     out.push_str(",\"trace_id\":");
-    push_escaped(out, &echo.trace_id);
-    out.push_str(&format!(
-        ",\"breakdown\":{{\"admit_us\":{},\"queue_us\":{},\"execute_us\":{}}}",
-        echo.admit_us, echo.queue_us, echo.execute_us
-    ));
-    if let Some(load_us) = echo.cold_load_us {
-        out.push_str(&format!(",\"cold\":true,\"load_us\":{load_us}"));
+    push_escaped(&mut out, &echo.trace_id);
+    out.push_str(",\"breakdown\":{");
+    // Writing into a `String` cannot fail.
+    if let Some(f) = frame {
+        let _ = write!(
+            out,
+            "\"read_us\":{},\"parse_us\":{},",
+            f.read_us, f.parse_us
+        );
     }
+    let _ = write!(
+        out,
+        "\"admit_us\":{},\"queue_us\":{},\"execute_us\":{}}}",
+        echo.admit_us, echo.queue_us, echo.execute_us
+    );
+    if let Some(load_us) = echo.cold_load_us {
+        let _ = write!(out, ",\"cold\":true,\"load_us\":{load_us}");
+    }
+    out
 }
 
 /// Renders a failed request: `{"ok":false,"error":{...}}`.
@@ -747,10 +774,10 @@ pub fn render_error_traced(e: &ProtoError, trace_id: Option<&str>) -> String {
 /// Renders a successful single query:
 /// `{"ok":true[,"trace_id":...,"breakdown":{...}],"timing":{...}}`.
 pub fn render_timing(t: &GateTiming, echo: Option<&TraceEcho>) -> String {
-    let mut out = String::from("{\"ok\":true");
-    if let Some(echo) = echo {
-        push_trace_echo(&mut out, echo);
-    }
+    timing_response(t, open_ok(echo, None))
+}
+
+fn timing_response(t: &GateTiming, mut out: String) -> String {
     out.push_str(",\"timing\":");
     push_timing(&mut out, t);
     out.push('}');
@@ -764,10 +791,27 @@ pub fn render_batch(
     results: &[Result<GateTiming, ProtoError>],
     echo: Option<&TraceEcho>,
 ) -> String {
-    let mut out = String::from("{\"ok\":true");
-    if let Some(echo) = echo {
-        push_trace_echo(&mut out, echo);
+    batch_response(results, open_ok(echo, None))
+}
+
+/// Renders what the daemon answers for an admitted request: a batch
+/// envelope when `batch`, otherwise the single query's timing or traced
+/// error. Success envelopes carry the full breakdown, `frame`'s phases
+/// ahead of `echo`'s.
+pub fn render_served(
+    results: &[Result<GateTiming, ProtoError>],
+    batch: bool,
+    echo: &TraceEcho,
+    frame: FramePhases,
+) -> String {
+    match (batch, results) {
+        (false, [Ok(t)]) => timing_response(t, open_ok(Some(echo), Some(frame))),
+        (false, [Err(e)]) => render_error_traced(e, Some(&echo.trace_id)),
+        _ => batch_response(results, open_ok(Some(echo), Some(frame))),
     }
+}
+
+fn batch_response(results: &[Result<GateTiming, ProtoError>], mut out: String) -> String {
     out.push_str(",\"results\":[");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
@@ -1176,6 +1220,37 @@ mod tests {
         assert!(
             render_error(&err).starts_with("{\"ok\":false,\"error\""),
             "untraced errors keep the bare shape"
+        );
+        // What the daemon serves: the same shapes, with the frame's read
+        // and parse phases echoed beside the other three.
+        let frame = FramePhases {
+            read_us: 3,
+            parse_us: 9,
+        };
+        let expired = ProtoError::new(ErrorKind::DeadlineExceeded, "late");
+        for (results, batch) in [
+            (vec![Ok(t)], false),
+            (vec![Ok(t)], true),
+            (vec![Ok(t), Err(expired.clone())], true),
+        ] {
+            let rendered = render_served(&results, batch, &echo, frame);
+            let json = Json::parse(&rendered).unwrap();
+            assert_eq!(json.get("results").is_some(), batch, "{rendered}");
+            let b = json.get("breakdown").unwrap();
+            for (key, us) in [
+                ("read_us", 3.0),
+                ("parse_us", 9.0),
+                ("admit_us", 12.0),
+                ("queue_us", 340.0),
+                ("execute_us", 56.0),
+            ] {
+                assert_eq!(b.get(key).and_then(Json::as_f64), Some(us), "{rendered}");
+            }
+        }
+        assert_eq!(
+            render_served(&[Err(expired.clone())], false, &echo, frame),
+            render_error_traced(&expired, Some("client-7")),
+            "a failed single query answers as a traced error"
         );
         // A cold-load acquisition is marked on the response.
         let cold_echo = TraceEcho {

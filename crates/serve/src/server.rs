@@ -3,32 +3,37 @@
 //! # Threading model
 //!
 //! One *acceptor* thread polls a non-blocking `UnixListener`; each accepted
-//! connection gets its own handler thread; a fixed pool of *worker*
-//! threads services a single bounded admission queue. A connection thread
-//! reads one frame, decodes it, and either answers inline (health, stats,
-//! list — probes must work even under full overload, so they never touch
-//! the queue) or submits a job and waits for the rendered response, then
-//! writes it back. Per-connection request/response alternation makes the
-//! wire trivially ordered: a response is always complete before the next
-//! frame is read, so a drain can never tear one.
+//! connection gets its own handler thread, and that thread does all of a
+//! request's work. It reads one frame, decodes it, and either answers
+//! inline (health, stats, list — probes must work even under full
+//! overload, so they never wait for a permit) or admits the query: it
+//! takes one of [`ServeOptions::workers`] in-flight permits (waiting in
+//! line for one when all are held), evaluates, renders, releases the
+//! permit, and writes the response back. A warm query thus never changes
+//! threads. Per-connection request/response alternation makes the wire
+//! trivially ordered: a response is always complete before the next frame
+//! is read, so a drain can never tear one.
 //!
 //! # Robustness mechanisms (each typed, each testable)
 //!
-//! - **Bounded admission + load shedding**: the queue has a hard capacity;
-//!   a request that arrives when it is full is *shed* with a typed
+//! - **Bounded admission + load shedding**: at most `workers` requests
+//!   evaluate at once and at most `queue_capacity` more wait for a permit;
+//!   a request that arrives when the line is full is *shed* with a typed
 //!   `overloaded` response and counted ([`serve_metrics::SHED`]) — never
 //!   silently dropped, never unboundedly buffered.
-//! - **Per-request deadlines**: every admitted job carries a
-//!   [`CancelToken`] whose wall-clock deadline starts at admission; workers
-//!   check it before and between evaluations, so a request that waited out
-//!   its deadline in the queue answers `deadline_exceeded` instead of
+//! - **Per-request deadlines**: every admitted request carries a
+//!   [`CancelToken`] whose wall-clock deadline starts at admission; it is
+//!   checked before and between evaluations, so a request that waited out
+//!   its deadline for a permit answers `deadline_exceeded` instead of
 //!   burning evaluation time nobody is waiting for.
 //! - **Slow-client bounds**: reads and writes against the peer carry
 //!   timeouts. An idle client is closed after the read timeout; a client
 //!   that stalls a response write is closed and counted
 //!   ([`serve_metrics::WRITE_TIMEOUTS`]) so it cannot pin a handler thread.
+//!   The permit is released before the write, so a slow reader never holds
+//!   up evaluation for anyone else.
 //! - **Drain on `SIGTERM`**: cancelling [`Server::shutdown_token`] stops
-//!   the acceptor, lets every in-flight request finish (or shed typed),
+//!   the acceptor, lets every admitted request finish (or answer typed),
 //!   completes in-progress response writes, and [`Server::join`] returns
 //!   the final metrics snapshot for the flush — exit is clean, not torn.
 
@@ -36,10 +41,9 @@ use crate::library::{
     judge_candidate, AcquireError, LibraryOptions, ModelLibrary, ReloadRejection,
 };
 use crate::proto::{
-    self, frame_bytes, is_timeout, model_error_to_proto, parse_request, read_frame, render_batch,
-    render_error, render_error_traced, render_health, render_list, render_reload_rejected,
-    render_reload_swapped, render_timing, ErrorKind, ObsControl, ProtoError, Request, TraceEcho,
-    WireQuery,
+    self, frame_bytes, is_timeout, model_error_to_proto, parse_request, read_frame, render_error,
+    render_error_traced, render_health, render_list, render_reload_rejected, render_reload_swapped,
+    render_served, ErrorKind, FramePhases, ObsControl, ProtoError, Request, TraceEcho, WireQuery,
 };
 use crate::wirefault::WireFaultStream;
 use proxim_model::{GateTiming, ProximityModel};
@@ -47,13 +51,12 @@ use proxim_obs::json::{push_escaped, push_f64};
 use proxim_obs::serve_metrics as sm;
 use proxim_obs::{exposition, flight, trace, Counter, Gauge, Histogram, Registry, Snapshot};
 use proxim_spice::CancelToken;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -63,13 +66,15 @@ use std::time::{Duration, Instant};
 /// time unbounded.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads servicing the admission queue.
+    /// In-flight permits: how many admitted requests may evaluate at once.
+    /// Connection threads evaluate their own requests, each holding a
+    /// permit while it does.
     pub workers: usize,
-    /// Hard capacity of the admission queue; requests beyond it are shed
-    /// with a typed `overloaded` response.
+    /// How many admitted requests may wait for a permit when all are held;
+    /// a request beyond that is shed with a typed `overloaded` response.
     pub queue_capacity: usize,
     /// Wall-clock budget per admitted request, measured from admission
-    /// (queue wait included).
+    /// (permit wait included).
     pub request_deadline: Duration,
     /// How long a connection may sit idle (no frame started) before it is
     /// closed.
@@ -78,11 +83,13 @@ pub struct ServeOptions {
     /// the connection is dropped.
     pub write_timeout: Duration,
     /// How long [`Server::join`] waits for connection handlers to finish
-    /// their in-flight responses during drain.
+    /// their in-flight responses during drain, counted from when the last
+    /// admitted request has finished.
     pub drain_grace: Duration,
-    /// Test hook: an artificial stall inserted before each job is
-    /// evaluated, so overload tests and benchmarks can congest the queue
-    /// deterministically. Zero (the default) in production.
+    /// Test hook: an artificial stall, taken while holding the permit,
+    /// before each admitted request is evaluated, so overload tests and
+    /// benchmarks can congest admission deterministically. It counts as
+    /// execute time. Zero (the default) in production.
     pub worker_stall: Duration,
     /// Head-sampling rate for request traces: 1 in `trace_sample_every`
     /// requests is written to the JSONL sink (when tracing is on). Zero
@@ -117,35 +124,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// One admitted unit of work.
-struct Job {
-    model: Arc<ProximityModel>,
-    /// `Some(load_us)` when admission paid a cold model load (echoed on
-    /// the response as `"cold":true,"load_us":N`).
-    cold_load_us: Option<u64>,
-    queries: Vec<WireQuery>,
-    /// Whether to render a batch envelope (even for a single query).
-    batch: bool,
-    /// Deadline clock, started at admission.
-    cancel: CancelToken,
-    admitted_at: Instant,
-    /// Request sequence number (the in-flight table key).
-    seq: u64,
-    /// Correlation id (client-supplied or server-generated).
-    trace_id: String,
-    /// Microseconds the connection spent admitting this job.
-    admit_us: u64,
-    reply: mpsc::SyncSender<WorkerReply>,
-}
-
-/// What a worker hands back: the rendered response plus the phase timings
-/// only it could measure.
-struct WorkerReply {
-    response: String,
-    queue_us: u64,
-    execute_us: u64,
-}
-
 /// One row of the live in-flight request table the `stats` op reports.
 struct InFlight {
     trace_id: String,
@@ -154,19 +132,71 @@ struct InFlight {
     phase: &'static str,
 }
 
-/// The per-request trace context a connection carries from admission to
-/// the end of the response write, where [`finish_request`] turns it into
-/// histograms, sampling decisions, and retroactive spans.
+/// The per-request trace context a connection carries from the frame's
+/// first byte to the end of the response write, where [`finish_request`]
+/// turns it into histograms, sampling decisions, and retroactive spans.
+///
+/// The phases partition the request: each one ends at the instant the next
+/// begins, so their sum is the request's whole server-side time up to
+/// microsecond rounding.
 struct ReqTrace {
     seq: u64,
     trace_id: String,
     op: &'static str,
+    /// When the frame's first byte arrived.
     start: Instant,
-    /// Request start on the [`trace::now_us`] clock, for span timestamps.
-    start_ts: u64,
+    frame: FramePhases,
     admit_us: u64,
     queue_us: u64,
     execute_us: u64,
+    render_us: u64,
+    /// When the last phase before the write ended.
+    write_start: Instant,
+}
+
+/// When a query's frame started arriving, finished arriving, and finished
+/// parsing: the clock readings its `read` and `parse` phases come from.
+#[derive(Clone, Copy)]
+struct FrameClock {
+    first_byte: Instant,
+    read: Instant,
+    parsed: Instant,
+}
+
+/// The in-flight limit: permit holders evaluate, waiters queue for a
+/// permit. A released permit passes straight to a waiter when there is
+/// one (`handed`), so a new arrival cannot take it first.
+#[derive(Default)]
+struct Permits {
+    held: usize,
+    waiting: usize,
+    /// Permits passed on by a release and not yet claimed by a waiter.
+    handed: usize,
+}
+
+impl Permits {
+    /// Whether any admitted request still holds or waits for a permit.
+    fn busy(&self) -> bool {
+        self.held > 0 || self.waiting > 0
+    }
+}
+
+/// A held in-flight permit; dropping it releases the permit on every exit
+/// path, unwinding included.
+struct Permit<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut permits = lock(&self.shared.permits);
+        if permits.waiting > permits.handed {
+            permits.handed += 1;
+            self.shared.permit_freed.notify_one();
+        } else {
+            permits.held -= 1;
+        }
+    }
 }
 
 struct Shared {
@@ -180,8 +210,9 @@ struct Shared {
     reload_lock: Mutex<()>,
     opts: ServeOptions,
     shutdown: CancelToken,
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
+    permits: Mutex<Permits>,
+    /// Signalled when a release hands a permit to a waiter.
+    permit_freed: Condvar,
     registry: Arc<Registry>,
     active_conns: AtomicUsize,
     conn_seq: AtomicU64,
@@ -191,7 +222,7 @@ struct Shared {
     /// Live copies of the runtime-adjustable observability knobs.
     sample_every: AtomicU64,
     slow_us: AtomicU64,
-    /// Queue-depth changes seen; rate-limits the depth counter track
+    /// Permit-line length changes seen; rate-limits the depth counter track
     /// (see [`Shared::emit_queue_depth`]).
     depth_emit_seq: AtomicU64,
     /// The in-flight request table, keyed by request sequence number.
@@ -209,9 +240,13 @@ struct HotMetrics {
     slow: Counter,
     trace_sampled: Counter,
     queue_depth: Gauge,
+    request_seconds: Histogram,
+    phase_read: Histogram,
+    phase_parse: Histogram,
     phase_admit: Histogram,
     phase_queue: Histogram,
     phase_execute: Histogram,
+    phase_render: Histogram,
     phase_write: Histogram,
 }
 
@@ -224,9 +259,13 @@ impl HotMetrics {
             slow: registry.counter(sm::SLOW),
             trace_sampled: registry.counter(sm::TRACE_SAMPLED),
             queue_depth: registry.gauge(sm::QUEUE_DEPTH),
+            request_seconds: registry.histogram(sm::REQUEST_SECONDS, sm::REQUEST_SECONDS_BOUNDS),
+            phase_read: hist(sm::PHASE_READ_SECONDS),
+            phase_parse: hist(sm::PHASE_PARSE_SECONDS),
             phase_admit: hist(sm::PHASE_ADMIT_SECONDS),
             phase_queue: hist(sm::PHASE_QUEUE_SECONDS),
             phase_execute: hist(sm::PHASE_EXECUTE_SECONDS),
+            phase_render: hist(sm::PHASE_RENDER_SECONDS),
             phase_write: hist(sm::PHASE_WRITE_SECONDS),
         }
     }
@@ -238,6 +277,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros() as u64
+}
+
+fn us_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
 }
 
 /// A successful reload's summary, for the wire response and the SIGHUP log
@@ -320,8 +363,8 @@ impl Shared {
         }
     }
 
-    /// Updates the queue-depth gauge and, for every 64th depth change,
-    /// emits a counter-track record for it. The gauge (and the live
+    /// Updates the queue-depth gauge (requests waiting for a permit) and,
+    /// for every 64th depth change, emits a counter-track record for it. The gauge (and the live
     /// `stats` op reading it) is always exact; the trace record is a
     /// graph sample, and one in 64 is far denser than any viewer renders
     /// at serving rates. The limiter counts changes rather than watching
@@ -447,12 +490,11 @@ fn bind_unix_guarded(socket_path: &Path) -> io::Result<UnixListener> {
     UnixListener::bind(socket_path)
 }
 
-/// A running daemon instance: acceptors, workers, and the shared state
-/// that connection handlers hang off.
+/// A running daemon instance: acceptors and the shared state that
+/// connection handlers hang off.
 pub struct Server {
     shared: Arc<Shared>,
     acceptors: Vec<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
     socket_path: Option<PathBuf>,
     tcp_addr: Option<SocketAddr>,
 }
@@ -482,8 +524,8 @@ impl Server {
     /// Binds any combination of a Unix socket and a TCP front end
     /// (`tcp` is a `host:port` string; port `0` picks a free port,
     /// readable back via [`Server::tcp_addr`]). At least one listener is
-    /// required. Both listeners feed the same admission queue and worker
-    /// pool; the wire protocol is identical on both.
+    /// required. Both listeners share the same in-flight permits and wait
+    /// line; the wire protocol is identical on both.
     ///
     /// # Errors
     ///
@@ -557,8 +599,8 @@ impl Server {
             reload_lock: Mutex::new(()),
             opts: opts.clone(),
             shutdown: CancelToken::new(),
-            queue: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
+            permits: Mutex::new(Permits::default()),
+            permit_freed: Condvar::new(),
             registry,
             active_conns: AtomicUsize::new(0),
             conn_seq: AtomicU64::new(0),
@@ -570,15 +612,6 @@ impl Server {
             inflight: Mutex::new(BTreeMap::new()),
             hot,
         });
-
-        let workers = (0..opts.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
 
         let acceptors = listeners
             .into_iter()
@@ -594,7 +627,6 @@ impl Server {
         Ok(Self {
             shared,
             acceptors,
-            workers,
             socket_path,
             tcp_addr,
         })
@@ -665,15 +697,18 @@ impl Server {
 
     /// Waits out the drain and returns the final metrics snapshot (the
     /// caller flushes it). Blocks until the shutdown token is cancelled:
-    /// the acceptor exits, workers drain the admitted queue, and
+    /// the acceptor exits, every admitted request — permit holders and
+    /// waiters alike — finishes however long that takes, and only then do
     /// connection handlers get up to `drain_grace` to complete their
     /// in-flight response writes. The socket file is removed.
     pub fn join(mut self) -> Snapshot {
         for h in self.acceptors.drain(..) {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        // Admission refuses new work once shutdown is cancelled (checked
+        // under this same lock), so an idle line stays idle.
+        while lock(&self.shared.permits).busy() {
+            thread::sleep(Duration::from_millis(5));
         }
         let drain_deadline = Instant::now() + self.shared.opts.drain_grace;
         while self.shared.active_conns.load(Ordering::Acquire) > 0
@@ -737,16 +772,22 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &Listener) {
 
 /// A reader that counts delivered bytes, so the connection loop can tell
 /// an *idle* timeout (no frame started — benign keep-alive) from a stall
-/// *mid-frame* (a slow or wedged client that must be dropped).
+/// *mid-frame* (a slow or wedged client that must be dropped). It also
+/// notes when the frame's first bytes arrived: the request's `read` phase
+/// runs from there, so idle keep-alive time is not counted.
 struct CountingReader<'a> {
     inner: &'a Conn,
     delivered: usize,
+    first_byte: Option<Instant>,
 }
 
 impl Read for CountingReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let mut inner = self.inner;
         let n = inner.read(buf)?;
+        if self.delivered == 0 && n > 0 {
+            self.first_byte = Some(Instant::now());
+        }
         self.delivered += n;
         Ok(n)
     }
@@ -775,6 +816,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: Conn, index: u64) {
         let mut reader = CountingReader {
             inner: &stream,
             delivered: 0,
+            first_byte: None,
         };
         let payload = match read_frame(&mut reader) {
             Ok(Some(payload)) => {
@@ -807,17 +849,16 @@ fn connection_loop(shared: &Arc<Shared>, stream: Conn, index: u64) {
             }
             Err(_) => return, // transport failure: nothing to answer into
         };
-        let (response, req_trace) = respond_to(shared, &payload);
+        let (response, req_trace) = respond_to(shared, &payload, reader.first_byte);
         if let Some(t) = &req_trace {
             shared.set_phase(t.seq, "write");
         }
-        let write_start = Instant::now();
         let wrote = write_response(shared, &stream, &mut faults, &response);
         // Finish observability even when the write failed: the request
         // still happened, and the flight ring is how a post-mortem learns
         // about responses the client never received.
         if let Some(t) = req_trace {
-            finish_request(shared, &t, write_start.elapsed());
+            finish_request(shared, &t);
         }
         if wrote.is_err() {
             return;
@@ -832,14 +873,18 @@ fn connection_loop(shared: &Arc<Shared>, stream: Conn, index: u64) {
 /// ([`trace::emit_span_at`]) because the sink decision depends on the
 /// total latency: every request is measured, only sampled or slow ones
 /// reach the JSONL sink, and the flight ring records all of them.
-fn finish_request(shared: &Arc<Shared>, t: &ReqTrace, write: Duration) {
-    let write_us = write.as_micros() as u64;
-    let total_us = elapsed_us(t.start);
+fn finish_request(shared: &Arc<Shared>, t: &ReqTrace) {
+    let end = Instant::now();
+    let write_us = us_between(t.write_start, end);
+    let total_us = us_between(t.start, end);
     let hot = &shared.hot;
     for (hist, us) in [
+        (&hot.phase_read, t.frame.read_us),
+        (&hot.phase_parse, t.frame.parse_us),
         (&hot.phase_admit, t.admit_us),
         (&hot.phase_queue, t.queue_us),
         (&hot.phase_execute, t.execute_us),
+        (&hot.phase_render, t.render_us),
         (&hot.phase_write, write_us),
     ] {
         hist.observe(us as f64 * 1e-6);
@@ -860,41 +905,43 @@ fn finish_request(shared: &Arc<Shared>, t: &ReqTrace, write: Duration) {
     if to_sink && proxim_obs::trace_enabled() {
         hot.trace_sampled.incr();
     }
-    // One batch for the whole request tree: five records, one sink lock.
-    let write_start_ts = t.start_ts + total_us.saturating_sub(write_us);
+    // One batch for the whole request tree, one sink lock. The children
+    // are laid end to end from the request's start; the write span is
+    // anchored to the request's end so rounding never pushes it past it.
+    let start_us = trace::instant_us(t.start);
+    let mut at = start_us;
+    let mut child = |name, dur_us| {
+        let span = trace::SpanAt {
+            name,
+            start_us: at,
+            dur_us,
+            args: &[],
+        };
+        at += dur_us;
+        span
+    };
+    let children = [
+        child("serve.read", t.frame.read_us),
+        child("serve.parse", t.frame.parse_us),
+        child("serve.admit", t.admit_us),
+        child("serve.queue_wait", t.queue_us),
+        child("serve.execute", t.execute_us),
+        child("serve.render", t.render_us),
+        trace::SpanAt {
+            name: "serve.write",
+            start_us: start_us + total_us.saturating_sub(write_us),
+            dur_us: write_us,
+            args: &[],
+        },
+    ];
     trace::emit_span_tree_at(
         &trace::SpanAt {
             name: "serve.request",
-            start_us: t.start_ts,
+            start_us,
             dur_us: total_us,
             args: &[("trace_id", t.trace_id.as_str()), ("op", t.op)],
         },
-        &[
-            trace::SpanAt {
-                name: "serve.admit",
-                start_us: t.start_ts,
-                dur_us: t.admit_us,
-                args: &[],
-            },
-            trace::SpanAt {
-                name: "serve.queue_wait",
-                start_us: t.start_ts + t.admit_us,
-                dur_us: t.queue_us,
-                args: &[],
-            },
-            trace::SpanAt {
-                name: "serve.execute",
-                start_us: t.start_ts + t.admit_us + t.queue_us,
-                dur_us: t.execute_us,
-                args: &[],
-            },
-            trace::SpanAt {
-                name: "serve.write",
-                start_us: write_start_ts,
-                dur_us: write_us,
-                args: &[],
-            },
-        ],
+        &children,
         to_sink,
     );
     lock(&shared.inflight).remove(&t.seq);
@@ -935,13 +982,23 @@ fn write_response(
 /// per-request trace context for queries, finished after the write).
 /// Probes (health, stats, list, metrics, obs) answer inline; queries go
 /// through admission.
-fn respond_to(shared: &Arc<Shared>, payload: &[u8]) -> (String, Option<ReqTrace>) {
+fn respond_to(
+    shared: &Arc<Shared>,
+    payload: &[u8],
+    first_byte: Option<Instant>,
+) -> (String, Option<ReqTrace>) {
+    let read = Instant::now();
     let request = match parse_request(payload) {
         Ok(r) => r,
         Err(e) => {
             shared.count(sm::PROTO_ERRORS);
             return (render_error(&e), None);
         }
+    };
+    let clock = FrameClock {
+        first_byte: first_byte.unwrap_or(read),
+        read,
+        parsed: Instant::now(),
     };
     match request {
         Request::Health => {
@@ -1004,12 +1061,12 @@ fn respond_to(shared: &Arc<Shared>, payload: &[u8]) -> (String, Option<ReqTrace>
             model,
             query,
             trace_id,
-        } => admit(shared, &model, vec![query], false, trace_id, "query"),
+        } => admit(shared, clock, &model, vec![query], false, trace_id, "query"),
         Request::Batch {
             model,
             queries,
             trace_id,
-        } => admit(shared, &model, queries, true, trace_id, "batch"),
+        } => admit(shared, clock, &model, queries, true, trace_id, "batch"),
     }
 }
 
@@ -1045,7 +1102,7 @@ fn push_obs_config(shared: &Arc<Shared>, out: &mut String) {
 fn render_stats(shared: &Arc<Shared>) -> String {
     let uptime = shared.started.elapsed().as_secs_f64();
     shared.registry.gauge(sm::UPTIME_SECONDS).set(uptime);
-    let queue_depth = lock(&shared.queue).len();
+    let queue_depth = lock(&shared.permits).waiting;
     let mut out = String::from("{\"ok\":true,\"uptime_s\":");
     push_f64(&mut out, uptime);
     out.push_str(&format!(",\"queue_depth\":{queue_depth},\"inflight\":["));
@@ -1139,8 +1196,8 @@ fn apply_obs(shared: &Arc<Shared>, control: &ObsControl) -> String {
 }
 
 /// The retry-after hint stamped on shed responses: roughly how long the
-/// full queue needs to drain ahead of a retry (`queue_capacity / workers`
-/// jobs of `worker_stall` each), clamped to a sane band. With no
+/// full wait line needs to drain ahead of a retry (`queue_capacity /
+/// workers` requests of `worker_stall` each), clamped to a sane band. With no
 /// configured stall (production: real evaluation is microseconds) a small
 /// constant keeps retrying clients from hammering a momentary spike.
 fn retry_after_hint(opts: &ServeOptions) -> u64 {
@@ -1152,20 +1209,20 @@ fn retry_after_hint(opts: &ServeOptions) -> u64 {
     stall_ms.saturating_mul(jobs_per_worker).clamp(1, 5_000)
 }
 
-/// Admission: resolve the model, reserve a queue slot or shed, and wait
-/// for the worker's rendered response. Every outcome — including shed,
-/// unknown-model, and drain refusals — carries the request's trace context
-/// back so it lands in the histograms and the flight ring.
+/// Admission and execution: resolve the model, take an in-flight permit
+/// (waiting in line for one) or shed, then evaluate and render under the
+/// permit on the calling connection thread. Every outcome — including
+/// shed, unknown-model, and drain refusals — carries the request's trace
+/// context back so it lands in the histograms and the flight ring.
 fn admit(
     shared: &Arc<Shared>,
+    clock: FrameClock,
     model: &str,
     queries: Vec<WireQuery>,
     batch: bool,
     trace_id: Option<String>,
     op: &'static str,
 ) -> (String, Option<ReqTrace>) {
-    let start = Instant::now();
-    let start_ts = trace::now_us();
     let seq = shared.req_seq.fetch_add(1, Ordering::Relaxed);
     let trace_id = trace_id.unwrap_or_else(|| format!("r{seq}"));
     lock(&shared.inflight).insert(
@@ -1173,7 +1230,7 @@ fn admit(
         InFlight {
             trace_id: trace_id.clone(),
             op,
-            since: start,
+            since: clock.first_byte,
             phase: "admit",
         },
     );
@@ -1181,25 +1238,23 @@ fn admit(
         seq,
         trace_id,
         op,
-        start,
-        start_ts,
+        start: clock.first_byte,
+        frame: FramePhases {
+            read_us: us_between(clock.first_byte, clock.read),
+            parse_us: us_between(clock.read, clock.parsed),
+        },
         admit_us: 0,
         queue_us: 0,
         execute_us: 0,
+        render_us: 0,
+        write_start: clock.parsed,
     };
     let refuse = |mut t: ReqTrace, e: &ProtoError| {
-        t.admit_us = elapsed_us(t.start);
-        (render_error_traced(e, Some(&t.trace_id)), Some(t))
+        let response = render_error_traced(e, Some(&t.trace_id));
+        t.write_start = Instant::now();
+        t.admit_us = us_between(clock.parsed, t.write_start);
+        (response, Some(t))
     };
-    if shared.shutdown.is_cancelled() {
-        return refuse(
-            t,
-            &ProtoError::new(
-                ErrorKind::ShuttingDown,
-                "daemon is draining; no new work admitted",
-            ),
-        );
-    }
     // Snapshot the live generation: this request runs entirely against it,
     // even if a reload swaps the library mid-flight.
     let library = shared.library();
@@ -1225,188 +1280,124 @@ fn admit(
                 .arg("load_us", acquired.load_us),
         );
     }
-    let (tx, rx) = mpsc::sync_channel(1);
-    {
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.opts.queue_capacity {
-            drop(queue);
-            shared.hot.shed.incr();
-            drop(
-                trace::event("serve.shed")
-                    .arg("trace_id", &t.trace_id)
-                    .arg("op", op),
-            );
-            return refuse(
-                t,
-                &ProtoError::new(
-                    ErrorKind::Overloaded,
-                    format!(
-                        "admission queue full ({} pending); retry with backoff",
-                        shared.opts.queue_capacity
-                    ),
-                )
-                .with_retry_after(retry_after_hint(&shared.opts)),
-            );
-        }
-        t.admit_us = elapsed_us(start);
-        queue.push_back(Job {
-            model: acquired.model,
-            cold_load_us: acquired.cold.then_some(acquired.load_us),
-            queries,
-            batch,
-            cancel: CancelToken::with_deadline_in(shared.opts.request_deadline),
-            admitted_at: Instant::now(),
-            seq,
-            trace_id: t.trace_id.clone(),
-            admit_us: t.admit_us,
-            reply: tx,
-        });
-        // Workers exit once they observe the queue empty *and* shutdown
-        // cancelled. Re-check cancellation while still holding the queue
-        // lock: if it landed between the entry check above and the push,
-        // every worker may already have seen empty+cancelled and exited,
-        // stranding the job — pop it back (the lock was never released,
-        // so it is still the tail) and answer typed instead.
-        if shared.shutdown.is_cancelled() {
-            queue.pop_back();
-            return refuse(
-                t,
-                &ProtoError::new(
-                    ErrorKind::ShuttingDown,
-                    "daemon is draining; no new work admitted",
+    let mut permits = lock(&shared.permits);
+    let free = permits.held < shared.opts.workers.max(1);
+    if !free && permits.waiting >= shared.opts.queue_capacity {
+        drop(permits);
+        shared.hot.shed.incr();
+        drop(
+            trace::event("serve.shed")
+                .arg("trace_id", &t.trace_id)
+                .arg("op", op),
+        );
+        return refuse(
+            t,
+            &ProtoError::new(
+                ErrorKind::Overloaded,
+                format!(
+                    "admission queue full ({} pending); retry with backoff",
+                    shared.opts.queue_capacity
                 ),
-            );
-        }
-        shared.hot.requests.incr();
-        let depth = queue.len();
-        shared.emit_queue_depth(depth);
-        shared.job_ready.notify_one();
+            )
+            .with_retry_after(retry_after_hint(&shared.opts)),
+        );
     }
-    shared.set_phase(seq, "queue");
-    // Workers always reply (evaluated, deadline-expired, or drain-shed),
-    // so this wait only trips if a worker thread died — answer typed
-    // rather than wedging the connection forever. A job can sit behind up
-    // to queue_capacity stalled predecessors before its turn, so the
-    // guard scales with the queue depth.
-    let guard = shared.opts.request_deadline
-        + shared
-            .opts
-            .worker_stall
-            .saturating_mul(shared.opts.queue_capacity.min(u32::MAX as usize) as u32 + 1)
-        + Duration::from_secs(30);
-    match rx.recv_timeout(guard) {
-        Ok(reply) => {
-            t.queue_us = reply.queue_us;
-            t.execute_us = reply.execute_us;
-            (reply.response, Some(t))
-        }
-        Err(_) => {
-            let resp = render_error_traced(
-                &ProtoError::new(ErrorKind::Internal, "worker did not produce a response"),
-                Some(&t.trace_id),
-            );
-            (resp, Some(t))
-        }
+    // Checked under the permit lock: once `Server::join` has seen no
+    // holders and no waiters under it, every later admission sees the
+    // cancellation and refuses, so the drain cannot strand a request.
+    if shared.shutdown.is_cancelled() {
+        drop(permits);
+        return refuse(
+            t,
+            &ProtoError::new(
+                ErrorKind::ShuttingDown,
+                "daemon is draining; no new work admitted",
+            ),
+        );
     }
+    shared.hot.requests.incr();
+    let cancel = CancelToken::with_deadline_in(shared.opts.request_deadline);
+    let admitted = Instant::now();
+    t.admit_us = us_between(clock.parsed, admitted);
+    if free {
+        permits.held += 1;
+    } else {
+        permits.waiting += 1;
+        shared.emit_queue_depth(permits.waiting);
+        shared.set_phase(seq, "queue");
+        while permits.handed == 0 {
+            permits = shared
+                .permit_freed
+                .wait(permits)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        permits.handed -= 1;
+        permits.waiting -= 1;
+        shared.emit_queue_depth(permits.waiting);
+    }
+    drop(permits);
+    let permit = Permit { shared };
+    let granted = Instant::now();
+    t.queue_us = us_between(admitted, granted);
+    shared.set_phase(seq, "execute");
+    // The congestion stall models evaluation cost; a request already past
+    // its deadline gets none (it only needs its typed answer), so a
+    // backlog of expired requests drains immediately instead of making
+    // live requests wait out queue_capacity stalls.
+    if !shared.opts.worker_stall.is_zero() && cancel.check("serve request").is_ok() {
+        thread::sleep(shared.opts.worker_stall);
+    }
+    let results = evaluate(shared, &acquired.model, &queries, &cancel);
+    let evaluated = Instant::now();
+    t.execute_us = us_between(granted, evaluated);
+    let echo = TraceEcho {
+        trace_id: t.trace_id.clone(),
+        admit_us: t.admit_us,
+        queue_us: t.queue_us,
+        execute_us: t.execute_us,
+        cold_load_us: acquired.cold.then_some(acquired.load_us),
+    };
+    let response = render_served(&results, batch, &echo, t.frame);
+    t.write_start = Instant::now();
+    t.render_us = us_between(evaluated, t.write_start);
+    shared
+        .hot
+        .request_seconds
+        .observe(t.write_start.duration_since(admitted).as_secs_f64());
+    drop(permit);
+    (response, Some(t))
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    let depth = queue.len();
-                    shared.emit_queue_depth(depth);
-                    break job;
-                }
-                // Drain semantics: exit only once the queue is empty, so
-                // every admitted request gets its response.
-                if shared.shutdown.is_cancelled() {
-                    return;
-                }
-                queue = shared
-                    .job_ready
-                    .wait_timeout(queue, POLL)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        };
-        // Queue wait ends the moment a worker owns the job; the
-        // congestion stall is evaluation cost, so it counts as execute.
-        let queue_us = elapsed_us(job.admitted_at);
-        shared.set_phase(job.seq, "execute");
-        let exec_start = Instant::now();
-        // The congestion stall models evaluation cost; a job already past
-        // its deadline gets none (it only needs its typed answer), so a
-        // backlog of expired jobs drains immediately instead of making
-        // live requests wait out queue_capacity stalls.
-        if !shared.opts.worker_stall.is_zero() && job.cancel.check("serve request").is_ok() {
-            thread::sleep(shared.opts.worker_stall);
-        }
-        let results = evaluate(shared, &job);
-        let execute_us = elapsed_us(exec_start);
-        let echo = TraceEcho {
-            trace_id: job.trace_id.clone(),
-            admit_us: job.admit_us,
-            queue_us,
-            execute_us,
-            cold_load_us: job.cold_load_us,
-        };
-        let response = if job.batch {
-            render_batch(&results, Some(&echo))
-        } else {
-            match results.first() {
-                Some(Ok(timing)) => render_timing(timing, Some(&echo)),
-                Some(Err(e)) => render_error_traced(e, Some(&echo.trace_id)),
-                None => render_error(&ProtoError::new(ErrorKind::Internal, "empty job")),
-            }
-        };
-        shared
-            .registry
-            .histogram(sm::REQUEST_SECONDS, sm::REQUEST_SECONDS_BOUNDS)
-            .observe(job.admitted_at.elapsed().as_secs_f64());
-        // The connection may have given up (its own guard timeout); a
-        // dead receiver is not an error.
-        let _ = job.reply.send(WorkerReply {
-            response,
-            queue_us,
-            execute_us,
-        });
-    }
-}
-
-/// Evaluates one admitted job under its deadline token, returning one
+/// Evaluates one admitted request under its deadline token, returning one
 /// outcome per query.
-fn evaluate(shared: &Arc<Shared>, job: &Job) -> Vec<Result<GateTiming, ProtoError>> {
-    let mut results: Vec<Result<GateTiming, ProtoError>> = Vec::with_capacity(job.queries.len());
-    for query in &job.queries {
-        // The deadline is checked between items, so a half-expired batch
-        // returns real answers for the items it finished and typed
-        // `deadline_exceeded` for the rest — honest partial progress.
-        if let Err(e) = job.cancel.check("serve request") {
-            shared.count(sm::DEADLINE_EXPIRED);
-            results.push(Err(ProtoError::new(
-                ErrorKind::DeadlineExceeded,
-                e.to_string(),
-            )));
-            continue;
-        }
-        let outcome = match query.c_load {
-            Some(c_load) => job.model.gate_timing_at_load(&query.events, c_load),
-            None => job.model.gate_timing(&query.events),
-        };
-        match outcome {
-            Ok(timing) => {
-                if timing.degradation.is_some() {
-                    shared.count(sm::DEGRADED_ANSWERS);
-                }
-                results.push(Ok(timing));
+fn evaluate(
+    shared: &Shared,
+    model: &ProximityModel,
+    queries: &[WireQuery],
+    cancel: &CancelToken,
+) -> Vec<Result<GateTiming, ProtoError>> {
+    queries
+        .iter()
+        .map(|query| {
+            // The deadline is checked between items, so a half-expired
+            // batch returns real answers for the items it finished and
+            // typed `deadline_exceeded` for the rest — honest partial
+            // progress.
+            if let Err(e) = cancel.check("serve request") {
+                shared.count(sm::DEADLINE_EXPIRED);
+                return Err(ProtoError::new(ErrorKind::DeadlineExceeded, e.to_string()));
             }
-            Err(e) => results.push(Err(model_error_to_proto(&e))),
-        }
-    }
-    results
+            let timing = match query.c_load {
+                Some(c_load) => model.gate_timing_at_load(&query.events, c_load),
+                None => model.gate_timing(&query.events),
+            }
+            .map_err(|e| model_error_to_proto(&e))?;
+            if timing.degradation.is_some() {
+                shared.count(sm::DEGRADED_ANSWERS);
+            }
+            Ok(timing)
+        })
+        .collect()
 }
 
 /// Convenience client: connect, round-trip one request, disconnect.
@@ -1678,6 +1669,47 @@ mod tests {
         match one_shot(&sock, QUERY) {
             Err(_) => {}
             Ok(resp) => assert!(resp.contains("shutting_down"), "{resp}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn join_finishes_admitted_work_before_the_drain_grace_starts() {
+        let dir = scratch("drain_grace");
+        let opts = ServeOptions {
+            workers: 1,
+            queue_capacity: 16,
+            worker_stall: Duration::from_millis(100),
+            drain_grace: Duration::from_millis(50),
+            ..ServeOptions::default()
+        };
+        let server = Server::start(test_library(&dir), dir.join("s.sock"), opts).unwrap();
+        let sock = server.socket_path().to_path_buf();
+
+        let clients: Vec<_> = (0..6)
+            .map(|_| {
+                let sock = sock.clone();
+                thread::spawn(move || one_shot(&sock, QUERY).unwrap())
+            })
+            .collect();
+        // All six admitted: one evaluates, five wait for it, 600 ms of
+        // stalls in all — far past the 50 ms grace.
+        let requests = server.registry().counter(sm::REQUESTS);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while requests.get() < 6 {
+            assert!(Instant::now() < deadline, "six requests never admitted");
+            thread::sleep(Duration::from_millis(2));
+        }
+        server.begin_shutdown();
+        let snap = server.join();
+        let finished = snap.histogram(sm::REQUEST_SECONDS).map_or(0, |h| h.count);
+        assert_eq!(finished, 6, "join returned before admitted work finished");
+        for client in clients {
+            let r = client.join().unwrap();
+            assert!(
+                r.contains("\"timing\"") || r.contains("deadline_exceeded"),
+                "admitted work must answer whole: {r}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

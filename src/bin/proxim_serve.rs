@@ -41,7 +41,7 @@
 //!   daemon's observability plane: flip the trace level or sampling knobs
 //!   at runtime, fetch the flight-recorder dump to a file, or scrape and
 //!   validate the Prometheus exposition. All of it rides the probe fast
-//!   path, so it works even when the admission queue is saturated.
+//!   path, so it works even when every in-flight permit is taken.
 //!
 //! The `SIGTERM`/`SIGHUP` handlers live here (one libc `signal` FFI line)
 //! so every library crate stays `forbid(unsafe_code)`; each handler body

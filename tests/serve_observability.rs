@@ -10,14 +10,18 @@
 //! - every response (answered *and* shed) echoes its `trace_id` and the
 //!   answered ones carry the per-phase breakdown;
 //! - the sampled JSONL sink holds a `serve.request` span tree with the
-//!   matching `trace_id` and all four phase children;
+//!   matching `trace_id` and its admit, queue-wait, execute and write
+//!   children;
 //! - the flight-recorder ring can reproduce the same records after the
 //!   fact, both over the wire (`obs` dump op) and after shutdown;
 //! - the per-daemon counters reconcile exactly with what the clients saw.
 //!
-//! A second test flips sampling and level at runtime through the `obs`
-//! op; a third drives the real `proxim_serve` binary and asserts the
-//! SIGTERM drain path leaves a flight dump containing a traced request.
+//! A second test checks that a sampled request's seven phase spans (read,
+//! parse, admit, queue wait, execute, render, write) add up to its
+//! `serve.request` span; a third flips sampling and level at runtime
+//! through the `obs` op; a fourth drives the real `proxim_serve` binary and
+//! asserts the SIGTERM drain path leaves a flight dump containing a traced
+//! request.
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
@@ -267,7 +271,7 @@ fn overloaded_requests_are_visible_on_every_observability_surface() {
     );
 
     // The sampled JSONL sink: one serve.request span tree per request
-    // (sample_every=1), trace_id attached, all four phase children
+    // (sample_every=1), trace_id attached, the four phases checked here
     // parented to it — shed requests included, that's what makes the
     // trace a complete account of the overload.
     let mut jsonl = String::new();
@@ -370,6 +374,98 @@ fn overloaded_requests_are_visible_on_every_observability_surface() {
         "post-shutdown flight dump lost the request history"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_sampled_requests_phase_spans_cover_its_request_span() {
+    const REQUESTS: usize = 24;
+    let _lock = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = ObsGuard;
+    let cap = Capture::default();
+    sink::install_writer(Box::new(cap.clone()));
+    proxim_obs::set_level(proxim_obs::Level::Trace);
+
+    let dir = scratch_dir("cover");
+    let server = start_server(
+        &dir,
+        ServeOptions {
+            trace_sample_every: 1,
+            flight_capacity: FLIGHT_CAPACITY,
+            ..ServeOptions::default()
+        },
+    );
+    // One keep-alive connection, so every request also pays a frame read
+    // and a parse on the connection thread, and answers echo both.
+    let mut stream =
+        std::os::unix::net::UnixStream::connect(server.socket_path()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    for i in 0..REQUESTS {
+        let response = proxim_serve::proto::call(&mut stream, &query_json(&format!("cover-{i}")))
+            .expect("query");
+        let json = parse(&response);
+        let breakdown = json.get("breakdown").expect("answered carry a breakdown");
+        for phase in ["read_us", "parse_us", "admit_us", "queue_us", "execute_us"] {
+            assert!(num_field(breakdown, phase) >= 0.0, "{response}");
+        }
+    }
+    drop(stream);
+
+    // The phases partition the request: each child span starts where the
+    // previous one ended, so the children sum to the request span up to
+    // the rounding of each child to whole microseconds.
+    const PHASES: [&str; 7] = [
+        "serve.read",
+        "serve.parse",
+        "serve.admit",
+        "serve.queue_wait",
+        "serve.execute",
+        "serve.render",
+        "serve.write",
+    ];
+    let mut jsonl = String::new();
+    let spans = poll_until("every request span to reach the sink", || {
+        sink::flush();
+        jsonl.push_str(&cap.take_string());
+        let spans: Vec<_> = request_spans(&jsonl)
+            .into_iter()
+            .filter(|(id, _)| id.starts_with("cover-"))
+            .collect();
+        (spans.len() >= REQUESTS).then_some(spans)
+    });
+    let records: Vec<Json> = jsonl.lines().map(parse).collect();
+    for (trace_id, span_id) in &spans {
+        let request = records
+            .iter()
+            .find(|r| r.get("id").and_then(Json::as_f64) == Some(*span_id))
+            .expect("the request span itself");
+        let children: Vec<&Json> = records
+            .iter()
+            .filter(|r| r.get("parent").and_then(Json::as_f64) == Some(*span_id))
+            .collect();
+        let names: Vec<&str> = children.iter().map(|c| str_field(c, "name")).collect();
+        assert_eq!(names, PHASES, "{trace_id}: phase spans");
+        let total = num_field(request, "dur");
+        let covered: f64 = children.iter().map(|c| num_field(c, "dur")).sum();
+        let residual = total - covered;
+        assert!(
+            (0.0..=PHASES.len() as f64).contains(&residual),
+            "{trace_id}: phases cover {covered} of {total} us"
+        );
+    }
+
+    server.begin_shutdown();
+    let snap = server.join();
+    for name in [
+        proxim_obs::serve_metrics::PHASE_READ_SECONDS,
+        proxim_obs::serve_metrics::PHASE_PARSE_SECONDS,
+        proxim_obs::serve_metrics::PHASE_RENDER_SECONDS,
+    ] {
+        let count = snap.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count as usize, REQUESTS, "{name}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
