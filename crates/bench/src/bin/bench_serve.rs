@@ -7,6 +7,9 @@
 //! bench_serve [--out PATH] [--requests N]
 //! ```
 //!
+//! `--requests` sets how many requests each latency level runs (default
+//! 131 072, over a second per level on a 2-CPU host).
+//!
 //! Two measurements, both against an in-process [`Server`] with a real
 //! socket (so framing, admission, and the in-flight permits are all on the
 //! measured path):
@@ -303,7 +306,10 @@ fn latency_json(clients: usize, per_client: usize, r: &LoadResult) -> String {
 
 fn main() -> ExitCode {
     let mut out = String::from("BENCH_serve.json");
-    let mut per_client_base = 512usize;
+    // Requests per concurrency level: at the 30–100 k qps this bench sees
+    // on a 2-CPU host, every level runs for over a second, long enough
+    // that its percentiles are not set by a few scheduler hiccups.
+    let mut per_client_base = 131_072usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -483,7 +489,7 @@ fn main() -> ExitCode {
     // attempts — a real regression is sustained and trips every attempt,
     // interference moves on.
     const GATE_ATTEMPTS: usize = 3;
-    let (clients, per_client) = (8usize, (per_client_base * 16).max(24576));
+    let (clients, per_client) = (8usize, 24_576usize);
     let tolerance_pct = std::env::var("PROXIM_SERVE_TRACE_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())

@@ -7,12 +7,13 @@
 //! network conducts".
 
 use crate::tech::Technology;
+use proxim_obs::json::{FromJson, ToJson};
 use proxim_spice::circuit::{Circuit, NodeId, Waveform};
 use proxim_spice::device::MosType;
 use std::collections::HashMap;
 
 /// A series/parallel switch network over input indices.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson, FromJson)]
 pub enum Network {
     /// A single transistor gated by input `i`.
     Input(usize),
@@ -68,7 +69,7 @@ impl Network {
 /// Input ordering matters for series stacks: for [`Cell::nand`], input 0 is
 /// the transistor closest to the output and the last input is closest to
 /// ground, matching the `a`/`b`/`c` labeling of the paper's Figure 1-1.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Cell {
     name: String,
     input_names: Vec<String>,

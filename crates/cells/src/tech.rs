@@ -1,5 +1,6 @@
 //! Process technology description.
 
+use proxim_obs::json::{FromJson, ToJson};
 use proxim_spice::device::MosParams;
 
 /// A CMOS process plus operating supply: everything a [`crate::Cell`] needs
@@ -10,7 +11,7 @@ use proxim_spice::device::MosParams;
 /// from the paper's HSPICE setup (whose transistor sizes are not given in
 /// the available text); the reproduction targets shapes, orderings and
 /// relative errors, which are technology-robust.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Technology {
     /// Human-readable name.
     pub name: String,

@@ -21,9 +21,10 @@
 
 use crate::dominance::RankedEvent;
 use crate::dual::DualInputModel;
+use proxim_obs::json::{FromJson, ToJson};
 
 /// The characterized simultaneous-step correction for one output edge.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, ToJson, FromJson)]
 pub struct CorrectionTerm {
     /// Signed delay correction at full strength, in seconds.
     pub delay: f64,

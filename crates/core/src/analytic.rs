@@ -18,10 +18,10 @@ use crate::error::ModelError;
 use crate::single::SingleInputModel;
 use proxim_numeric::fit::{lstsq, r_squared};
 use proxim_numeric::grid::linspace;
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// A fitted closed-form single-input macromodel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct AnalyticSingle {
     /// The pin the underlying table described.
     pub pin: usize,
@@ -100,7 +100,7 @@ impl AnalyticSingle {
 /// The basis is `{1, x, y, w, w², xw, yw, xy, x², y²}` with `x = ln u₁`,
 /// `y = ln v`, evaluated inside the window and clamped to 1 outside
 /// (`w ≥ 1` for the delay ratio), matching the table model's semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct AnalyticDual {
     /// The dominant pin of the underlying table model.
     pub pin: usize,

@@ -841,7 +841,7 @@ impl ProximityModel {
 
     /// Structural validation: shape, axis, and finiteness checks over every
     /// table and model scalar. This is what the persistence layer runs on
-    /// every loaded or cached model, because serde deserialization fills
+    /// every loaded or cached model, because JSON decoding fills
     /// table fields directly and would otherwise admit NaN/Inf or
     /// malformed axes into the query path.
     ///

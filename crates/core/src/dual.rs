@@ -25,25 +25,24 @@ use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
 use crate::measure::InputEvent;
-use crate::single::{edge_as_bool as edge_serde, SingleInputModel};
+use crate::single::SingleInputModel;
 use crate::thresholds::Thresholds;
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::Table3d;
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// Floor on generated partner transition times during characterization.
 const TAU_MIN: f64 = 10e-12;
 
 /// A characterized dual-input proximity model for one dominant
 /// `(pin, input edge)` and a representative partner pin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct DualInputModel {
     /// The dominant (reference) pin `i`.
     pub pin: usize,
     /// The partner pin `j` used during characterization.
     pub partner: usize,
     /// Input transition direction (both inputs switch the same way).
-    #[serde(with = "edge_serde")]
     pub input_edge: Edge,
     /// `D⁽²⁾` ratio table over `(u₁, v, w)`.
     delay_ratio: Table3d,

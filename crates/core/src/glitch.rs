@@ -12,12 +12,12 @@ use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
 use crate::measure::{InputEvent, Scenario};
-use crate::single::{edge_as_bool as edge_serde, SingleInputModel};
+use crate::single::SingleInputModel;
 use crate::thresholds::Thresholds;
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::rootfind::brent;
 use proxim_numeric::Table3d;
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// A characterized glitch-peak macromodel for one causer pin and edge.
 ///
@@ -25,17 +25,15 @@ use serde::{Deserialize, Serialize};
 /// `(u₁, v, w) = (τ_c/Δ_c⁽¹⁾, τ_b/Δ_c⁽¹⁾, s/Δ_c⁽¹⁾)`, where `s` is the
 /// blocker's arrival minus the causer's arrival: large `s` means the blocker
 /// comes late and the output completes its transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct GlitchModel {
     /// The causer pin (drives the output transition).
     pub causer: usize,
     /// The blocker pin (switches the opposite way).
     pub blocker: usize,
     /// The causer's input edge.
-    #[serde(with = "edge_serde")]
     pub causer_edge: Edge,
     /// The output edge the causer would produce.
-    #[serde(with = "edge_serde")]
     pub output_edge: Edge,
     /// Supply voltage.
     pub vdd: f64,

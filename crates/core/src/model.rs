@@ -19,11 +19,12 @@ use crate::jobs::{
 };
 use crate::measure::{InputEvent, Scenario};
 use crate::nldm::LoadSlewModel;
-use crate::single::{edge_as_bool, SingleInputModel};
+use crate::single::SingleInputModel;
 use crate::thresholds::{extract_vtc_family_cancellable, Thresholds, VtcFamily};
 use proxim_cells::{Cell, Technology};
 use proxim_numeric::pwl::Edge;
 use proxim_obs as obs;
+use proxim_obs::json::{FromJson, ToJson};
 use std::time::Instant;
 
 /// The model's answer for one gate switching scenario.
@@ -62,7 +63,7 @@ pub enum DegradedReason {
 }
 
 /// Which kind of characterization slice a [`DegradedSlice`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson, FromJson)]
 pub enum SliceKind {
     /// A single-input macromodel (§3).
     Single,
@@ -82,7 +83,7 @@ pub enum SliceKind {
 /// Only *data-dependent* failures degrade
 /// ([`ModelError::is_slice_degradable`]); configuration errors still fail
 /// [`ProximityModel::characterize`] outright.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct DegradedSlice {
     /// What kind of slice was lost.
     pub kind: SliceKind,
@@ -90,7 +91,6 @@ pub struct DegradedSlice {
     /// causer for glitches, the reference pin for corrections).
     pub pin: usize,
     /// The input edge the slice covered.
-    #[serde(with = "edge_as_bool")]
     pub edge: Edge,
     /// The rendered error that killed the slice's jobs.
     pub reason: String,
@@ -113,7 +113,7 @@ fn note_degraded(reg: &obs::Registry, d: &DegradedSlice) {
 }
 
 /// A fully characterized temporal-proximity model for one cell.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, ToJson, FromJson)]
 pub struct ProximityModel {
     pub(crate) cell: Cell,
     pub(crate) tech: Technology,

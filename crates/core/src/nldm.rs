@@ -14,22 +14,19 @@ use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
 use crate::measure::InputEvent;
-use crate::single::edge_serde;
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::Table2d;
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// A characterized load–slew delay/transition surface for one
 /// `(pin, input edge)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct LoadSlewModel {
     /// The input pin.
     pub pin: usize,
     /// The input transition direction.
-    #[serde(with = "edge_serde")]
     pub input_edge: Edge,
     /// The output transition direction it produces.
-    #[serde(with = "edge_serde")]
     pub output_edge: Edge,
     /// Delay surface over `(ln τ, ln C_L)`, in seconds.
     delay: Table2d,

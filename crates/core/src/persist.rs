@@ -17,6 +17,7 @@ use crate::jobs::{metric, CharStats};
 use crate::model::ProximityModel;
 use proxim_cells::{Cell, Technology};
 use proxim_obs as obs;
+use proxim_obs::json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,10 +38,11 @@ impl ProximityModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Persist`] if serialization fails (it cannot for
-    /// a well-formed model; the variant exists for forward compatibility).
+    /// Returns [`ModelError::Persist`] if the model holds a value JSON
+    /// cannot carry: a non-finite table entry (which a validated model
+    /// never has).
     pub fn to_json(&self) -> Result<String, ModelError> {
-        serde_json::to_string(self).map_err(|e| ModelError::Persist {
+        json::to_string(self).map_err(|e| ModelError::Persist {
             detail: e.to_string(),
         })
     }
@@ -49,7 +51,7 @@ impl ProximityModel {
     ///
     /// The input is untrusted: beyond parsing, the text must fit
     /// [`MAX_MODEL_JSON_BYTES`] and the decoded model must pass
-    /// [`ProximityModel::validate`] — serde fills table fields directly,
+    /// [`ProximityModel::validate`] — decoding fills table fields directly,
     /// so without the post-parse walk a hand-edited or bit-rotted file
     /// could smuggle NaN/Inf entries or malformed axes into the query
     /// path. (JSON `1e999` parses as `+inf`, so overflow is a validation
@@ -68,7 +70,7 @@ impl ProximityModel {
                 ),
             });
         }
-        let model: Self = serde_json::from_str(text).map_err(|e| ModelError::Persist {
+        let model: Self = json::from_str(text).map_err(|e| ModelError::Persist {
             detail: e.to_string(),
         })?;
         model.validate()?;
@@ -258,10 +260,10 @@ impl ModelCache {
         tech: &Technology,
         opts: &CharacterizeOptions,
     ) -> Result<u64, ModelError> {
-        let cell_json = serde_json::to_string(cell).map_err(|e| ModelError::Persist {
+        let cell_json = json::to_string(cell).map_err(|e| ModelError::Persist {
             detail: e.to_string(),
         })?;
-        let tech_json = serde_json::to_string(tech).map_err(|e| ModelError::Persist {
+        let tech_json = json::to_string(tech).map_err(|e| ModelError::Persist {
             detail: e.to_string(),
         })?;
         let blob = format!(

@@ -21,18 +21,16 @@ use crate::measure::InputEvent;
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::rootfind::brent;
 use proxim_numeric::Table1d;
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// A characterized single-input macromodel for one `(pin, input edge)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct SingleInputModel {
     /// The input pin this model describes.
     pub pin: usize,
     /// The input transition direction.
-    #[serde(with = "edge_serde")]
     pub input_edge: Edge,
     /// The output transition direction it produces.
-    #[serde(with = "edge_serde")]
     pub output_edge: Edge,
     /// Driving-network strength `K`, in A/V².
     pub k: f64,
@@ -53,25 +51,6 @@ pub struct SingleInputModel {
     /// by this factor.
     tail_factor: f64,
 }
-
-// `Edge` lives in proxim-numeric without serde support; serialize as bool.
-pub(crate) mod edge_serde {
-    use proxim_numeric::pwl::Edge;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(edge: &Edge, s: S) -> Result<S::Ok, S::Error> {
-        matches!(edge, Edge::Rising).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Edge, D::Error> {
-        Ok(if bool::deserialize(d)? {
-            Edge::Rising
-        } else {
-            Edge::Falling
-        })
-    }
-}
-pub(crate) use edge_serde as edge_as_bool;
 
 impl SingleInputModel {
     /// Characterizes the model for `pin`/`input_edge` by sweeping the τ grid

@@ -11,6 +11,7 @@
 use crate::error::ModelError;
 use proxim_cells::{Cell, Technology};
 use proxim_numeric::pwl::{Edge, Pwl};
+use proxim_obs::json::{FromJson, ToJson};
 use proxim_spice::circuit::Waveform;
 
 /// The measurement thresholds selected for a gate.
@@ -19,7 +20,7 @@ use proxim_spice::circuit::Waveform;
 /// rising signals and `V_ih` for falling signals — the first threshold the
 /// signal crosses, which is also how the paper measures separation between
 /// inputs (§3).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, ToJson, FromJson)]
 pub struct Thresholds {
     /// The low unity-gain threshold (minimum over the VTC family).
     pub v_il: f64,
@@ -64,7 +65,7 @@ impl Thresholds {
 
 /// One voltage-transfer curve of the family: the subset of inputs switched
 /// together, the curve itself, and its characteristic voltages.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, ToJson, FromJson)]
 pub struct VtcCurve {
     /// Bitmask over input pins: bit `i` set means pin `i` switches.
     pub switching_mask: u32,
@@ -90,7 +91,7 @@ impl VtcCurve {
 }
 
 /// The full VTC family of a gate and the paper's threshold selection.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, ToJson, FromJson)]
 pub struct VtcFamily {
     curves: Vec<VtcCurve>,
     vdd: f64,

@@ -8,7 +8,7 @@
 //! characterization flows.
 
 use crate::grid::{cell_weight, locate};
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 use std::fmt;
 
 /// The error returned when a table is built from inconsistent data.
@@ -79,7 +79,7 @@ fn check_axis(name: &str, axis: &[f64]) -> Result<(), BuildTableError> {
 /// assert_eq!(t.eval(-3.0), 0.0); // clamped
 /// # Ok::<(), proxim_numeric::interp::BuildTableError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Table1d {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -146,7 +146,7 @@ impl Table1d {
 ///
 /// Used for load–slew (NLDM-style) delay surfaces, where the axes are the
 /// input transition time and the output load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Table2d {
     ax: Vec<f64>,
     ay: Vec<f64>,
@@ -265,7 +265,7 @@ impl Table2d {
 /// Axes are named after their use in the dual-input proximity model
 /// (eq. 3.11): `u = tau_i / d1`, `v = tau_j / d1`, `w = s_ij / d1`, but the
 /// type is agnostic to that interpretation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Table3d {
     ax: Vec<f64>,
     ay: Vec<f64>,
@@ -532,14 +532,17 @@ mod tests {
 
     #[test]
     fn validate_catches_deserialized_corruption() {
-        // Serde fills fields directly, so decoding can construct states
+        // Decoding fills fields directly, so it can construct states
         // new() would reject; validate() must catch them after the fact.
-        let good: Table1d = serde_json::from_str(r#"{"xs":[0.0,1.0],"ys":[1.0,2.0]}"#).unwrap();
+        let good: Table1d =
+            proxim_obs::json::from_str(r#"{"xs":[0.0,1.0],"ys":[1.0,2.0]}"#).unwrap();
         assert!(good.validate().is_ok());
-        let bad_axis: Table1d = serde_json::from_str(r#"{"xs":[1.0,0.0],"ys":[1.0,2.0]}"#).unwrap();
+        let bad_axis: Table1d =
+            proxim_obs::json::from_str(r#"{"xs":[1.0,0.0],"ys":[1.0,2.0]}"#).unwrap();
         assert!(bad_axis.validate().is_err());
         let bad_shape: Table2d =
-            serde_json::from_str(r#"{"ax":[0.0,1.0],"ay":[0.0,1.0],"values":[0.0]}"#).unwrap();
+            proxim_obs::json::from_str(r#"{"ax":[0.0,1.0],"ay":[0.0,1.0],"values":[0.0]}"#)
+                .unwrap();
         assert!(bad_shape.validate().is_err());
         let t3 = Table3d::tabulate(vec![0.0, 1.0], vec![0.0, 1.0], vec![0.0, 1.0], |_, _, _| {
             0.5

@@ -6,11 +6,11 @@
 //! ramps exactly as the paper does ("the inputs and outputs are shown as
 //! piecewise-linear", §3).
 
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{CodecError, FromJson, Json, ToJson};
 use std::fmt;
 
 /// The direction of a signal transition or threshold crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Edge {
     /// The signal increases through the threshold.
     Rising,
@@ -25,6 +25,23 @@ impl Edge {
             Self::Rising => Self::Falling,
             Self::Falling => Self::Rising,
         }
+    }
+}
+
+/// Persisted as a bool: `true` for [`Edge::Rising`].
+impl ToJson for Edge {
+    fn encode(&self, out: &mut String) -> Result<(), CodecError> {
+        (*self == Self::Rising).encode(out)
+    }
+}
+
+impl FromJson for Edge {
+    fn decode(value: Json) -> Result<Self, CodecError> {
+        Ok(if bool::decode(value)? {
+            Self::Rising
+        } else {
+            Self::Falling
+        })
     }
 }
 
@@ -65,7 +82,7 @@ impl std::error::Error for BuildPwlError {}
 /// assert_eq!(w.eval(9.0), 5.0);
 /// # Ok::<(), proxim_numeric::pwl::BuildPwlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct Pwl {
     points: Vec<(f64, f64)>,
 }

@@ -622,6 +622,41 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_meta_section_is_quarantined_not_a_crash() {
+        use crate::store::{decode_entry, SECTION_META, SECTION_MODEL, STORE_MAGIC};
+        use proxim_model::persist::fnv1a_64;
+
+        let store = seeded_store("deepmeta", &["good"]);
+        // A well-formed container whose meta section passes its checksum
+        // but nests far past the JSON parser's depth limit.
+        let meta = "[".repeat(100_000);
+        let model = shared_model().to_json().unwrap();
+        let mut bytes = STORE_MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for (id, payload) in [
+            (SECTION_META, meta.as_bytes()),
+            (SECTION_MODEL, model.as_bytes()),
+        ] {
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        assert!(matches!(
+            decode_entry(&bytes),
+            Err(StoreError::Malformed { .. })
+        ));
+        fs::write(store.entry_path("deep"), &bytes).unwrap();
+
+        let lib = ModelLibrary::open(&store);
+        assert_eq!(lib.names(), vec!["good"]);
+        assert_eq!(lib.report().quarantined.len(), 1);
+        assert!(lib.report().quarantined[0].1.contains("nested deeper"));
+        assert!(lib.get("good").is_some());
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
     fn missing_store_directory_opens_empty_not_dead() {
         let lib = ModelLibrary::open(&ModelStore::new(scratch("missing")));
         assert!(lib.is_empty());

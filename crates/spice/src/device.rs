@@ -6,10 +6,10 @@
 //! region boundary. Drain/source are treated symmetrically: for `vds < 0`
 //! the terminals are swapped internally, as in SPICE.
 
-use serde::{Deserialize, Serialize};
+use proxim_obs::json::{FromJson, ToJson};
 
 /// MOSFET polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosType {
     /// n-channel device (conducts for gate high).
     Nmos,
@@ -22,7 +22,7 @@ pub enum MosType {
 /// Conventions follow SPICE: `vt0` is the zero-bias threshold (positive for
 /// NMOS; stored positive for PMOS as well and applied in the normalized
 /// frame), `kp` is the transconductance parameter `mu * Cox` in A/V².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, ToJson, FromJson)]
 pub struct MosParams {
     /// Zero-bias threshold voltage magnitude, in volts.
     pub vt0: f64,
