@@ -42,18 +42,30 @@
 //!   and streams spans/events to that file (convert with `trace2chrome` and
 //!   open in Perfetto);
 //! - unless tracing is armed, the sequential run is gated against the
-//!   committed baseline report: a `sims_per_sec` regression beyond
-//!   `PROXIM_BENCH_TOLERANCE` percent (default 5) fails the run;
+//!   committed baseline report on process CPU per transient run
+//!   (`cpu_us_per_sim`, user + system time from `/proc/self/stat` over
+//!   eight identical sequential runs, so its 10 ms ticks stay ~1 % of the
+//!   measure): a rise
+//!   beyond `PROXIM_BENCH_TOLERANCE` percent (default 5) fails the run. A
+//!   baseline without the field skips the gate. Wall-clock `sims_per_sec` is
+//!   reported but not gated: on a shared host it swings far wider than the
+//!   tolerance;
 //! - the sequential section also records the solver work per transient run,
 //!   `steps_per_sim` (accepted time steps) and `newton_iters_per_sim`, from
 //!   the registry's `spice.tran.*` counters. Both are deterministic, so they
 //!   are gated tightly whether or not tracing is armed: more than 0.5 % above
-//!   the committed baseline fails the run.
+//!   the committed baseline fails the run;
+//! - and it splits one transient's wall time by layer, per run:
+//!   `assemble_us_per_sim` (device evaluation and stamping) and
+//!   `lu_us_per_sim` (factor + solve), both scaled up from the solver's
+//!   1-in-64 iteration samples, and `step_control_us_per_sim`, the rest of
+//!   `tran_us_per_sim` (step control, convergence checks, recording).
 //!
-//! Set `PROXIM_BENCH_NO_GATE=1` (any value but empty or `0`) to skip both
-//! gates, e.g. on a different machine than the one that produced the
+//! Set `PROXIM_BENCH_NO_GATE=1` (any value but empty or `0`) to skip every
+//! gate, e.g. on a different machine than the one that produced the
 //! baseline.
 
+use proxim_bench::process_cpu_s;
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
 use proxim_model::jobs::CharStats;
@@ -78,17 +90,20 @@ fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// One timed characterization; returns (model JSON, stats, wall seconds).
-fn run(cell: &Cell, tech: &Technology, jobs: usize) -> (String, CharStats, f64) {
+/// One timed characterization; returns (model JSON, stats, wall seconds,
+/// process CPU seconds).
+fn run(cell: &Cell, tech: &Technology, jobs: usize) -> (String, CharStats, f64, f64) {
     let opts = CharacterizeOptions {
         jobs,
         ..bench_opts()
     };
+    let cpu0 = process_cpu_s();
     let t0 = Instant::now();
     let (model, stats) = ProximityModel::characterize_with_stats(cell, tech, &opts)
         .expect("benchmark characterization must succeed");
     let wall = t0.elapsed().as_secs_f64();
-    (model.to_json().expect("model serializes"), stats, wall)
+    let cpu = process_cpu_s() - cpu0;
+    (model.to_json().expect("model serializes"), stats, wall, cpu)
 }
 
 /// Solver work per transient run, from the global registry's counters.
@@ -110,15 +125,72 @@ impl Work {
     }
 }
 
-/// One run's report section, with the per-transient solver work when given.
-fn stats_json(stats: &CharStats, wall: f64, work: Option<Work>) -> String {
-    let p = stats.phases;
-    let work = work.map_or(String::new(), |w| {
-        format!(
+/// Where the transients' wall time went, per transient run, from the
+/// registry's `spice.tran.*` gauges. Assembly and LU are the solver's
+/// scaled 1-in-64 iteration samples, so they are estimates.
+#[derive(Debug, Clone, Copy)]
+struct Layers {
+    tran_us_per_sim: f64,
+    assemble_us_per_sim: f64,
+    lu_us_per_sim: f64,
+}
+
+impl Layers {
+    /// The split between two registry snapshots.
+    fn between(before: &obs::Snapshot, after: &obs::Snapshot) -> Self {
+        let runs = (after.counter("spice.tran.runs"))
+            .saturating_sub(before.counter("spice.tran.runs"))
+            .max(1) as f64;
+        let us = |name: &str| (after.gauge(name) - before.gauge(name)) * 1e6 / runs;
+        Self {
+            tran_us_per_sim: us("spice.tran.seconds"),
+            assemble_us_per_sim: us("spice.tran.assemble_seconds"),
+            lu_us_per_sim: us("spice.tran.lu_seconds"),
+        }
+    }
+
+    /// Transient time outside Newton assembly and factor + solve: step
+    /// control, convergence checks and sample recording.
+    fn step_control_us_per_sim(&self) -> f64 {
+        self.tran_us_per_sim - self.assemble_us_per_sim - self.lu_us_per_sim
+    }
+}
+
+/// Sequential runs whose process CPU makes up `cpu_us_per_sim`.
+const CPU_RUNS: usize = 8;
+
+/// The sequential section's extra fields: solver work, the per-layer split
+/// of transient time, and process CPU (`cpu_s` over `sims` transients in
+/// [`CPU_RUNS`] runs).
+fn sequential_fields(work: Work, layers: Layers, cpu_s: f64, sims: usize) -> String {
+    format!(
+        concat!(
             "\"steps_per_sim\": {:.3}, \"newton_iters_per_sim\": {:.3}, ",
-            w.steps_per_sim, w.newton_iters_per_sim
-        )
-    });
+            "\"tran_us_per_sim\": {:.2}, \"assemble_us_per_sim\": {:.2}, ",
+            "\"lu_us_per_sim\": {:.2}, \"step_control_us_per_sim\": {:.2}, ",
+            "\"cpu_runs\": {}, \"cpu_s\": {:.2}, \"cpu_us_per_sim\": {:.2}, "
+        ),
+        work.steps_per_sim,
+        work.newton_iters_per_sim,
+        layers.tran_us_per_sim,
+        layers.assemble_us_per_sim,
+        layers.lu_us_per_sim,
+        layers.step_control_us_per_sim(),
+        CPU_RUNS,
+        cpu_s,
+        cpu_us_per_sim(cpu_s, sims),
+    )
+}
+
+/// Process CPU microseconds per transient run.
+fn cpu_us_per_sim(cpu_s: f64, sims: usize) -> f64 {
+    cpu_s * 1e6 / sims.max(1) as f64
+}
+
+/// One run's report section; `extra` holds preformatted fields (the
+/// sequential run's, see [`sequential_fields`]).
+fn stats_json(stats: &CharStats, wall: f64, extra: &str) -> String {
+    let p = stats.phases;
     format!(
         concat!(
             "{{\"threads\": {}, \"workers_engaged\": {}, \"sims_run\": {}, ",
@@ -135,7 +207,7 @@ fn stats_json(stats: &CharStats, wall: f64, work: Option<Work>) -> String {
         stats.threads,
         stats.workers_engaged,
         stats.sims_run,
-        work,
+        extra,
         wall,
         stats.sims_run as f64 / wall.max(1e-12),
         p.vtc,
@@ -225,38 +297,35 @@ fn work_gate(current: Work, baseline: Option<Work>, baseline_path: &str) -> Resu
     }
 }
 
-/// Compares the fresh sequential throughput against the baseline rate
-/// captured before the report was overwritten. Returns an error message on
-/// a regression beyond the tolerance.
-fn perf_gate(
-    current: f64,
-    baseline_rate: Option<f64>,
-    baseline_path: &str,
-) -> Result<String, String> {
+/// Compares the fresh sequential CPU per transient run against the
+/// baseline value captured before the report was overwritten. Returns an
+/// error message on a rise beyond the tolerance.
+fn cpu_gate(current: f64, baseline: Option<f64>, baseline_path: &str) -> Result<String, String> {
     if !proxim_bench::gates_enabled() {
-        return Ok("perf gate: skipped (PROXIM_BENCH_NO_GATE)".into());
+        return Ok("cpu gate: skipped (PROXIM_BENCH_NO_GATE)".into());
     }
-    let Some(baseline) = baseline_rate else {
+    let Some(baseline) = baseline else {
         return Ok(format!(
-            "perf gate: no parseable baseline at {baseline_path}, skipped"
+            "cpu gate: no cpu_us_per_sim in {baseline_path}, skipped"
         ));
     };
+    if current <= 0.0 {
+        return Ok("cpu gate: process CPU time unavailable, skipped".into());
+    }
     let tol_pct = std::env::var("PROXIM_BENCH_TOLERANCE")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(5.0);
-    let floor = baseline * (1.0 - tol_pct / 100.0);
+    let ceiling = baseline * (1.0 + tol_pct / 100.0);
     let delta_pct = (current / baseline - 1.0) * 100.0;
-    if current < floor {
-        Err(format!(
-            "perf gate FAILED: sequential {current:.1} sims/s is {delta_pct:+.1}% \
-             vs baseline {baseline:.1} (tolerance -{tol_pct:.1}%)"
-        ))
+    let msg = format!(
+        "sequential {current:.1} CPU us/sim, {delta_pct:+.1}% vs baseline \
+         {baseline:.1} (tolerance +{tol_pct:.1}%)"
+    );
+    if current > ceiling {
+        Err(format!("cpu gate FAILED: {msg}"))
     } else {
-        Ok(format!(
-            "perf gate: sequential {current:.1} sims/s, {delta_pct:+.1}% vs \
-             baseline {baseline:.1} (tolerance -{tol_pct:.1}%)"
-        ))
+        Ok(format!("cpu gate: {msg}"))
     }
 }
 
@@ -276,7 +345,7 @@ fn pool_gate(label: &str, stats: &CharStats) -> Result<(), String> {
 
 /// Quick two-worker characterization asserting the pool actually spreads
 /// work. Uses the plain `fast` grid (no glitch, no load surface) so it stays
-/// a smoke test, writes no report, and skips the perf gate.
+/// a smoke test, writes no report, and skips the CPU gate.
 fn pool_smoke(cell: &Cell, tech: &Technology) -> ExitCode {
     let opts = CharacterizeOptions {
         jobs: 2,
@@ -366,9 +435,10 @@ fn main() -> ExitCode {
         obs::set_level(obs::Level::Metrics);
     }
     if let Some(p) = &trace_path {
-        eprintln!("tracing to {} (perf gate disabled)", p.display());
+        eprintln!("tracing to {} (cpu gate disabled)", p.display());
     }
-    let baseline_rate = baseline_sequential(&baseline, "sims_per_sec");
+    // Absent from reports written before the CPU gate existed.
+    let baseline_cpu = baseline_sequential(&baseline, "cpu_us_per_sim");
     // Absent from reports written before the work counters existed.
     let baseline_work = baseline_sequential(&baseline, "steps_per_sim")
         .zip(baseline_sequential(&baseline, "newton_iters_per_sim"))
@@ -411,15 +481,44 @@ fn main() -> ExitCode {
 
     eprintln!("sequential baseline (jobs = 1)...");
     let before = obs::Registry::global().snapshot();
-    let (json_seq, seq, wall_seq) = run(&cell, &tech, 1);
-    let work_seq = Work::between(&before, &obs::Registry::global().snapshot());
+    let (json_seq, seq, wall_seq, mut cpu_seq) = run(&cell, &tech, 1);
+    let after = obs::Registry::global().snapshot();
+    let work_seq = Work::between(&before, &after);
+    let layers_seq = Layers::between(&before, &after);
+    // One run is about ten 10 ms ticks of /proc/self/stat, so one tick
+    // would swing CPU per sim by more than the gate's tolerance; the gated
+    // figure is taken over CPU_RUNS identical sequential runs instead.
+    let mut cpu_sims = seq.sims_run;
+    for _ in 1..CPU_RUNS {
+        let (json, stats, _, cpu) = run(&cell, &tech, 1);
+        assert_eq!(
+            json_seq, json,
+            "repeated sequential output must be byte-identical"
+        );
+        cpu_seq += cpu;
+        cpu_sims += stats.sims_run;
+    }
+    let cpu_per_sim = cpu_us_per_sim(cpu_seq, cpu_sims);
     eprintln!(
-        "  {} sims in {:.2} s, {:.1} steps and {:.1} Newton iterations per sim",
-        seq.sims_run, wall_seq, work_seq.steps_per_sim, work_seq.newton_iters_per_sim
+        "  {} sims in {:.2} s, {:.1} steps and {:.1} Newton iterations per sim; \
+         {:.2} s CPU over {CPU_RUNS} runs, {:.1} us/sim",
+        seq.sims_run,
+        wall_seq,
+        work_seq.steps_per_sim,
+        work_seq.newton_iters_per_sim,
+        cpu_seq,
+        cpu_per_sim,
+    );
+    eprintln!(
+        "  per transient: {:.1} us = assemble {:.1} + factor/solve {:.1} + step control {:.1}",
+        layers_seq.tran_us_per_sim,
+        layers_seq.assemble_us_per_sim,
+        layers_seq.lu_us_per_sim,
+        layers_seq.step_control_us_per_sim()
     );
 
     eprintln!("parallel (jobs = {threads})...");
-    let (json_par, par, wall_par) = run(&cell, &tech, threads.max(1));
+    let (json_par, par, wall_par, _) = run(&cell, &tech, threads.max(1));
     eprintln!(
         "  {} sims in {:.2} s, {} of {} worker(s) engaged",
         par.sims_run, wall_par, par.workers_engaged, par.threads
@@ -445,7 +544,8 @@ fn main() -> ExitCode {
                 (json_seq.clone(), seq, wall_seq)
             } else {
                 eprintln!("scaling sweep (jobs = {n})...");
-                run(&cell, &tech, n)
+                let (json, stats, wall, _) = run(&cell, &tech, n);
+                (json, stats, wall)
             };
             assert_eq!(
                 json_seq, json_n,
@@ -556,11 +656,15 @@ fn main() -> ExitCode {
         cpus,
         parallel_limited,
         speedup,
-        stats_json(&seq, wall_seq, Some(work_seq)),
-        stats_json(&par, wall_par, None),
+        stats_json(
+            &seq,
+            wall_seq,
+            &sequential_fields(work_seq, layers_seq, cpu_seq, cpu_sims)
+        ),
+        stats_json(&par, wall_par, ""),
         scaling_json,
-        stats_json(&cold, wall_cold, None),
-        stats_json(&warm, wall_warm, None),
+        stats_json(&cold, wall_cold, ""),
+        stats_json(&warm, wall_warm, ""),
         audit_report.len(),
         wall_audit,
         audit_pct,
@@ -589,8 +693,7 @@ fn main() -> ExitCode {
         }
     }
     if trace_path.is_none() {
-        let current = seq.sims_run as f64 / wall_seq.max(1e-12);
-        match perf_gate(current, baseline_rate, &baseline) {
+        match cpu_gate(cpu_per_sim, baseline_cpu, &baseline) {
             Ok(msg) => eprintln!("{msg}"),
             Err(msg) => {
                 eprintln!("{msg}");

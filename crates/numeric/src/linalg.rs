@@ -1,12 +1,21 @@
-//! Dense matrices and LU factorization with partial pivoting.
+//! Dense and static-order LU factorization.
 //!
-//! The circuits in this workspace are small (a handful of transistors), so a
-//! dense row-major matrix with `O(n^3)` LU is the right tool: it is simple,
-//! cache-friendly at these sizes, and has no failure modes beyond genuine
-//! singularity.
+//! Two factorizations live here. [`SymbolicLu`] is the hot path: a static
+//! pivot order chosen from problem structure, compiled once into a flat
+//! elimination program over a caller-owned value array, so a transient
+//! analysis that refactors the same-shaped MNA Jacobian thousands of times
+//! does no pivot search, index arithmetic or copying per factorization.
+//!
+//! [`Matrix`] with [`Matrix::lu_into`] is dense row-major LU with partial
+//! pivoting in `O(n^3)`. It is the fallback when a value pattern defeats
+//! the static order, the solver for systems analyzed without one (DC
+//! operating points and sweeps), and the reference the static path is
+//! tested against. The circuits in this workspace are small (a handful of
+//! transistors), so dense partial pivoting stays simple and cache-friendly
+//! there, with no failure modes beyond genuine singularity.
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 /// A dense, row-major `f64` matrix.
 ///
@@ -309,34 +318,66 @@ impl SparsityPattern {
 
 /// Relative pivot-stability threshold of the static-order numeric phase:
 /// the pre-chosen pivot must be at least this fraction of its column's
-/// magnitude, or [`SymbolicLu::factor_into`] refuses and the caller falls
-/// back to full partial pivoting. The bound limits element growth per
+/// magnitude, or [`SymbolicLu::factor_in_place`] refuses and the caller
+/// falls back to full partial pivoting. The bound limits element growth per
 /// elimination step to `1/TAU`.
 const STATIC_PIVOT_RTOL: f64 = 1e-3;
 
+/// One pivot of the flat elimination program.
+#[derive(Debug, Clone)]
+struct Pivot {
+    /// Slot of the diagonal entry.
+    slot: usize,
+    /// This pivot's entries in [`SymbolicLu::below`].
+    below: Range<usize>,
+    /// This pivot row's entries in [`SymbolicLu::upper`].
+    upper: Range<usize>,
+}
+
+/// A filled entry below a pivot: the multiplier's slot, the elimination
+/// position of its row, and its row's update pairs.
+#[derive(Debug, Clone)]
+struct Below {
+    slot: usize,
+    row: usize,
+    /// This entry's `(ij, kj)` pairs in [`SymbolicLu::updates`].
+    updates: Range<usize>,
+}
+
 /// The symbolic phase of a split LU factorization: a static row order plus
-/// the fill pattern and elimination schedule it induces, computed once per
-/// topology and reused across every numeric refactorization.
+/// the fill pattern it induces, compiled once per topology into a flat
+/// elimination program and reused across every numeric refactorization.
 ///
-/// The numeric phase ([`Self::factor_into`]) then runs with **no pivot
-/// search and no structural-zero work**: for small repeatedly-factored
-/// systems (a transient analysis factors the same-shaped Jacobian thousands
-/// of times) this is the dominant saving. A per-column threshold check
-/// guards stability; when a value pattern would make the static order
-/// unstable the numeric phase declines deterministically and the caller
-/// uses [`Matrix::lu_into`] for that solve.
+/// The numeric phase works on a caller-owned value array in the *static
+/// layout*: row `perm[k]` of the matrix occupies `values[k * n..(k + 1) * n]`,
+/// so entry `(i, j)` lives at [`Self::slot`]`(i, j)`. A caller that
+/// assembles straight into that layout needs no copy before factoring.
+/// [`Self::factor_in_place`] then runs with **no pivot search, no index
+/// arithmetic and no structural-zero work**: per pivot it walks the pivot
+/// slot, the slots below it, and the precomputed `(ij, kj)` update pairs.
+/// For small repeatedly-factored systems (a transient analysis factors the
+/// same-shaped Jacobian thousands of times) this is the dominant saving. A
+/// per-column threshold check guards stability; when a value pattern would
+/// make the static order unstable the numeric phase declines
+/// deterministically and the caller uses [`Matrix::lu_into`] for that
+/// solve.
 ///
 /// # Example
 ///
 /// ```
-/// use proxim_numeric::linalg::{LuFactors, Matrix, SparsityPattern, SymbolicLu};
+/// use proxim_numeric::linalg::{Matrix, SparsityPattern, SymbolicLu};
 ///
 /// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
 /// let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), vec![0, 1]);
-/// let mut f = LuFactors::empty();
-/// assert!(sym.factor_into(&a, &mut f));
+/// let mut values = vec![0.0; 4];
+/// for i in 0..2 {
+///     for j in 0..2 {
+///         values[sym.slot(i, j)] = a[(i, j)];
+///     }
+/// }
+/// assert!(sym.factor_in_place(&mut values));
 /// let mut x = Vec::new();
-/// sym.solve_into(&f, &[9.0, 5.0], &mut x);
+/// sym.solve_factored(&values, &[9.0, 5.0], &mut x);
 /// assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
@@ -344,29 +385,32 @@ pub struct SymbolicLu {
     n: usize,
     /// `perm[k]` = original row placed at elimination position `k`.
     perm: Vec<usize>,
-    /// Parity of `perm` (`±1`), the determinant sign contribution.
-    sign: f64,
+    /// `pos[i]` = elimination position of original row `i` (`perm`'s
+    /// inverse).
+    pos: Vec<usize>,
     /// Whether a static-order factorization is structurally possible (every
-    /// pivot position is occupied after fill). When `false`,
-    /// [`Self::factor_into`] always declines.
+    /// pivot position is occupied after fill). When `false`, the program is
+    /// empty and [`Self::factor_in_place`] always declines.
     viable: bool,
     /// Filled nonzero count (after symbolic elimination), for telemetry.
     nnz: usize,
-    /// Column structure of `L`: `rows[rows_off[k]..rows_off[k+1]]` are the
-    /// positions `i > k` with a filled entry in column `k`.
-    rows_off: Vec<usize>,
-    rows: Vec<usize>,
-    /// Row structure of `U`: `cols[cols_off[k]..cols_off[k+1]]` are the
-    /// columns `j > k` with a filled entry in row `k`.
-    cols_off: Vec<usize>,
-    cols: Vec<usize>,
+    /// The elimination program, one entry per pivot position.
+    pivots: Vec<Pivot>,
+    /// Filled entries below each pivot, pivot by pivot, top to bottom.
+    below: Vec<Below>,
+    /// `(ij, kj)` slot pairs: `values[ij] -= f * values[kj]`, in column
+    /// order per eliminated row.
+    updates: Vec<(usize, usize)>,
+    /// Filled entries right of each pivot, as `(slot, column)`, for back
+    /// substitution.
+    upper: Vec<(usize, usize)>,
 }
 
 impl SymbolicLu {
     /// Runs the symbolic phase: permutes the pattern rows by `perm` (a
     /// static pivot order chosen by the caller from problem structure),
     /// propagates fill through Gaussian elimination in natural column
-    /// order, and records the elimination schedule.
+    /// order, and compiles the elimination program.
     ///
     /// # Panics
     ///
@@ -374,28 +418,13 @@ impl SymbolicLu {
     pub fn analyze(pattern: &SparsityPattern, perm: Vec<usize>) -> Self {
         let n = pattern.n;
         assert_eq!(perm.len(), n, "pivot order must cover every row");
-        let mut seen = vec![false; n];
-        for &p in &perm {
-            assert!(p < n && !seen[p], "pivot order must be a permutation");
-            seen[p] = true;
-        }
-        // Permutation parity by cycle counting.
-        let mut sign = 1.0;
-        let mut visited = vec![false; n];
-        for start in 0..n {
-            if visited[start] {
-                continue;
-            }
-            let mut len = 0;
-            let mut at = start;
-            while !visited[at] {
-                visited[at] = true;
-                at = perm[at];
-                len += 1;
-            }
-            if len % 2 == 0 {
-                sign = -sign;
-            }
+        let mut pos = vec![usize::MAX; n];
+        for (k, &p) in perm.iter().enumerate() {
+            assert!(
+                p < n && pos[p] == usize::MAX,
+                "pivot order must be a permutation"
+            );
+            pos[p] = k;
         }
 
         // Row-permuted working pattern.
@@ -424,39 +453,53 @@ impl SymbolicLu {
             }
         }
 
-        let mut rows_off = Vec::with_capacity(n + 1);
-        let mut rows = Vec::new();
-        let mut cols_off = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        rows_off.push(0);
-        cols_off.push(0);
-        if viable {
-            for k in 0..n {
-                rows.extend(((k + 1)..n).filter(|&i| occ[i * n + k]));
-                rows_off.push(rows.len());
-                cols.extend(((k + 1)..n).filter(|&j| occ[k * n + j]));
-                cols_off.push(cols.len());
-            }
-        } else {
-            rows_off.resize(n + 1, 0);
-            cols_off.resize(n + 1, 0);
-        }
-        let nnz = if viable {
-            occ.iter().filter(|&&b| b).count()
-        } else {
-            0
-        };
-        Self {
+        let mut sym = Self {
             n,
             perm,
-            sign,
+            pos,
             viable,
-            nnz,
-            rows_off,
-            rows,
-            cols_off,
-            cols,
+            nnz: 0,
+            pivots: Vec::new(),
+            below: Vec::new(),
+            updates: Vec::new(),
+            upper: Vec::new(),
+        };
+        if !viable {
+            return sym;
         }
+        sym.nnz = occ.iter().filter(|&&b| b).count();
+        for k in 0..n {
+            let cols: Vec<usize> = ((k + 1)..n).filter(|&j| occ[k * n + j]).collect();
+            let below_start = sym.below.len();
+            for i in ((k + 1)..n).filter(|&i| occ[i * n + k]) {
+                let start = sym.updates.len();
+                sym.updates
+                    .extend(cols.iter().map(|&j| (i * n + j, k * n + j)));
+                sym.below.push(Below {
+                    slot: i * n + k,
+                    row: i,
+                    updates: start..sym.updates.len(),
+                });
+            }
+            let upper_start = sym.upper.len();
+            sym.upper.extend(cols.iter().map(|&j| (k * n + j, j)));
+            sym.pivots.push(Pivot {
+                slot: k * n + k,
+                below: below_start..sym.below.len(),
+                upper: upper_start..sym.upper.len(),
+            });
+        }
+        sym
+    }
+
+    /// Where entry `(row, col)` of the matrix lives in the static layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn slot(&self, row: usize, col: usize) -> usize {
+        self.pos[row] * self.n + col
     }
 
     /// Whether a static-order factorization is structurally possible.
@@ -478,69 +521,47 @@ impl SymbolicLu {
         }
     }
 
-    /// L-column structure below the diagonal of column `k`.
-    #[inline]
-    fn col_rows(&self, k: usize) -> &[usize] {
-        &self.rows[self.rows_off[k]..self.rows_off[k + 1]]
-    }
-
-    /// U-row structure right of the diagonal of row `k`.
-    #[inline]
-    fn row_cols(&self, k: usize) -> &[usize] {
-        &self.cols[self.cols_off[k]..self.cols_off[k + 1]]
-    }
-
-    /// The numeric phase: factorizes `m` into `out` following the static
-    /// order and precomputed schedule — no pivot search, no work on
-    /// structural zeros.
+    /// The numeric phase: factorizes `values` (the matrix in the static
+    /// layout, see [`Self::slot`]) in place by running the elimination
+    /// program — no pivot search, no work on structural zeros. Entries
+    /// outside the filled pattern are neither read nor written.
     ///
-    /// Returns `true` on success. Returns `false` — leaving `out` unusable
-    /// until the next factorization — when the static order is structurally
-    /// impossible or a pre-chosen pivot fails the stability threshold
-    /// (smaller than [`STATIC_PIVOT_RTOL`] of its column, or the whole
-    /// column is numerically zero). The decision depends only on `m`'s
-    /// values, so identical matrices take identical paths; callers fall
-    /// back to [`Matrix::lu_into`], whose partial pivoting also owns the
-    /// singularity diagnostics.
+    /// Returns `true` on success, leaving `L` (unit diagonal implied) and
+    /// `U` in `values` for [`Self::solve_factored`]. Returns `false` —
+    /// leaving `values` partly eliminated and unusable — when the static
+    /// order is structurally impossible or a pre-chosen pivot fails the
+    /// stability threshold (smaller than [`STATIC_PIVOT_RTOL`] of its
+    /// column, or the whole column is numerically zero). The decision
+    /// depends only on the values, so identical matrices take identical
+    /// paths; callers fall back to [`Matrix::lu_into`], whose partial
+    /// pivoting also owns the singularity diagnostics.
     ///
     /// # Panics
     ///
-    /// Panics if `m`'s dimensions do not match the analyzed pattern.
-    pub fn factor_into(&self, m: &Matrix, out: &mut LuFactors) -> bool {
-        assert_eq!(m.rows, self.n, "matrix does not match the analyzed pattern");
-        assert_eq!(m.cols, self.n, "matrix does not match the analyzed pattern");
+    /// Panics if `values` is shorter than `n²`.
+    pub fn factor_in_place(&self, values: &mut [f64]) -> bool {
         if !self.viable {
             return false;
         }
-        let n = self.n;
-        out.n = n;
-        out.sign = self.sign;
-        out.lu.clear();
-        out.lu.reserve(n * n);
-        for &src in &self.perm {
-            out.lu.extend_from_slice(&m.data[src * n..(src + 1) * n]);
-        }
-        out.perm.clear();
-        out.perm.extend_from_slice(&self.perm);
-        let lu = &mut out.lu;
-
-        for k in 0..n {
-            let pivot = lu[k * n + k];
+        assert!(values.len() >= self.n * self.n, "value array too short");
+        for p in &self.pivots {
+            let below = &self.below[p.below.clone()];
+            let pivot = values[p.slot];
             let mut colmax = pivot.abs();
-            for &i in self.col_rows(k) {
-                colmax = colmax.max(lu[i * n + k].abs());
+            for e in below {
+                colmax = colmax.max(values[e.slot].abs());
             }
             // NaN-safe: any comparison with NaN is false, so a poisoned
             // column declines to the partial-pivot path.
             if !(colmax >= 1e-300 && pivot.abs() >= STATIC_PIVOT_RTOL * colmax) {
                 return false;
             }
-            for &i in self.col_rows(k) {
-                let f = lu[i * n + k] / pivot;
-                lu[i * n + k] = f;
+            for e in below {
+                let f = values[e.slot] / pivot;
+                values[e.slot] = f;
                 if f != 0.0 {
-                    for &j in self.row_cols(k) {
-                        lu[i * n + j] -= f * lu[k * n + j];
+                    for &(ij, kj) in &self.updates[e.updates.clone()] {
+                        values[ij] -= f * values[kj];
                     }
                 }
             }
@@ -548,40 +569,34 @@ impl SymbolicLu {
         true
     }
 
-    /// Solves `A x = b` through factors produced by [`Self::factor_into`],
-    /// walking only the filled entries of `L` and `U`.
+    /// Solves `A x = b` through values factored by
+    /// [`Self::factor_in_place`], walking only the filled entries of `L`
+    /// and `U`. `b` is in the matrix's own row order.
     ///
     /// # Panics
     ///
-    /// Panics if the factors or `b` do not match the analyzed pattern, or
-    /// if `f` was not produced by this symbolic object's numeric phase.
-    pub fn solve_into(&self, f: &LuFactors, b: &[f64], x: &mut Vec<f64>) {
-        assert_eq!(f.n, self.n, "factors do not match the analyzed pattern");
+    /// Panics if `b` or `values` do not match the analyzed dimension.
+    pub fn solve_factored(&self, values: &[f64], b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "dimension mismatch in solve");
-        assert_eq!(
-            f.perm, self.perm,
-            "factors were not produced by this symbolic factorization"
-        );
-        let n = self.n;
         // Permutation gather, then forward-substitute column-by-column
         // through the filled entries of L.
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
-        for k in 0..n {
+        for (k, p) in self.pivots.iter().enumerate() {
             let xk = x[k];
             if xk != 0.0 {
-                for &i in self.col_rows(k) {
-                    x[i] -= f.lu[i * n + k] * xk;
+                for e in &self.below[p.below.clone()] {
+                    x[e.row] -= values[e.slot] * xk;
                 }
             }
         }
         // Back-substitute through the filled entries of U.
-        for i in (0..n).rev() {
+        for (i, p) in self.pivots.iter().enumerate().rev() {
             let mut s = x[i];
-            for &j in self.row_cols(i) {
-                s -= f.lu[i * n + j] * x[j];
+            for &(slot, j) in &self.upper[p.upper.clone()] {
+                s -= values[slot] * x[j];
             }
-            x[i] = s / f.lu[i * n + i];
+            x[i] = s / values[p.slot];
         }
     }
 }
@@ -834,6 +849,30 @@ mod tests {
         (a, vec![0.0, 0.0, v])
     }
 
+    /// `a` in `sym`'s static layout.
+    fn static_values(sym: &SymbolicLu, a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let mut values = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                values[sym.slot(i, j)] = a[(i, j)];
+            }
+        }
+        values
+    }
+
+    /// Factors `a` through the static order and solves `a x = b`, or
+    /// `None` when the static order declines.
+    fn static_solve(sym: &SymbolicLu, a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        let mut values = static_values(sym, a);
+        if !sym.factor_in_place(&mut values) {
+            return None;
+        }
+        let mut x = vec![7.0; 9]; // stale content must be overwritten
+        sym.solve_factored(&values, b, &mut x);
+        Some(x)
+    }
+
     #[test]
     fn symbolic_static_order_matches_dense_on_mna_shape() {
         // gmin-weak node diagonal (1e-12) against the vsource ±1 entries:
@@ -843,10 +882,7 @@ mod tests {
         let pattern = SparsityPattern::of_matrix(&a);
         let sym = SymbolicLu::analyze(&pattern, vec![2, 1, 0]);
         assert!(sym.is_viable());
-        let mut f = LuFactors::empty();
-        assert!(sym.factor_into(&a, &mut f), "static order must hold");
-        let mut x = Vec::new();
-        sym.solve_into(&f, &b, &mut x);
+        let x = static_solve(&sym, &a, &b).expect("static order must hold");
         assert!(residual_norm(&a, &x, &b) < 1e-9);
         // And it must agree with the dense reference bit-for-bit when the
         // dense path happens to pick the same pivots — at minimum, to
@@ -884,8 +920,10 @@ mod tests {
         // Structurally position 2 has no diagonal under identity order
         // until fill; (2,2) fills from (2,0)*(0,2) so it is viable...
         if sym.is_viable() {
-            let mut f = LuFactors::empty();
-            assert!(!sym.factor_into(&a, &mut f), "weak pivot must decline");
+            assert!(
+                static_solve(&sym, &a, &[0.0; 3]).is_none(),
+                "weak pivot must decline"
+            );
         }
     }
 
@@ -895,14 +933,11 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), vec![0, 1]);
         assert!(!sym.is_viable());
-        let mut f = LuFactors::empty();
-        assert!(!sym.factor_into(&a, &mut f));
+        assert!(static_solve(&sym, &a, &[2.0, 3.0]).is_none());
         // The swapped order succeeds with unit pivots.
         let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), vec![1, 0]);
         assert!(sym.is_viable());
-        assert!(sym.factor_into(&a, &mut f));
-        let mut x = Vec::new();
-        sym.solve_into(&f, &[2.0, 3.0], &mut x);
+        let x = static_solve(&sym, &a, &[2.0, 3.0]).expect("unit pivots");
         assert!((x[0] - 3.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
     }
 
@@ -912,13 +947,8 @@ mod tests {
         // what keeps characterization byte-identical across worker counts.
         let (a, b) = mna_like(1e-12, 7e-4, 1.3);
         let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), vec![2, 1, 0]);
-        let mut f1 = LuFactors::empty();
-        let mut f2 = LuFactors::empty();
-        assert!(sym.factor_into(&a, &mut f1));
-        assert!(sym.factor_into(&a, &mut f2));
-        let (mut x1, mut x2) = (Vec::new(), Vec::new());
-        sym.solve_into(&f1, &b, &mut x1);
-        sym.solve_into(&f2, &b, &mut x2);
+        let x1 = static_solve(&sym, &a, &b).expect("static order must hold");
+        let x2 = static_solve(&sym, &a, &b).expect("static order must hold");
         let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&x1), bits(&x2));
     }
@@ -943,10 +973,7 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
             let sym = SymbolicLu::analyze(&SparsityPattern::of_matrix(&a), (0..n).collect());
             assert!(sym.is_viable());
-            let mut f = LuFactors::empty();
-            assert!(sym.factor_into(&a, &mut f), "n = {n}");
-            let mut x = Vec::new();
-            sym.solve_into(&f, &b, &mut x);
+            let x = static_solve(&sym, &a, &b).expect("diagonally dominant");
             assert!(residual_norm(&a, &x, &b) < 1e-10, "n = {n}");
         }
     }

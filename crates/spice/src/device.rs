@@ -72,14 +72,22 @@ pub struct MosEval {
 
 /// Evaluates the Level-1 equations for a normalized device with `vds >= 0`.
 ///
-/// `beta = kp * w / l` must be precomputed by the caller.
-fn level1_normalized(p: &MosParams, beta: f64, vgs: f64, vds: f64, vbs: f64) -> MosEval {
+/// `beta = kp * w / l` and `sqrt_phi = sqrt(p.phi)` must be precomputed by
+/// the caller.
+fn level1_normalized(
+    p: &MosParams,
+    sqrt_phi: f64,
+    beta: f64,
+    vgs: f64,
+    vds: f64,
+    vbs: f64,
+) -> MosEval {
     debug_assert!(vds >= 0.0);
     // Body effect: vt = vt0 + gamma (sqrt(phi - vbs) - sqrt(phi)).
     // Clamp the argument for strong forward body bias.
     let arg = (p.phi - vbs).max(1e-9);
     let sqrt_arg = arg.sqrt();
-    let vt = p.vt0 + p.gamma * (sqrt_arg - p.phi.sqrt());
+    let vt = p.vt0 + p.gamma * (sqrt_arg - sqrt_phi);
     let dvt_dvbs = -p.gamma / (2.0 * sqrt_arg);
 
     let vgst = vgs - vt;
@@ -147,30 +155,61 @@ pub fn eval_mosfet(
     vs: f64,
     vb: f64,
 ) -> MosStamp {
-    let sign = match mos_type {
-        MosType::Nmos => 1.0,
-        MosType::Pmos => -1.0,
-    };
-    // Normalized node voltages (NMOS-like frame).
-    let (nvd, nvg, nvs, nvb) = (sign * vd, sign * vg, sign * vs, sign * vb);
-    let vds = nvd - nvs;
+    MosInstance::new(mos_type, *p, beta).eval(vd, vg, vs, vb)
+}
 
-    let (i_dn, g_d, g_g, g_s, g_b) = if vds >= 0.0 {
-        let e = level1_normalized(p, beta, nvg - nvs, vds, nvb - nvs);
-        (e.id, e.gds, e.gm, -(e.gm + e.gds + e.gmbs), e.gmbs)
-    } else {
-        // Swap drain and source: the device conducts with `s` acting as
-        // drain. i' flows into s and out of d, so i_d = -i'.
-        let e = level1_normalized(p, beta, nvg - nvd, nvs - nvd, nvb - nvd);
-        (-e.id, e.gm + e.gds + e.gmbs, -e.gm, -e.gds, -e.gmbs)
-    };
-    MosStamp {
-        // Current back in the actual frame; conductances are sign-invariant.
-        i_d: sign * i_dn,
-        g_d,
-        g_g,
-        g_s,
-        g_b,
+/// A device instance with its bias-independent constants folded once: the
+/// polarity sign, `beta = kp * w / l` and `sqrt(phi)`. The simulator builds
+/// one per MOSFET when it compiles a circuit, so the Newton loop evaluates
+/// [`Self::eval`] without recomputing them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosInstance {
+    sign: f64,
+    params: MosParams,
+    beta: f64,
+    sqrt_phi: f64,
+}
+
+impl MosInstance {
+    pub(crate) fn new(mos_type: MosType, params: MosParams, beta: f64) -> Self {
+        let sign = match mos_type {
+            MosType::Nmos => 1.0,
+            MosType::Pmos => -1.0,
+        };
+        Self {
+            sign,
+            params,
+            beta,
+            sqrt_phi: params.phi.sqrt(),
+        }
+    }
+
+    /// [`eval_mosfet`] for this instance.
+    #[inline]
+    pub(crate) fn eval(&self, vd: f64, vg: f64, vs: f64, vb: f64) -> MosStamp {
+        let (p, sign) = (&self.params, self.sign);
+        // Normalized node voltages (NMOS-like frame).
+        let (nvd, nvg, nvs, nvb) = (sign * vd, sign * vg, sign * vs, sign * vb);
+        let vds = nvd - nvs;
+
+        let (i_dn, g_d, g_g, g_s, g_b) = if vds >= 0.0 {
+            let e = level1_normalized(p, self.sqrt_phi, self.beta, nvg - nvs, vds, nvb - nvs);
+            (e.id, e.gds, e.gm, -(e.gm + e.gds + e.gmbs), e.gmbs)
+        } else {
+            // Swap drain and source: the device conducts with `s` acting as
+            // drain. i' flows into s and out of d, so i_d = -i'.
+            let e = level1_normalized(p, self.sqrt_phi, self.beta, nvg - nvd, nvs - nvd, nvb - nvd);
+            (-e.id, e.gm + e.gds + e.gmbs, -e.gm, -e.gds, -e.gmbs)
+        };
+        MosStamp {
+            // Current back in the actual frame; conductances are
+            // sign-invariant.
+            i_d: sign * i_dn,
+            g_d,
+            g_g,
+            g_s,
+            g_b,
+        }
     }
 }
 
@@ -188,9 +227,13 @@ mod tests {
     };
     const BETA: f64 = 50e-6 * 5.0; // w/l = 5
 
+    fn l1(vgs: f64, vds: f64, vbs: f64) -> MosEval {
+        level1_normalized(&P, P.phi.sqrt(), BETA, vgs, vds, vbs)
+    }
+
     #[test]
     fn cutoff_has_zero_current() {
-        let e = level1_normalized(&P, BETA, 0.5, 2.0, 0.0);
+        let e = l1(0.5, 2.0, 0.0);
         assert_eq!(e.id, 0.0);
         assert_eq!(e.gm, 0.0);
     }
@@ -198,7 +241,7 @@ mod tests {
     #[test]
     fn saturation_current_matches_formula() {
         let (vgs, vds) = (2.0, 4.0);
-        let e = level1_normalized(&P, BETA, vgs, vds, 0.0);
+        let e = l1(vgs, vds, 0.0);
         let vgst = vgs - P.vt0;
         let expect = 0.5 * BETA * vgst * vgst * (1.0 + P.lambda * vds);
         assert!((e.id - expect).abs() < 1e-15);
@@ -207,7 +250,7 @@ mod tests {
     #[test]
     fn triode_current_matches_formula() {
         let (vgs, vds) = (3.0, 0.5);
-        let e = level1_normalized(&P, BETA, vgs, vds, 0.0);
+        let e = l1(vgs, vds, 0.0);
         let vgst = vgs - P.vt0;
         let expect = BETA * (vgst - 0.5 * vds) * vds * (1.0 + P.lambda * vds);
         assert!((e.id - expect).abs() < 1e-15);
@@ -217,8 +260,8 @@ mod tests {
     fn current_and_gds_continuous_at_region_boundary() {
         let vgs = 2.0;
         let vgst = vgs - P.vt0;
-        let lo = level1_normalized(&P, BETA, vgs, vgst - 1e-9, 0.0);
-        let hi = level1_normalized(&P, BETA, vgs, vgst + 1e-9, 0.0);
+        let lo = l1(vgs, vgst - 1e-9, 0.0);
+        let hi = l1(vgs, vgst + 1e-9, 0.0);
         assert!((lo.id - hi.id).abs() < 1e-12);
         assert!((lo.gds - hi.gds).abs() < 1e-9);
     }
@@ -226,24 +269,18 @@ mod tests {
     #[test]
     fn body_effect_raises_threshold() {
         // Same vgs, source raised above bulk (vbs < 0) -> less current.
-        let e0 = level1_normalized(&P, BETA, 1.5, 3.0, 0.0);
-        let e1 = level1_normalized(&P, BETA, 1.5, 3.0, -2.0);
+        let e0 = l1(1.5, 3.0, 0.0);
+        let e1 = l1(1.5, 3.0, -2.0);
         assert!(e1.id < e0.id);
         assert!(e1.id > 0.0);
     }
 
     fn fd_check(vgs: f64, vds: f64, vbs: f64) {
         let h = 1e-7;
-        let e = level1_normalized(&P, BETA, vgs, vds, vbs);
-        let dgm = (level1_normalized(&P, BETA, vgs + h, vds, vbs).id
-            - level1_normalized(&P, BETA, vgs - h, vds, vbs).id)
-            / (2.0 * h);
-        let dgds = (level1_normalized(&P, BETA, vgs, vds + h, vbs).id
-            - level1_normalized(&P, BETA, vgs, vds - h, vbs).id)
-            / (2.0 * h);
-        let dgmbs = (level1_normalized(&P, BETA, vgs, vds, vbs + h).id
-            - level1_normalized(&P, BETA, vgs, vds, vbs - h).id)
-            / (2.0 * h);
+        let e = l1(vgs, vds, vbs);
+        let dgm = (l1(vgs + h, vds, vbs).id - l1(vgs - h, vds, vbs).id) / (2.0 * h);
+        let dgds = (l1(vgs, vds + h, vbs).id - l1(vgs, vds - h, vbs).id) / (2.0 * h);
+        let dgmbs = (l1(vgs, vds, vbs + h).id - l1(vgs, vds, vbs - h).id) / (2.0 * h);
         let tol = 1e-6 * BETA.max(1e-9);
         assert!((e.gm - dgm).abs() < tol, "gm {} vs fd {}", e.gm, dgm);
         assert!((e.gds - dgds).abs() < tol, "gds {} vs fd {}", e.gds, dgds);
@@ -268,7 +305,7 @@ mod tests {
     #[test]
     fn nmos_stamp_matches_normalized_eval() {
         let s = eval_mosfet(MosType::Nmos, &P, BETA, 4.0, 2.0, 0.0, 0.0);
-        let e = level1_normalized(&P, BETA, 2.0, 4.0, 0.0);
+        let e = l1(2.0, 4.0, 0.0);
         assert_eq!(s.i_d, e.id);
         assert_eq!(s.g_g, e.gm);
         assert_eq!(s.g_d, e.gds);

@@ -16,8 +16,11 @@
 //!   voltage-limited time stepping and PWL-source breakpoints, optionally
 //!   ended early by a measurement-driven [`StopRule`] ([`tran`]).
 //!
-//! The circuits of interest are standard cells — a handful of transistors —
-//! so the solver uses dense LU throughout.
+//! The circuits of interest are standard cells — a handful of transistors.
+//! A transient compiles its circuit once into a stamp plan over a static
+//! pivot order and refactors the Jacobian in place through a flat
+//! elimination program; dense partial-pivoting LU serves the DC analyses
+//! and any solve the static order cannot pivot stably.
 //!
 //! # Example: RC low-pass step response
 //!

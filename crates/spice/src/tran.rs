@@ -34,8 +34,15 @@ use std::time::Instant;
 /// when the observability level is [`obs::Level::Off`].
 struct TranMetrics {
     runs: obs::Counter,
+    /// Wall time of whole runs (every attempt, DC init included), in
+    /// seconds: the total the sampled assemble and LU times are part of.
+    seconds: obs::Gauge,
     recoveries: obs::Counter,
     recovery_seconds: obs::Gauge,
+    /// Sampled estimate of Newton assembly time (device evaluation and
+    /// stamping), in seconds.
+    assemble_seconds: obs::Gauge,
+    /// Sampled estimate of LU factor + solve time, in seconds.
     lu_seconds: obs::Gauge,
     /// Accepted time steps, summed over runs.
     accepted_steps: obs::Counter,
@@ -60,8 +67,10 @@ impl TranMetrics {
         let reg = obs::Registry::global();
         Some(Self {
             runs: reg.counter("spice.tran.runs"),
+            seconds: reg.gauge("spice.tran.seconds"),
             recoveries: reg.counter("spice.tran.recoveries"),
             recovery_seconds: reg.gauge("spice.tran.recovery_seconds"),
+            assemble_seconds: reg.gauge("spice.tran.assemble_seconds"),
             lu_seconds: reg.gauge("spice.tran.lu_seconds"),
             accepted_steps: reg.counter("spice.tran.accepted_steps"),
             newton_iterations: reg.counter("spice.tran.newton_iterations"),
@@ -302,9 +311,14 @@ pub struct TranResult {
     pub newton_iterations: usize,
     /// Total accepted time steps.
     pub accepted_steps: usize,
-    /// Wall time spent in LU factorization and triangular solves, in
-    /// seconds. Only measured at [`obs::Level::Trace`] (per-iteration
-    /// timing is too hot for lower levels); 0 otherwise.
+    /// Estimated wall time spent assembling Newton systems (device
+    /// evaluation and stamping) over the whole run, every attempt and the
+    /// DC init included, in seconds: one Newton iteration in 64 is timed
+    /// and scaled up. Measured from [`obs::Level::Metrics`] up; 0 otherwise.
+    pub assemble_seconds: f64,
+    /// Estimated wall time spent in LU factorization and triangular solves
+    /// (dense fallbacks included), in seconds, sampled like
+    /// `assemble_seconds`.
     pub lu_seconds: f64,
     /// Everything the recovery ladder did during the run (empty for a
     /// healthy run).
@@ -442,7 +456,10 @@ fn tran_in_arena(
     cancel: &CancelToken,
     arena: &mut TranArena,
 ) -> Result<TranResult, AnalysisError> {
-    let sys = System::new(ckt);
+    // The stamp plan and its static-order LU program are pure functions
+    // of topology, compiled once per run and used by every solve (DC init
+    // included).
+    let sys = System::with_static_order(ckt);
     let policy = options.recovery;
     // Per-run entropy comes only from the run's own parameters, so fault
     // decisions replay identically regardless of worker scheduling.
@@ -457,14 +474,12 @@ fn tran_in_arena(
     let mut trace = RecoveryTrace::default();
     let mut solves = 0usize;
     let mut attempt_opts = *options;
-    // The symbolic factorization is a pure function of topology, computed
-    // once per run and used by every solve (DC init included).
-    arena.ws.symbolic = sys.symbolic_lu();
+    let run_start = Instant::now();
     arena.ws.static_solves = 0;
     arena.ws.static_fallbacks = 0;
-    // Per-iteration LU timing is only worth its two clock reads when the
-    // fine-grained trace level is armed.
-    arena.ws.time_lu = obs::level() == obs::Level::Trace;
+    arena.ws.sample_layers = metrics.is_some();
+    arena.ws.assemble_seconds = 0.0;
+    arena.ws.lu_seconds = 0.0;
     loop {
         let attempt_start = Instant::now();
         match tran_attempt(
@@ -483,10 +498,12 @@ fn tran_in_arena(
                 result.recovery = trace;
                 if let Some(m) = &metrics {
                     m.runs.incr();
+                    m.seconds.add(run_start.elapsed().as_secs_f64());
                     m.accepted_steps.add(result.accepted_steps as u64);
                     m.newton_iterations.add(result.newton_iterations as u64);
                     m.recoveries.add(result.recovery.total() as u64);
                     m.recovery_seconds.add(result.recovery.total_seconds());
+                    m.assemble_seconds.add(result.assemble_seconds);
                     m.lu_seconds.add(result.lu_seconds);
                     m.recovery_depth.observe(result.recovery.total() as f64);
                     m.lu_static_solves.add(arena.ws.static_solves);
@@ -559,8 +576,6 @@ fn tran_attempt(
         samples_hint,
         branch_hint,
     } = arena;
-    ws.lu_seconds = 0.0;
-
     // Initial condition: DC operating point with sources at t = 0.
     let op = crate::op::dc_solve_with(ckt, sys, 0.0, None, cancel, ws)?;
     let mut x = op.x;
@@ -793,6 +808,7 @@ fn tran_attempt(
         branch_samples,
         newton_iterations,
         accepted_steps,
+        assemble_seconds: ws.assemble_seconds,
         lu_seconds: ws.lu_seconds,
         recovery: RecoveryTrace::default(),
     })
