@@ -982,7 +982,8 @@ impl ProximityModel {
         let cell = self.cell.clone();
         let tech = self.tech.clone();
         let base_sim = Simulator::new(&cell, &tech, self.thresholds, self.c_ref, self.dv_max)
-            .with_cancel(control.cancel.clone());
+            .with_cancel(control.cancel.clone())
+            .with_faults(char_opts.faults);
 
         for (id, (mut indices, structural)) in groups {
             indices.sort_unstable();
@@ -1481,10 +1482,8 @@ fn axes_match(axis: &[f64], grid: &[f64], ln: bool) -> bool {
 // Test-only tamper hook
 // ---------------------------------------------------------------------------
 
-#[cfg(any(test, feature = "fault-injection"))]
 impl ProximityModel {
-    /// Test-only corruption hook (compiled under `cfg(test)` and the
-    /// `fault-injection` feature): overwrites one stored table entry so
+    /// Test-only corruption hook: overwrites one stored table entry so
     /// audit/repair suites can inject the silent corruption the audit is
     /// built to catch. Returns the previous value.
     ///
@@ -1493,6 +1492,7 @@ impl ProximityModel {
     /// Returns [`ModelError::InvalidQuery`] when the slice does not exist
     /// and [`ModelError::Audit`] when the index is out of range or the
     /// value non-finite.
+    #[doc(hidden)]
     pub fn tamper_table_value(
         &mut self,
         slice: SliceKind,

@@ -13,16 +13,14 @@
 //! second stage's output has crossed both §2 thresholds (see
 //! [`proxim_spice::StopRule`]); only its first crossing is read.
 
+use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use crate::single::SingleInputModel;
-use crate::thresholds::Thresholds;
-use proxim_cells::{Cell, Technology};
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::rootfind::brent;
 use proxim_spice::circuit::{Circuit, Waveform};
 use proxim_spice::tran::{StopRule, TranOptions};
-use proxim_spice::CancelToken;
 
 /// One simulated two-stage data point.
 struct ChainPoint {
@@ -37,17 +35,12 @@ struct ChainPoint {
 /// Simulates `cell` driving an identical copy of itself, pin 0 to pin 0,
 /// with stable pins at sensitizing levels, and returns the second-stage
 /// output arrival.
-#[allow(clippy::too_many_arguments)]
 fn simulate_chain(
-    cell: &Cell,
-    tech: &Technology,
-    th: &Thresholds,
+    sim: &Simulator<'_>,
     input_edge: Edge,
     tau: f64,
-    c_load: f64,
-    dv_max: f64,
-    cancel: &CancelToken,
 ) -> Result<ChainPoint, ModelError> {
+    let (cell, tech, th) = (sim.cell, sim.tech, &sim.thresholds);
     let probe = [InputEvent::new(0, input_edge, 0.0, tau)];
     let scenario = Scenario::resolve(cell, &probe)?;
     let a_out_edge = scenario.output_edge;
@@ -95,19 +88,20 @@ fn simulate_chain(
     }
     let out = ckt.node("out");
     cell.elaborate_into(&mut ckt, tech, "b", vdd, &b_pins, out);
-    ckt.capacitor("CL", out, Circuit::GND, c_load);
+    ckt.capacitor("CL", out, Circuit::GND, sim.c_load);
 
     let t_stop = t_start + tau + 12e-9;
     let near = th.threshold_for(b_out_edge);
     let options = TranOptions::to(t_stop)
-        .with_dv_max(dv_max)
+        .with_dv_max(sim.dv_max)
+        .with_faults(sim.faults)
         .with_stop(StopRule {
             node: out,
             edge: b_out_edge,
             near,
             far: th.threshold_for(b_out_edge.opposite()),
         });
-    let r = ckt.tran_cancellable(&options, cancel)?;
+    let r = ckt.tran_cancellable(&options, &sim.cancel)?;
     let w = r.waveform(out);
     let t2_sim = w
         .first_crossing(near, b_out_edge)
@@ -123,38 +117,34 @@ fn simulate_chain(
 
 /// Calibrates the ramp-stretch factor for the output edge produced by
 /// `input_edge` on pin 0, using the pin-0 single-input models of both
-/// stages (`single_a` drives, `single_b` receives).
+/// stages (`single_a` drives, `single_b` receives). The chain is `sim`'s
+/// cell driving itself into `sim`'s load, simulated at `sim`'s `dv_max`
+/// (its tolerance scale is not applied).
 ///
 /// Returns a factor in `[0.8, 2.5]` (clamped if the bracket fails). Every
-/// chain transient polls `cancel`.
+/// chain transient polls `sim`'s cancellation token and draws from its
+/// fault plan.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if the chain simulations fail, including the
-/// typed cancellation errors ([`ModelError::is_cancellation`]) once
-/// `cancel` trips.
-#[allow(clippy::too_many_arguments)]
+/// typed cancellation errors ([`ModelError::is_cancellation`]) once the
+/// token trips.
 pub(crate) fn calibrate_stretch(
-    cell: &Cell,
-    tech: &Technology,
-    th: &Thresholds,
+    sim: &Simulator<'_>,
     input_edge: Edge,
     single_a: &SingleInputModel,
     single_b: &SingleInputModel,
-    c_ref: f64,
-    dv_max: f64,
-    cancel: &CancelToken,
 ) -> Result<f64, ModelError> {
+    let (th, c_ref) = (&sim.thresholds, sim.c_load);
     let (tau_lo, tau_hi) = single_a.tau_range();
     let taus = [tau_lo * 1.5, (tau_lo * tau_hi).sqrt(), tau_hi * 0.7];
-    let c_mid = cell.input_cap(tech);
+    let c_mid = sim.cell.input_cap(sim.tech);
     let frac_span = (th.v_ih - th.v_il) / th.vdd;
 
     let mut points = Vec::with_capacity(taus.len());
     for &tau in &taus {
-        points.push(simulate_chain(
-            cell, tech, th, input_edge, tau, c_ref, dv_max, cancel,
-        )?);
+        points.push(simulate_chain(sim, input_edge, tau)?);
     }
 
     // Modeled two-stage arrival as a function of the stretch factor.
@@ -186,8 +176,9 @@ pub(crate) fn calibrate_stretch(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::characterize::Simulator;
-    use proxim_cells::Technology;
+    use crate::thresholds::Thresholds;
+    use proxim_cells::{Cell, Technology};
+    use proxim_spice::CancelToken;
 
     #[test]
     fn calibrated_stretch_is_between_linear_and_full_tail() {
@@ -198,18 +189,7 @@ mod tests {
         let single =
             SingleInputModel::characterize(&sim, 0, Edge::Rising, &[100e-12, 400e-12, 1500e-12])
                 .unwrap();
-        let f = calibrate_stretch(
-            &cell,
-            &tech,
-            &th,
-            Edge::Rising,
-            &single,
-            &single,
-            100e-15,
-            0.08,
-            &CancelToken::new(),
-        )
-        .unwrap();
+        let f = calibrate_stretch(&sim, Edge::Rising, &single, &single).unwrap();
         assert!(f > 1.0, "real edges are slower than linear: {f}");
         assert!(
             f < single.tail_factor() + 0.2,
@@ -229,18 +209,8 @@ mod tests {
                 .unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = calibrate_stretch(
-            &cell,
-            &tech,
-            &th,
-            Edge::Rising,
-            &single,
-            &single,
-            100e-15,
-            0.08,
-            &cancel,
-        )
-        .unwrap_err();
+        let err = calibrate_stretch(&sim.with_cancel(cancel), Edge::Rising, &single, &single)
+            .unwrap_err();
         assert!(err.is_cancellation(), "got {err:?}");
     }
 }

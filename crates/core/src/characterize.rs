@@ -14,7 +14,7 @@ use proxim_cells::{Cell, Technology};
 use proxim_numeric::grid::{linspace, logspace};
 use proxim_numeric::pwl::{Edge, Pwl};
 use proxim_spice::tran::{StopRule, TranOptions};
-use proxim_spice::{CancelToken, RecoveryTrace};
+use proxim_spice::{CancelToken, FaultPlan, RecoveryTrace};
 
 /// Grids and knobs controlling characterization cost and fidelity.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +53,9 @@ pub struct CharacterizeOptions {
     /// `std::thread::available_parallelism()`. The assembled model is
     /// byte-identical for every value.
     pub jobs: usize,
+    /// Solver fault sites armed in every transient of the run (see
+    /// [`proxim_spice::fault`]); [`FaultPlan::DISARMED`] by default.
+    pub faults: FaultPlan,
 }
 
 impl Default for CharacterizeOptions {
@@ -72,6 +75,7 @@ impl Default for CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 11),
             load_grid: Some(logspace(10e-15, 400e-15, 5)),
             jobs: 0,
+            faults: FaultPlan::DISARMED,
         }
     }
 }
@@ -95,6 +99,7 @@ impl CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 8),
             load_grid: Some(logspace(10e-15, 300e-15, 4)),
             jobs: 0,
+            faults: FaultPlan::DISARMED,
         }
     }
 
@@ -116,6 +121,7 @@ impl CharacterizeOptions {
             glitch_w_grid: linspace(-1.0, 4.0, 5),
             load_grid: None,
             jobs: 0,
+            faults: FaultPlan::DISARMED,
         }
     }
 
@@ -134,8 +140,10 @@ impl CharacterizeOptions {
     /// A canonical description of every field that affects the characterized
     /// model — the options half of the cache key ([`crate::persist`]).
     /// Deliberately excludes `jobs`: worker count never changes the result.
+    /// An armed fault plan is appended, so a faulted run never shares a key
+    /// with a healthy one; a disarmed plan adds nothing.
     pub fn cache_key_string(&self) -> String {
-        format!(
+        let mut key = format!(
             "c_load={:?};vtc_points={};tau_grid={:?};dual_u={:?};dual_v={:?};dual_w={:?};\
              dv_max={:?};full_pair_matrix={};glitch={};glitch_u={:?};glitch_v={:?};\
              glitch_w={:?};load_grid={:?}",
@@ -152,7 +160,11 @@ impl CharacterizeOptions {
             self.glitch_v_grid,
             self.glitch_w_grid,
             self.load_grid,
-        )
+        );
+        if self.faults.is_armed() {
+            key.push_str(&format!(";faults={}", self.faults));
+        }
+        key
     }
 }
 
@@ -227,6 +239,9 @@ pub struct Simulator<'a> {
     /// Defaults to a token that never cancels; see
     /// [`Simulator::with_cancel`].
     pub cancel: CancelToken,
+    /// Fault plan carried into every transient this simulator runs;
+    /// disarmed by default (see [`Simulator::with_faults`]).
+    pub faults: FaultPlan,
 }
 
 impl<'a> Simulator<'a> {
@@ -246,6 +261,7 @@ impl<'a> Simulator<'a> {
             dv_max,
             tol_scale: 1.0,
             cancel: CancelToken::new(),
+            faults: FaultPlan::DISARMED,
         }
     }
 
@@ -263,6 +279,14 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
+        self
+    }
+
+    /// Binds a fault plan: every transient this simulator runs draws its
+    /// solver faults from it.
+    #[must_use]
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -349,6 +373,7 @@ impl<'a> Simulator<'a> {
         let options = TranOptions::to(t_stop)
             .with_dv_max(self.dv_max)
             .with_tolerance_scale(self.tol_scale)
+            .with_faults(self.faults)
             .with_stop(StopRule {
                 node: net.out,
                 edge,

@@ -266,7 +266,8 @@ pub(crate) fn simulate_glitch(
     let t_stop = t_ramps_end + 3.0 * settle(sim);
     let options = proxim_spice::tran::TranOptions::to(t_stop)
         .with_dv_max(sim.dv_max)
-        .with_tolerance_scale(sim.tol_scale);
+        .with_tolerance_scale(sim.tol_scale)
+        .with_faults(sim.faults);
     // No stop rule: the peak is read over the whole waveform.
     let result = net.circuit.tran_cancellable(&options, &sim.cancel)?;
     let out = result.waveform(net.out);

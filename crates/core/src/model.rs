@@ -258,7 +258,8 @@ impl ProximityModel {
         let vtc = extract_vtc_family_cancellable(cell, tech, opts.c_load, opts.vtc_points, cancel)?;
         let thresholds = vtc.thresholds();
         let sim = Simulator::new(cell, tech, thresholds, opts.c_load, opts.dv_max)
-            .with_cancel(cancel.clone());
+            .with_cancel(cancel.clone())
+            .with_faults(opts.faults);
         drop(phase_span);
         phases.vtc = t0.elapsed().as_secs_f64();
 
@@ -548,17 +549,7 @@ impl ProximityModel {
             };
             // A failed calibration keeps the unit stretch; a cancelled
             // one stops the run.
-            match crate::calibrate::calibrate_stretch(
-                cell,
-                tech,
-                &thresholds,
-                input_edge,
-                single_a,
-                single_b,
-                opts.c_load,
-                opts.dv_max,
-                cancel,
-            ) {
+            match crate::calibrate::calibrate_stretch(&sim, input_edge, single_a, single_b) {
                 Ok(f) => {
                     bump(&reg, metric::SIMS_RUN, 3); // the calibration chain's three sims
                     model.ramp_stretch[eidx(out_edge)] = f;

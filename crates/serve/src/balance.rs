@@ -350,7 +350,7 @@ impl FleetClient {
             self.failovers.fetch_add(1, Ordering::Relaxed);
             // Same jittered schedule as call_with_retry, same hint floor,
             // same deadline rule: never sleep past it.
-            let jitter = 0.5 + proxim_spice::faultpoint::unit(&mut jitter_state);
+            let jitter = 0.5 + proxim_spice::fault::unit(&mut jitter_state);
             let exp = policy
                 .base
                 .saturating_mul(1u32.checked_shl(attempts - 1).unwrap_or(u32::MAX));

@@ -10,7 +10,7 @@
 //! server acted, so re-sending would risk double effects.
 //!
 //! The schedule is capped exponential backoff with deterministic
-//! multiplicative jitter (the `proxim_spice::faultpoint` splitmix64
+//! multiplicative jitter (the `proxim_spice::fault` splitmix64
 //! stream — no global RNG, replayable from the seed), raised to the
 //! server's `retry_after_ms` hint when one rides on the shed response.
 //! Two hard rules bound every retry loop:
@@ -23,7 +23,7 @@
 use crate::proto::{ErrorKind, ProtoError};
 use crate::server::one_shot;
 use proxim_obs::json::Json;
-use proxim_spice::faultpoint::unit;
+use proxim_spice::fault::unit;
 use std::path::Path;
 use std::time::{Duration, Instant};
 

@@ -1,4 +1,4 @@
-//! Typed disk-fault handling and deterministic disk-fault injection.
+//! Typed disk-fault handling for every durable sink.
 //!
 //! Every durable sink the daemon writes — store entries, quarantine
 //! renames, metrics snapshots, flight-recorder dumps — goes through the
@@ -8,34 +8,18 @@
 //! on — count it, record a flight event, keep serving — rather than a
 //! panic or an aborted `SIGTERM` drain.
 //!
-//! Behind the `fault-injection` feature the same entry points host a
-//! deterministic injector in the [`crate::wirefault`] mold: tests arm a
-//! process-global [`DiskFaultConfig`] (optionally after `after` successful
-//! operations, so mid-run disk exhaustion is reproducible) and every write
-//! or rename fails with a synthetic error of the configured kind. No
-//! clocks, no randomness — a faulted run replays identically. With the
-//! feature off every hook compiles to a plain passthrough.
+//! Each entry point takes the caller's [`FaultPlan`]: its `disk_write` and
+//! `disk_rename` sites fail the operation with a synthetic error of the
+//! plan's `disk_error` kind, decided from the seed and the path alone
+//! ([`FaultStream::for_path`]), so a faulted run replays identically.
 
 use proxim_model::persist::atomic_write;
 use proxim_model::ModelError;
+pub use proxim_spice::fault::DiskFaultKind;
+use proxim_spice::fault::{FaultPlan, FaultStream};
 use std::fmt;
 use std::fs;
 use std::path::Path;
-
-#[cfg(feature = "fault-injection")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "fault-injection")]
-use std::sync::{Mutex, PoisonError};
-
-/// The typed category of a disk failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFaultKind {
-    /// The device is out of space (`ENOSPC`): writes fail but reads keep
-    /// working, so the daemon can keep serving from what is loaded.
-    NoSpace,
-    /// Any other I/O failure (`EIO`, permissions, read-only remounts).
-    Io,
-}
 
 /// A typed disk-sink failure: what category, and the rendered detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,152 +61,27 @@ fn classify_io(e: &std::io::Error) -> DiskFaultKind {
     }
 }
 
-/// Disk-fault injector configuration: which operations fail, with what
-/// kind, after how many successes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskFaultConfig {
-    /// Fail atomic writes (store entries, metrics snapshots, dumps).
-    pub fail_writes: bool,
-    /// Fail renames (quarantine moves).
-    pub fail_renames: bool,
-    /// The synthetic failure kind injected.
-    pub kind: DiskFaultKind,
-    /// Number of guarded operations that succeed before faults start —
-    /// deterministic mid-run disk exhaustion.
-    pub after: u64,
-}
-
-impl DiskFaultConfig {
-    /// The inert configuration: nothing fails.
-    pub const DISARMED: Self = Self {
-        fail_writes: false,
-        fail_renames: false,
-        kind: DiskFaultKind::Io,
-        after: 0,
-    };
-
-    /// Everything fails with `ENOSPC` immediately.
-    pub const FULL_DISK: Self = Self {
-        fail_writes: true,
-        fail_renames: true,
-        kind: DiskFaultKind::NoSpace,
-        after: 0,
-    };
-
-    /// Whether any fault can ever fire under this configuration.
-    pub fn is_armed(&self) -> bool {
-        self.fail_writes || self.fail_renames
-    }
-}
-
-impl Default for DiskFaultConfig {
-    fn default() -> Self {
-        Self::DISARMED
-    }
-}
-
-#[cfg(feature = "fault-injection")]
-static CONFIG: Mutex<DiskFaultConfig> = Mutex::new(DiskFaultConfig::DISARMED);
-#[cfg(feature = "fault-injection")]
-static OPS: AtomicU64 = AtomicU64::new(0);
-
-/// Installs a process-global disk-fault configuration and resets the
-/// operation counter. Global state: tests that arm it serialize on their
-/// own lock and [`disarm`] when done.
-#[cfg(feature = "fault-injection")]
-pub fn configure(cfg: DiskFaultConfig) {
-    *CONFIG.lock().unwrap_or_else(PoisonError::into_inner) = cfg;
-    OPS.store(0, Ordering::SeqCst);
-}
-
-/// No-op stub: without the `fault-injection` feature nothing is installed.
-#[cfg(not(feature = "fault-injection"))]
-pub fn configure(_cfg: DiskFaultConfig) {}
-
-/// Resets the process-global configuration to
-/// [`DiskFaultConfig::DISARMED`].
-pub fn disarm() {
-    configure(DiskFaultConfig::DISARMED);
-}
-
-/// The currently installed configuration.
-#[cfg(feature = "fault-injection")]
-pub fn current() -> DiskFaultConfig {
-    *CONFIG.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Always [`DiskFaultConfig::DISARMED`] without the `fault-injection`
-/// feature.
-#[cfg(not(feature = "fault-injection"))]
-pub fn current() -> DiskFaultConfig {
-    DiskFaultConfig::DISARMED
-}
-
-/// Arms the injector from `PROXIM_DISKFAULT` (`enospc` or `eio`, with an
-/// optional `PROXIM_DISKFAULT_AFTER=N` success grace), so a spawned daemon
-/// built with `fault-injection` can run against a synthetic full disk.
-/// Does nothing without the feature or the variable.
-pub fn init_from_env() {
-    let Some(kind) = std::env::var_os("PROXIM_DISKFAULT") else {
-        return;
-    };
-    let kind = match kind.to_str() {
-        Some("enospc") => DiskFaultKind::NoSpace,
-        Some("eio") => DiskFaultKind::Io,
-        _ => return,
-    };
-    let after = std::env::var("PROXIM_DISKFAULT_AFTER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    configure(DiskFaultConfig {
-        fail_writes: true,
-        fail_renames: true,
+/// The synthetic error an injected fault of `kind` reports.
+fn injected(kind: DiskFaultKind) -> DiskError {
+    DiskError {
         kind,
-        after,
-    });
-}
-
-/// Whether the next guarded operation of the given class should fail, and
-/// with what synthetic error.
-#[cfg(feature = "fault-injection")]
-fn injected(rename: bool) -> Option<DiskError> {
-    let cfg = current();
-    let wanted = if rename {
-        cfg.fail_renames
-    } else {
-        cfg.fail_writes
-    };
-    if !wanted {
-        return None;
-    }
-    if OPS.fetch_add(1, Ordering::SeqCst) < cfg.after {
-        return None;
-    }
-    Some(DiskError {
-        kind: cfg.kind,
-        detail: match cfg.kind {
+        detail: match kind {
             DiskFaultKind::NoSpace => "injected: No space left on device (os error 28)".into(),
             DiskFaultKind::Io => "injected: Input/output error (os error 5)".into(),
         },
-    })
+    }
 }
 
-#[cfg(not(feature = "fault-injection"))]
-fn injected(_rename: bool) -> Option<DiskError> {
-    None
-}
-
-/// Crash-consistent atomic write with typed disk-fault classification (and
-/// injection, under the feature). Every durable sink in the serve layer
-/// writes through here.
+/// Crash-consistent atomic write with typed disk-fault classification,
+/// failed on purpose when `faults` fires its `disk_write` site for `path`.
+/// Every durable sink in the serve layer writes through here.
 ///
 /// # Errors
 ///
 /// A [`DiskError`] with `ENOSPC` distinguished from other I/O failure.
-pub fn checked_write(path: &Path, bytes: &[u8]) -> Result<(), DiskError> {
-    if let Some(e) = injected(false) {
-        return Err(e);
+pub fn checked_write(path: &Path, bytes: &[u8], faults: &FaultPlan) -> Result<(), DiskError> {
+    if let Some(kind) = FaultStream::for_path(faults, path).disk_write() {
+        return Err(injected(kind));
     }
     atomic_write(path, bytes).map_err(|e| {
         let detail = match e {
@@ -236,15 +95,16 @@ pub fn checked_write(path: &Path, bytes: &[u8]) -> Result<(), DiskError> {
     })
 }
 
-/// Rename with typed disk-fault classification (and injection, under the
-/// feature). The quarantine path moves evidence through here.
+/// Rename with typed disk-fault classification, failed on purpose when
+/// `faults` fires its `disk_rename` site for `from`. The quarantine path
+/// moves evidence through here.
 ///
 /// # Errors
 ///
 /// A [`DiskError`] with `ENOSPC` distinguished from other I/O failure.
-pub fn checked_rename(from: &Path, to: &Path) -> Result<(), DiskError> {
-    if let Some(e) = injected(true) {
-        return Err(e);
+pub fn checked_rename(from: &Path, to: &Path, faults: &FaultPlan) -> Result<(), DiskError> {
+    if let Some(kind) = FaultStream::for_path(faults, from).disk_rename() {
+        return Err(injected(kind));
     }
     fs::rename(from, to).map_err(|e| DiskError {
         kind: classify_io(&e),
@@ -278,39 +138,42 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("proxim_diskfault_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        disarm();
         let a = dir.join("a.txt");
         let b = dir.join("b.txt");
-        checked_write(&a, b"payload").unwrap();
-        checked_rename(&a, &b).unwrap();
+        checked_write(&a, b"payload", &FaultPlan::DISARMED).unwrap();
+        checked_rename(&a, &b, &FaultPlan::DISARMED).unwrap();
         assert_eq!(fs::read(&b).unwrap(), b"payload");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
-    fn armed_faults_are_typed_and_deterministic() {
+    fn armed_faults_are_typed_and_change_nothing() {
         let dir =
             std::env::temp_dir().join(format!("proxim_diskfault_armed_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        configure(DiskFaultConfig {
-            fail_writes: true,
-            fail_renames: true,
-            kind: DiskFaultKind::NoSpace,
-            after: 1,
-        });
+        let full = FaultPlan {
+            disk_write: 1.0,
+            disk_rename: 1.0,
+            disk_error: DiskFaultKind::NoSpace,
+            ..FaultPlan::DISARMED
+        };
         let a = dir.join("a.txt");
-        // The first guarded operation succeeds (after = 1), then every
-        // subsequent one fails with the configured typed kind.
-        checked_write(&a, b"first").unwrap();
-        let e = checked_write(&a, b"second").unwrap_err();
+        checked_write(&a, b"first", &FaultPlan::DISARMED).unwrap();
+        let e = checked_write(&a, b"second", &full).unwrap_err();
         assert_eq!(e.kind, DiskFaultKind::NoSpace);
-        let e = checked_rename(&a, &dir.join("b.txt")).unwrap_err();
+        assert!(e.detail.contains("injected"), "{e}");
+        let e = checked_rename(&a, &dir.join("b.txt"), &full).unwrap_err();
         assert_eq!(e.kind, DiskFaultKind::NoSpace);
         assert_eq!(fs::read(&a).unwrap(), b"first", "failed ops change nothing");
-        disarm();
-        checked_write(&a, b"third").unwrap();
+        let eio = FaultPlan {
+            disk_error: DiskFaultKind::Io,
+            ..full
+        };
+        assert_eq!(
+            checked_write(&a, b"x", &eio).unwrap_err().kind,
+            DiskFaultKind::Io
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

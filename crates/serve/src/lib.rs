@@ -39,17 +39,15 @@
 //! - [`diskfault`]: typed ENOSPC/EIO classification for every durable sink
 //!   (store writes, quarantine renames, metrics snapshots, flight dumps) —
 //!   a full disk degrades with a counter and a flight event, never a panic
-//!   or an aborted drain — plus a deterministic disk-fault injector behind
-//!   the `fault-injection` feature.
+//!   or an aborted drain. Each entry point takes the caller's
+//!   [`FaultPlan`](proxim_spice::FaultPlan), whose disk sites fail it on
+//!   purpose; the wire sites ride in [`ServeOptions`] and the store's in
+//!   [`ModelStore::with_faults`] (see [`proxim_spice::fault`]).
 //! - [`client`]: a deadline-aware retrying client used by the CLI's
 //!   `query`/`churn` subcommands: capped exponential backoff with
 //!   deterministic jitter on `overloaded`/`shutting_down`/connect-refused,
 //!   honoring the server's retry-after hint, never retrying past the
 //!   caller's deadline and never retrying non-idempotent ops.
-//! - [`wirefault`]: deterministic wire-layer fault injection (torn frames,
-//!   injected slow reads, dropped connections) behind the
-//!   `fault-injection` feature, extending the `proxim_spice::faultpoint`
-//!   discipline to the socket boundary.
 //! - [`fleet`]: the replication layer above the daemon. A supervisor
 //!   spawns N replica daemons (each on its own socket under a fleet
 //!   directory), health-probes them on the probe fast path, restarts
@@ -80,11 +78,10 @@ pub mod library;
 pub mod proto;
 pub mod server;
 pub mod store;
-pub mod wirefault;
 
 pub use balance::{FleetClient, FleetClientOptions, FleetOutcome};
 pub use client::{RetryOutcome, RetryPolicy};
-pub use diskfault::{DiskError, DiskFaultConfig, DiskFaultKind};
+pub use diskfault::{DiskError, DiskFaultKind};
 pub use fleet::{Fleet, FleetOptions, ReplicaState};
 pub use library::{
     judge_candidate, AcquireError, Acquired, LibraryOptions, LoadReport, ModelLibrary,

@@ -861,20 +861,16 @@ mod tests {
         fs::remove_dir_all(store.root()).ok();
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn quarantine_rename_failure_is_reported_distinctly() {
-        use crate::diskfault::{self, DiskFaultConfig};
+        use proxim_spice::FaultPlan;
         let store = seeded_store("qfail", &["good"]);
         fs::write(store.entry_path("bad"), b"corrupt bytes").unwrap();
         // Writes succeeded above; now fail every rename (full disk).
-        diskfault::configure(DiskFaultConfig {
-            fail_writes: false,
-            fail_renames: true,
-            ..DiskFaultConfig::FULL_DISK
-        });
-        let lib = ModelLibrary::open(&store);
-        diskfault::disarm();
+        let lib = ModelLibrary::open(&store.clone().with_faults(FaultPlan {
+            disk_rename: 1.0,
+            ..FaultPlan::DISARMED
+        }));
         assert_eq!(lib.names(), vec!["good"]);
         assert!(lib.is_degraded());
         assert!(lib.report().quarantined.is_empty(), "no evidence path lie");

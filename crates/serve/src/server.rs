@@ -45,11 +45,11 @@ use crate::proto::{
     render_error_traced, render_health, render_list, render_reload_rejected, render_reload_swapped,
     render_served, ErrorKind, FramePhases, ObsControl, ProtoError, Request, TraceEcho, WireQuery,
 };
-use crate::wirefault::WireFaultStream;
 use proxim_model::{GateTiming, ProximityModel};
 use proxim_obs::json::{push_escaped, push_f64};
 use proxim_obs::serve_metrics as sm;
 use proxim_obs::{exposition, flight, trace, Counter, Gauge, Histogram, Registry, Snapshot};
+use proxim_spice::fault::{FaultPlan, FaultStream};
 use proxim_spice::CancelToken;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -105,6 +105,9 @@ pub struct ServeOptions {
     /// zero leaves the recorder exactly as the process configured it
     /// (neither enabled nor disabled).
     pub flight_capacity: usize,
+    /// Wire fault sites (`torn_write`, `slow_read`) armed on every
+    /// connection; disarmed by default.
+    pub faults: FaultPlan,
 }
 
 impl Default for ServeOptions {
@@ -120,6 +123,7 @@ impl Default for ServeOptions {
             trace_sample_every: 16,
             slow_threshold: Duration::from_millis(250),
             flight_capacity: flight::DEFAULT_CAPACITY,
+            faults: FaultPlan::DISARMED,
         }
     }
 }
@@ -804,13 +808,13 @@ fn connection_loop(shared: &Arc<Shared>, stream: Conn, index: u64) {
     {
         return;
     }
-    let mut faults = WireFaultStream::for_connection(index);
+    let mut faults = FaultStream::for_connection(&shared.opts.faults, index);
     let mut idle = Duration::ZERO;
     loop {
         if shared.shutdown.is_cancelled() {
             return;
         }
-        if let Some(delay) = faults.read_delay() {
+        if let Some(delay) = faults.slow_read() {
             thread::sleep(delay);
         }
         let mut reader = CountingReader {
@@ -952,7 +956,7 @@ fn finish_request(shared: &Arc<Shared>, t: &ReqTrace) {
 fn write_response(
     shared: &Arc<Shared>,
     stream: &Conn,
-    faults: &mut WireFaultStream,
+    faults: &mut FaultStream,
     response: &str,
 ) -> Result<(), ()> {
     let mut stream = stream;

@@ -38,6 +38,7 @@ use crate::diskfault::{self, DiskError, DiskFaultKind};
 use proxim_model::persist::{fnv1a_64, MAX_MODEL_JSON_BYTES};
 use proxim_model::{ModelError, ProximityModel};
 use proxim_obs::json::{push_escaped, Json};
+use proxim_spice::FaultPlan;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -344,12 +345,25 @@ impl fmt::Display for QuarantineFailure {
 #[derive(Debug, Clone)]
 pub struct ModelStore {
     root: PathBuf,
+    /// Disk fault sites armed for every save and quarantine rename.
+    faults: FaultPlan,
 }
 
 impl ModelStore {
     /// Opens (and lazily creates on first save) a store rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self { root: root.into() }
+        Self {
+            root: root.into(),
+            faults: FaultPlan::DISARMED,
+        }
+    }
+
+    /// Returns the store with a fault plan: its `disk_write` and
+    /// `disk_rename` sites fail saves and quarantine renames on purpose.
+    #[must_use]
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The store directory.
@@ -388,7 +402,8 @@ impl ModelStore {
     pub fn save(&self, name: &str, model: &ProximityModel) -> Result<(), StoreError> {
         let bytes = encode_entry(name, model)?;
         fs::create_dir_all(&self.root).map_err(io_err)?;
-        diskfault::checked_write(&self.entry_path(name), &bytes).map_err(StoreError::from)
+        diskfault::checked_write(&self.entry_path(name), &bytes, &self.faults)
+            .map_err(StoreError::from)
     }
 
     /// Loads and fully validates the entry `name`.
@@ -426,7 +441,7 @@ impl ModelStore {
     pub fn quarantine(&self, path: &Path) -> Result<PathBuf, QuarantineFailure> {
         let content_hash = fnv1a_64(&fs::read(path).unwrap_or_default());
         let to = self.quarantined_path(path, content_hash);
-        match diskfault::checked_rename(path, &to) {
+        match diskfault::checked_rename(path, &to, &self.faults) {
             Ok(()) => Ok(to),
             Err(error) => Err(QuarantineFailure {
                 entry: path.to_path_buf(),

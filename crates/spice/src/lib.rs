@@ -50,7 +50,7 @@
 pub mod cancel;
 pub mod circuit;
 pub mod device;
-pub mod faultpoint;
+pub mod fault;
 pub mod op;
 pub mod recover;
 pub mod solver;
@@ -60,7 +60,7 @@ pub mod tran;
 pub use cancel::CancelToken;
 pub use circuit::{Circuit, NodeId, Waveform};
 pub use device::{MosParams, MosType};
-pub use faultpoint::FaultConfig;
+pub use fault::FaultPlan;
 pub use op::OpResult;
 pub use recover::{RecoveryPolicy, RecoveryTrace};
 pub use solver::AnalysisError;

@@ -19,7 +19,7 @@
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, Element, NodeId};
-use crate::faultpoint::{run_entropy, FaultStream};
+use crate::fault::{run_entropy, FaultPlan, FaultStream};
 use crate::op::GMIN;
 use crate::recover::{RecoveryPolicy, RecoveryStage, RecoveryTrace};
 use crate::solver::{
@@ -167,6 +167,9 @@ pub struct TranOptions {
     /// Ends the run early once a measurement's crossings are fixed; `None`
     /// (the default) integrates to `t_stop`.
     pub stop: Option<StopRule>,
+    /// Solver fault sites (`newton`, `accept`, `kill`) for this run; the
+    /// default [`FaultPlan::DISARMED`] never fires (see [`crate::fault`]).
+    pub faults: FaultPlan,
 }
 
 /// A measurement-driven end for a transient run.
@@ -182,7 +185,7 @@ pub struct TranOptions {
 /// is never crossed the run goes to `t_stop` as without a rule.
 ///
 /// Nothing else moves: `t_stop` and everything derived from it (step
-/// bounds, the final breakpoint, the fault-injection entropy) keep their
+/// bounds, the final breakpoint, the fault-stream entropy) keep their
 /// values, so the shortened run's samples are a bit-exact prefix of the
 /// full run's.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,6 +237,7 @@ impl TranOptions {
             integrator: Integrator::Trapezoidal,
             recovery: RecoveryPolicy::default(),
             stop: None,
+            faults: FaultPlan::DISARMED,
         }
     }
 
@@ -263,6 +267,12 @@ impl TranOptions {
     /// Returns the options with a measurement-driven stop rule.
     pub fn with_stop(mut self, stop: StopRule) -> Self {
         self.stop = Some(stop);
+        self
+    }
+
+    /// Returns the options with a fault plan for the solver sites.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -432,7 +442,7 @@ fn checked_solve(
             ),
         });
     }
-    if faults.newton_fault() {
+    if faults.newton() {
         return Ok(NewtonOutcome::Failed);
     }
     let out = newton_solve(sys, x, t_new, 1.0, gmin, caps, nopts, ws, cancel)?;
@@ -463,12 +473,10 @@ fn tran_in_arena(
     let policy = options.recovery;
     // Per-run entropy comes only from the run's own parameters, so fault
     // decisions replay identically regardless of worker scheduling.
-    let mut faults = FaultStream::for_run(run_entropy(
-        options.t_stop,
-        options.dv_max,
-        sys.n,
-        ckt.elements.len(),
-    ));
+    let mut faults = FaultStream::for_run(
+        &options.faults,
+        run_entropy(options.t_stop, options.dv_max, sys.n, ckt.elements.len()),
+    );
     let metrics = TranMetrics::new();
     let mut span = obs::span("spice.tran").arg("t_stop", format_args!("{:.3e}", options.t_stop));
     let mut trace = RecoveryTrace::default();
@@ -750,7 +758,7 @@ fn tran_attempt(
             h = (h_eff * (0.8 * options.dv_max / max_dv).max(0.1)).max(options.dt_min);
             continue;
         }
-        if faults.accept_fault() && h_eff > options.dt_min * 1.01 {
+        if faults.accept() && h_eff > options.dt_min * 1.01 {
             // Injected rejection of an otherwise-acceptable step; behaves
             // like a step cut (and is recorded as one).
             trace.record(RecoveryStage::StepCut, t_new, h_eff, 0.0, false);

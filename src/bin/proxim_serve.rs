@@ -43,6 +43,12 @@
 //!   validate the Prometheus exposition. All of it rides the probe fast
 //!   path, so it works even when every in-flight permit is taken.
 //!
+//! `PROXIM_FAULTS=<spec>` (see `proxim_spice::fault`) arms one seeded
+//! fault plan for every store, server and durable sink of the process,
+//! and for the demo model's characterization (`--demo`, `churn`). It is
+//! announced as `faults armed: <spec>` on stderr; a spec that does not
+//! parse exits `2` before any subcommand runs.
+//!
 //! The `SIGTERM`/`SIGHUP` handlers live here (one libc `signal` FFI line)
 //! so every library crate stays `forbid(unsafe_code)`; each handler body
 //! is a single atomic store or add, which is async-signal-safe.
@@ -58,7 +64,7 @@ use proxim_serve::server::one_shot;
 use proxim_serve::{
     diskfault, Fleet, FleetOptions, LibraryOptions, ModelLibrary, ModelStore, ServeOptions, Server,
 };
-use proxim_spice::CancelToken;
+use proxim_spice::{CancelToken, FaultPlan};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -122,30 +128,39 @@ fn usage() -> ExitCode {
 /// armed path, if one is armed. Used by the panic hook and the drain
 /// path; failures are reported but never escalate — a post-mortem must
 /// not mask the original exit.
-fn flush_observability() {
+fn flush_observability(faults: &FaultPlan) {
     proxim_obs::sink::flush();
     if let Some(path) = flight::armed_dump_path() {
-        if let Err(e) = diskfault::checked_write(&path, flight::dump().as_bytes()) {
+        if let Err(e) = diskfault::checked_write(&path, flight::dump().as_bytes(), faults) {
             eprintln!("proxim_serve: flight dump degraded: {e}");
         }
     }
 }
 
 /// The deterministic demo model served by `--demo` and saved by `churn`:
-/// a fast-grid NAND2 against the demo technology.
-fn demo_model() -> Result<ProximityModel, String> {
+/// a fast-grid NAND2 against the demo technology, characterized under the
+/// process's fault plan (its solver sites degrade slices; disarmed, the
+/// model is the healthy one).
+fn demo_model(faults: FaultPlan) -> Result<ProximityModel, String> {
     let tech = Technology::demo_5v();
     let cell = Cell::nand(2);
-    ProximityModel::characterize(&cell, &tech, &CharacterizeOptions::fast())
+    let opts = CharacterizeOptions {
+        faults,
+        ..CharacterizeOptions::fast()
+    };
+    ProximityModel::characterize(&cell, &tech, &opts)
         .map_err(|e| format!("demo characterization failed: {e}"))
 }
 
-fn cmd_serve(args: &mut std::env::Args) -> ExitCode {
+fn cmd_serve(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
     let mut store_dir: Option<PathBuf> = None;
     let mut socket: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut flight_out: Option<PathBuf> = None;
-    let mut opts = ServeOptions::default();
+    let mut opts = ServeOptions {
+        faults,
+        ..ServeOptions::default()
+    };
     let mut demo = false;
     let mut memory_budget: Option<u64> = None;
     let mut strict_store = false;
@@ -188,9 +203,9 @@ fn cmd_serve(args: &mut std::env::Args) -> ExitCode {
         flight::arm_dump(path.clone(), false);
     }
 
-    let store = ModelStore::new(&store_dir);
+    let store = ModelStore::new(&store_dir).with_faults(faults);
     if demo && store.list().is_empty() {
-        match demo_model() {
+        match demo_model(faults) {
             Ok(model) => {
                 if let Err(e) = store.save("nand2_demo", &model) {
                     eprintln!("proxim_serve: cannot seed demo model: {e}");
@@ -298,7 +313,7 @@ fn cmd_serve(args: &mut std::env::Args) -> ExitCode {
     if let Some(path) = metrics_out {
         // A full disk must not turn a clean drain into a failed exit: the
         // snapshot is a nicety, the exit status is the contract.
-        if let Err(e) = diskfault::checked_write(&path, json.as_bytes()) {
+        if let Err(e) = diskfault::checked_write(&path, json.as_bytes(), &faults) {
             registry.counter(sm::DISK_FAULTS).incr();
             drop(
                 trace::event("serve.disk.degraded")
@@ -310,7 +325,7 @@ fn cmd_serve(args: &mut std::env::Args) -> ExitCode {
     }
     // The drain is the last chance to capture what the daemon was doing;
     // the dump lands after join so the final requests are in the ring.
-    flush_observability();
+    flush_observability(&faults);
     println!("drained {json}");
     ExitCode::SUCCESS
 }
@@ -395,7 +410,7 @@ fn obs_round_trip(socket: &Path, request: &str) -> Result<Json, ExitCode> {
     Ok(json)
 }
 
-fn cmd_obs(args: &mut std::env::Args) -> ExitCode {
+fn cmd_obs(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
     let mut socket: Option<PathBuf> = None;
     let mut level: Option<String> = None;
     let mut sample_every: Option<u64> = None;
@@ -461,7 +476,7 @@ fn cmd_obs(args: &mut std::env::Args) -> ExitCode {
             eprintln!("proxim_serve: response carried no dump");
             return ExitCode::from(1);
         };
-        if let Err(e) = diskfault::checked_write(&path, dump.as_bytes()) {
+        if let Err(e) = diskfault::checked_write(&path, dump.as_bytes(), &faults) {
             eprintln!("proxim_serve: cannot write {}: {e}", path.display());
             return ExitCode::from(1);
         }
@@ -553,7 +568,7 @@ fn churn_queries(socket: &Path, queries: u64) -> ExitCode {
     }
 }
 
-fn cmd_churn(args: &mut std::env::Args) -> ExitCode {
+fn cmd_churn(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
     let mut store_dir: Option<PathBuf> = None;
     let mut socket: Option<PathBuf> = None;
     let mut name = String::from("nand2_demo");
@@ -586,14 +601,14 @@ fn cmd_churn(args: &mut std::env::Args) -> ExitCode {
     let Some(store_dir) = store_dir else {
         return usage();
     };
-    let model = match demo_model() {
+    let model = match demo_model(faults) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("proxim_serve: {e}");
             return ExitCode::from(1);
         }
     };
-    let store = ModelStore::new(&store_dir);
+    let store = ModelStore::new(&store_dir).with_faults(faults);
     for round in 0..rounds {
         if let Err(e) = store.save(&name, &model) {
             eprintln!("proxim_serve: churn save failed: {e}");
@@ -613,24 +628,37 @@ fn main() -> ExitCode {
     // post-mortem dump path (CLI flags can re-arm it later).
     proxim_obs::init_from_env();
     flight::init_from_env();
-    // Arms the deterministic disk-fault injector (PROXIM_DISKFAULT) when
-    // the binary is built with `fault-injection`; a no-op otherwise.
-    diskfault::init_from_env();
+    // PROXIM_FAULTS arms the fault plan every store, server, durable sink
+    // and demo characterization of this process draws from; a spec that
+    // does not parse is an operator error, refused before anything runs.
+    let faults = match std::env::var_os("PROXIM_FAULTS") {
+        None => FaultPlan::DISARMED,
+        Some(spec) => match spec.to_string_lossy().parse::<FaultPlan>() {
+            Ok(plan) => {
+                eprintln!("proxim_serve: faults armed: {plan}");
+                plan
+            }
+            Err(e) => {
+                eprintln!("proxim_serve: PROXIM_FAULTS: {e}");
+                return ExitCode::from(2);
+            }
+        },
+    };
     // Whatever kills the process, the flight recorder's last seconds land
     // on disk first — the dump is the crash report.
     let default_panic = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         default_panic(info);
-        flush_observability();
+        flush_observability(&faults);
     }));
     let mut args = std::env::args();
     let _argv0 = args.next();
     match args.next().as_deref() {
-        Some("serve") => cmd_serve(&mut args),
-        Some("fleet") => cmd_fleet(&mut args),
+        Some("serve") => cmd_serve(&mut args, faults),
+        Some("fleet") => cmd_fleet(&mut args, faults),
         Some("query") => cmd_query(&mut args),
-        Some("obs") => cmd_obs(&mut args),
-        Some("churn") => cmd_churn(&mut args),
+        Some("obs") => cmd_obs(&mut args, faults),
+        Some("churn") => cmd_churn(&mut args, faults),
         _ => usage(),
     }
 }
@@ -639,7 +667,7 @@ fn main() -> ExitCode {
 /// supervise them (restart with backoff, quarantine crash loops), answer
 /// the `fleet` op on the control socket, and fold `SIGHUP` into rolling
 /// reloads. `SIGTERM` drains every replica and exits 0.
-fn cmd_fleet(args: &mut std::env::Args) -> ExitCode {
+fn cmd_fleet(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
     let mut store_dir: Option<PathBuf> = None;
     let mut dir: Option<PathBuf> = None;
     let mut opts = FleetOptions::default();
@@ -676,9 +704,9 @@ fn cmd_fleet(args: &mut std::env::Args) -> ExitCode {
     };
     // Seed the demo model once, in the supervisor, so every replica comes
     // up serving the same store (racing N replica-side seeds would not).
-    let store = ModelStore::new(&store_dir);
+    let store = ModelStore::new(&store_dir).with_faults(faults);
     if demo && store.list().is_empty() {
-        match demo_model() {
+        match demo_model(faults) {
             Ok(model) => {
                 if let Err(e) = store.save("nand2_demo", &model) {
                     eprintln!("proxim_serve: cannot seed demo model: {e}");
@@ -760,7 +788,7 @@ fn cmd_fleet(args: &mut std::env::Args) -> ExitCode {
         std::thread::sleep(Duration::from_millis(20));
     }
     let snapshot = fleet.join();
-    flush_observability();
+    flush_observability(&faults);
     println!("fleet drained {}", snapshot.to_json());
     ExitCode::SUCCESS
 }

@@ -3,12 +3,9 @@
 //! re-simulating only the suspect grid points, and unrepairable slices are
 //! demoted to degraded provenance instead of serving unphysical numbers.
 //!
-//! Runs under the `fault-injection` feature for two reasons: the
-//! `tamper_table_value` corruption hook lives behind it, and the
-//! demotion/20%-fault scenarios drive the repair pipeline through the same
-//! deterministic fault harness the resilience suite uses.
-
-#![cfg(feature = "fault-injection")]
+//! Corruption comes from the `tamper_table_value` test hook; the
+//! demotion and 20%-fault scenarios drive the repair pipeline through the
+//! same seeded `FaultPlan` the resilience suite sets on its options.
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::audit::{AuditOptions, TableRole};
@@ -16,27 +13,7 @@ use proxim_model::characterize::CharacterizeOptions;
 use proxim_model::model::ProximityModel;
 use proxim_model::{DegradedReason, InputEvent, RunControl, SliceKind};
 use proxim_numeric::pwl::Edge;
-use proxim_spice::faultpoint::{self, FaultConfig};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// The fault configuration is process-global, and even the fault-free tests
-/// here must not run while another test has faults armed — so every test in
-/// this binary serializes on this lock for its whole body.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_disarmed() -> MutexGuard<'static, ()> {
-    let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faultpoint::disarm();
-    guard
-}
-
-/// Disarms the fault harness on drop, panic included.
-struct Disarm;
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        faultpoint::disarm();
-    }
-}
+use proxim_spice::FaultPlan;
 
 fn nand2_opts() -> CharacterizeOptions {
     CharacterizeOptions {
@@ -57,7 +34,6 @@ const DUAL_POSITIVE_W_IDX: usize = 5;
 
 #[test]
 fn clean_model_audits_clean_and_repair_is_a_noop() {
-    let _guard = lock_disarmed();
     let mut model = characterize_nand2();
     let json_before = model.to_json().expect("serializes");
 
@@ -84,7 +60,6 @@ fn clean_model_audits_clean_and_repair_is_a_noop() {
 
 #[test]
 fn tampered_points_are_found_and_repaired_byte_exactly() {
-    let _guard = lock_disarmed();
     let mut model = characterize_nand2();
     let clean_json = model.to_json().expect("serializes");
 
@@ -147,7 +122,6 @@ fn tampered_points_are_found_and_repaired_byte_exactly() {
 
 #[test]
 fn unrepairable_slice_is_demoted_with_audit_provenance() {
-    let _guard = lock_disarmed();
     let mut model = characterize_nand2();
 
     model
@@ -163,17 +137,17 @@ fn unrepairable_slice_is_demoted_with_audit_provenance() {
 
     // Every repair re-simulation is killed: the slice cannot be restored
     // on either tolerance rung and must be demoted, not silently kept.
-    let _disarm = Disarm;
-    faultpoint::configure(FaultConfig {
-        newton_rate: 0.0,
-        accept_rate: 0.0,
-        kill_rate: 1.0,
-        seed: 42,
-    });
+    let doomed = CharacterizeOptions {
+        faults: FaultPlan {
+            seed: 42,
+            kill: 1.0,
+            ..FaultPlan::DISARMED
+        },
+        ..nand2_opts()
+    };
     let (report, outcome) = model
-        .audit_and_repair(&nand2_opts(), &AuditOptions::default(), &RunControl::new())
+        .audit_and_repair(&doomed, &AuditOptions::default(), &RunControl::new())
         .expect("demotion is a success path, not an error");
-    faultpoint::disarm();
 
     assert!(!report.is_clean());
     assert_eq!(outcome.repaired_points, 0, "{outcome:?}");
@@ -208,8 +182,6 @@ fn unrepairable_slice_is_demoted_with_audit_provenance() {
 
 #[test]
 fn fault_injected_characterization_audits_clean_and_repairs_to_clean_run_bytes() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faultpoint::disarm();
     let tech = Technology::demo_5v();
     let cell = Cell::nand(2);
     let opts = nand2_opts();
@@ -219,17 +191,18 @@ fn fault_injected_characterization_audits_clean_and_repairs_to_clean_run_bytes()
 
     // The resilience suite's 20%-fault recipe: recoveries and a few doomed
     // runs, deterministic in (seed, run).
-    let (mut model, stats) = {
-        let _disarm = Disarm;
-        faultpoint::configure(FaultConfig {
-            newton_rate: 0.20,
-            accept_rate: 0.05,
-            kill_rate: 0.02,
+    let faulted = CharacterizeOptions {
+        faults: FaultPlan {
             seed: 1996,
-        });
-        ProximityModel::characterize_with_stats(&cell, &tech, &opts)
-            .expect("fault pressure must degrade, not fail")
+            newton: 0.20,
+            accept: 0.05,
+            kill: 0.02,
+            ..FaultPlan::DISARMED
+        },
+        ..opts.clone()
     };
+    let (mut model, stats) = ProximityModel::characterize_with_stats(&cell, &tech, &faulted)
+        .expect("fault pressure must degrade, not fail");
     assert!(stats.recoveries > 0, "the recipe must exercise recovery");
     assert!(model.is_degraded(), "the kill rate must doom some slice");
     assert_eq!(
@@ -266,7 +239,7 @@ fn fault_injected_characterization_audits_clean_and_repairs_to_clean_run_bytes()
 
     let (_, outcome) = model
         .audit_and_repair(&opts, &AuditOptions::default(), &RunControl::new())
-        .expect("repair succeeds once faults are disarmed");
+        .expect("repair succeeds under the disarmed options");
     assert!(outcome.repaired_points >= 1, "{outcome:?}");
 
     let (_, repaired_delays, _) = model

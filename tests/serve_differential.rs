@@ -10,9 +10,9 @@
 //! error. Several clients run at once, so answers are produced on several
 //! connection threads under the daemon's in-flight permits.
 //!
-//! Behind the `fault-injection` feature, the same population is replayed
-//! against a model with degraded slices, and every answer must also carry
-//! the in-process `degradation` provenance.
+//! The same population is then replayed against a model characterized
+//! under a seeded `FaultPlan`, whose degraded slices every answer must
+//! report with the in-process `degradation` provenance.
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
@@ -25,7 +25,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Requests per client, and concurrent clients.
@@ -33,10 +32,6 @@ const REQUESTS: usize = 48;
 const CLIENTS: usize = 3;
 /// Queries per batch request.
 const BATCH: usize = 16;
-
-/// Fault injection is process-global: characterizations in this file take
-/// this lock so a faulted one cannot leak faults into a healthy one.
-static CHARACTERIZE: Mutex<()> = Mutex::new(());
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("proxim_srvdiff_{}_{name}", std::process::id()));
@@ -246,37 +241,27 @@ fn differential(name: &str, model: &ProximityModel, seed: u64) -> usize {
 
 #[test]
 fn wire_answers_are_bit_identical_to_in_process_answers() {
-    let model = {
-        let _lock = CHARACTERIZE.lock().unwrap_or_else(PoisonError::into_inner);
-        nand2(&CharacterizeOptions::fast())
-    };
+    let model = nand2(&CharacterizeOptions::fast());
     assert!(!model.is_degraded());
     assert_eq!(differential("healthy", &model, 0x5EED_D1FF), 0);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn degraded_answers_carry_the_in_process_provenance_over_the_wire() {
-    use proxim_spice::faultpoint::{self, FaultConfig};
-
     // The recipe of tests/fault_injection.rs and tests/serve_robustness.rs:
     // this seed dooms a deterministic subset of characterization runs and
     // degrades at least one dual slice.
-    let model = {
-        let _lock = CHARACTERIZE.lock().unwrap_or_else(PoisonError::into_inner);
-        faultpoint::configure(FaultConfig {
-            newton_rate: 0.20,
-            accept_rate: 0.05,
-            kill_rate: 0.02,
+    let model = nand2(&CharacterizeOptions {
+        jobs: 2,
+        faults: proxim_spice::FaultPlan {
             seed: 1996,
-        });
-        let model = nand2(&CharacterizeOptions {
-            jobs: 2,
-            ..CharacterizeOptions::fast()
-        });
-        faultpoint::disarm();
-        model
-    };
+            newton: 0.20,
+            accept: 0.05,
+            kill: 0.02,
+            ..proxim_spice::FaultPlan::DISARMED
+        },
+        ..CharacterizeOptions::fast()
+    });
     assert!(model.is_degraded(), "seed 1996 must degrade slices");
     let degraded = differential("degraded", &model, 0x5EED_DE6D);
     assert!(

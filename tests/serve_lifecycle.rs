@@ -1,7 +1,7 @@
 //! Lifecycle suite for the timing-query daemon: validated hot reload under
-//! sustained load, memory-budgeted residency, and (behind
-//! `fault-injection`) a synthetically full disk against every durable
-//! sink.
+//! sustained load, memory-budgeted residency, and a synthetically full disk
+//! (a seeded `FaultPlan` on the store, or `PROXIM_FAULTS` for the binary)
+//! against every durable sink.
 //!
 //! The invariants under test: a generation swap never drops, errors, or
 //! blocks an in-flight query; a rejected candidate leaves the live
@@ -235,46 +235,31 @@ fn a_budget_below_the_store_size_serves_the_full_set_within_the_gauge() {
 // Disk-fault paths: every durable sink against a synthetically full disk
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "fault-injection")]
 mod full_disk {
     use super::*;
-    use proxim_serve::diskfault::{self, DiskFaultConfig, DiskFaultKind};
-    use proxim_serve::StoreError;
+    use proxim_serve::{DiskFaultKind, StoreError};
+    use proxim_spice::FaultPlan;
     use std::process::{Command, Stdio};
-    use std::sync::{Mutex, PoisonError};
     use std::time::{Duration, Instant};
-
-    /// Disk-fault configuration is process-global; serialize the tests
-    /// that arm it and always disarm, even on panic.
-    static DISK_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_disk_faults<T>(cfg: DiskFaultConfig, f: impl FnOnce() -> T) -> T {
-        let _guard = DISK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                diskfault::disarm();
-            }
-        }
-        let _disarm = Disarm;
-        diskfault::configure(cfg);
-        f()
-    }
 
     #[test]
     fn store_writes_on_a_full_disk_fail_typed_and_leave_no_debris() {
         let dir = scratch_dir("disk_store");
         let store = ModelStore::new(dir.join("store"));
-        with_disk_faults(DiskFaultConfig::FULL_DISK, || {
-            let e = store
-                .save("inv", shared_model())
-                .expect_err("a full disk must refuse the save");
-            assert!(
-                matches!(e, StoreError::DiskFull { .. }),
-                "ENOSPC must surface as the typed variant, got: {e}"
-            );
-            assert!(e.to_string().contains("disk full"), "{e}");
+        let full = store.clone().with_faults(FaultPlan {
+            disk_write: 1.0,
+            disk_rename: 1.0,
+            disk_error: DiskFaultKind::NoSpace,
+            ..FaultPlan::DISARMED
         });
+        let e = full
+            .save("inv", shared_model())
+            .expect_err("a full disk must refuse the save");
+        assert!(
+            matches!(e, StoreError::DiskFull { .. }),
+            "ENOSPC must surface as the typed variant, got: {e}"
+        );
+        assert!(e.to_string().contains("disk full"), "{e}");
         assert!(
             !store.entry_path("inv").exists(),
             "a failed save must not leave a partial entry"
@@ -289,15 +274,11 @@ mod full_disk {
         let store = seed_store(&dir, &["good"]);
         std::fs::write(store.entry_path("bad"), b"rotten").expect("corrupt entry");
 
-        let library = with_disk_faults(
-            DiskFaultConfig {
-                fail_writes: false,
-                fail_renames: true,
-                kind: DiskFaultKind::Io,
-                after: 0,
-            },
-            || ModelLibrary::open(&store),
-        );
+        let library = ModelLibrary::open(&store.with_faults(FaultPlan {
+            disk_rename: 1.0,
+            disk_error: DiskFaultKind::Io,
+            ..FaultPlan::DISARMED
+        }));
         assert_eq!(library.names(), vec!["good"]);
         assert_eq!(library.report().quarantine_failed.len(), 1);
         assert!(library.is_degraded());
@@ -317,9 +298,9 @@ mod full_disk {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// End to end against the spawned binary: `PROXIM_DISKFAULT=enospc`
-    /// dooms the metrics snapshot and the flight dump, and the `SIGTERM`
-    /// drain must still exit `0` with the degradation on stderr.
+    /// End to end against the spawned binary: a full-disk `PROXIM_FAULTS`
+    /// spec dooms the metrics snapshot and the flight dump, and the
+    /// `SIGTERM` drain must still exit `0` with the degradation on stderr.
     #[test]
     fn a_full_disk_never_turns_a_clean_drain_into_a_failed_exit() {
         let dir = scratch_dir("disk_drain");
@@ -328,8 +309,8 @@ mod full_disk {
         let metrics = dir.join("final_metrics.json");
         let flight = dir.join("flight.jsonl");
 
-        // Seed the store before the faulted daemon runs: the injector arms
-        // per process, so this parent-side save is clean.
+        // Seed the store before the faulted daemon runs: the plan arms only
+        // the daemon's process, so this parent-side save is clean.
         seed_store(&dir, &["inv"]);
 
         let daemon = Command::new(env!("CARGO_BIN_EXE_proxim_serve"))
@@ -341,7 +322,10 @@ mod full_disk {
             .arg(&metrics)
             .arg("--flight-out")
             .arg(&flight)
-            .env("PROXIM_DISKFAULT", "enospc")
+            .env(
+                "PROXIM_FAULTS",
+                "disk_write=1,disk_rename=1,disk_error=enospc",
+            )
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -375,6 +359,10 @@ mod full_disk {
         );
         assert!(stdout.contains("drained"), "{stdout}");
         assert!(
+            stderr.contains("faults armed: seed=0,disk_write=1,disk_rename=1,disk_error=enospc"),
+            "an armed daemon must say so: {stderr}"
+        );
+        assert!(
             stderr.contains("metrics flush degraded") && stderr.contains("disk full"),
             "the degradation must be typed on stderr: {stderr}"
         );
@@ -386,4 +374,29 @@ mod full_disk {
         assert!(!flight.exists(), "no partial dump may land");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A `PROXIM_FAULTS` spec that does not parse is refused before the daemon
+/// does anything: exit 2, the offending item on stderr, no socket bound.
+#[test]
+fn a_malformed_fault_spec_is_refused_with_exit_2() {
+    let dir = scratch_dir("bad_spec");
+    let socket = dir.join("serve.sock");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_proxim_serve"))
+        .args(["serve", "--store"])
+        .arg(dir.join("store"))
+        .arg("--socket")
+        .arg(&socket)
+        .env("PROXIM_FAULTS", "seed=1,disk_write=2")
+        .output()
+        .expect("daemon runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("PROXIM_FAULTS") && stderr.contains("disk_write=2"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("faults armed"), "{stderr}");
+    assert!(!socket.exists(), "a refused spec must not bind");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,7 @@
 //! Robustness suite for the timing-query daemon: hostile bytes on the
-//! wire, corrupt bytes in the store, and (behind `fault-injection`)
-//! injected wire faults and degraded-model provenance — all end to end
-//! over a real Unix socket against an in-process [`Server`].
+//! wire, corrupt bytes in the store, injected wire faults (a seeded
+//! `FaultPlan` in [`ServeOptions`]) and degraded-model provenance — all
+//! end to end over a real Unix socket against an in-process [`Server`].
 //!
 //! The invariant under test everywhere: malformed input produces a *typed*
 //! outcome (a `{"ok":false,"error":{"kind":...}}` response, a quarantined
@@ -409,68 +409,63 @@ fn corrupt_store_entries_quarantine_and_the_daemon_starts_degraded() {
 // Fault-injected paths (wire tears, slow reads, degraded models)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "fault-injection")]
 mod faulted {
     use super::*;
     use proxim_model::{DegradedReason, InputEvent, SliceKind};
     use proxim_numeric::pwl::Edge;
     use proxim_serve::proto::{read_frame, write_frame, ErrorKind};
-    use proxim_serve::wirefault::{self, WireFaultConfig};
-    use proxim_spice::faultpoint::{self, FaultConfig};
-    use std::sync::{Mutex, PoisonError};
-
-    /// Wire-fault configuration is process-global; serialize the tests
-    /// that arm it and always disarm, even on panic.
-    static WIRE_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_wire_faults<T>(cfg: WireFaultConfig, f: impl FnOnce() -> T) -> T {
-        let _guard = WIRE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                wirefault::disarm();
-            }
-        }
-        let _disarm = Disarm;
-        wirefault::configure(cfg);
-        f()
-    }
+    use proxim_spice::fault::FaultStream;
+    use proxim_spice::FaultPlan;
 
     #[test]
     fn torn_server_frames_surface_as_typed_truncation_on_the_client() {
         let dir = scratch_dir("torn");
-        let server = start_server(&dir, ServeOptions::default());
-        let sock = server.socket_path().to_path_buf();
-        let cfg = WireFaultConfig {
-            torn_write_rate: 1.0,
-            slow_read_rate: 0.0,
-            slow_read: Duration::ZERO,
-            seed: 7,
+        // Wire fates are a pure function of (seed, connection index), so
+        // pick a seed whose first connection's response tears and whose
+        // second's does not: the same armed daemon must answer intact
+        // after a tear.
+        let tears = |plan: &FaultPlan, conn: u64| {
+            FaultStream::for_connection(plan, conn)
+                .torn_write(usize::MAX)
+                .is_some()
         };
-        with_wire_faults(cfg, || {
-            let mut stream = UnixStream::connect(&sock).expect("connect");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .expect("timeout");
-            write_frame(&mut stream, br#"{"op":"health"}"#).expect("send");
-            // Every response write is torn to a strict prefix, so the
-            // client-side frame reader must report a *typed* truncation
-            // (or, if the tear kept zero bytes, a clean close) — never a
-            // hang and never garbage accepted as a frame.
-            match read_frame(&mut stream) {
-                Ok(None) => {}
-                Ok(Some(frame)) => panic!("torn write delivered a whole frame: {frame:?}"),
-                Err(e) => {
-                    assert_eq!(e.kind, ErrorKind::BadFrame, "{e}");
-                    assert!(
-                        e.detail.contains("truncated") || e.detail.contains("closed"),
-                        "{e}"
-                    );
-                }
+        let plan = (0..64)
+            .map(|seed| FaultPlan {
+                seed,
+                torn_write: 0.5,
+                ..FaultPlan::DISARMED
+            })
+            .find(|p| tears(p, 0) && !tears(p, 1))
+            .expect("a seed that tears connection 0 only");
+        let opts = ServeOptions {
+            faults: plan,
+            ..ServeOptions::default()
+        };
+        let server = start_server(&dir, opts);
+        let sock = server.socket_path().to_path_buf();
+        let mut stream = UnixStream::connect(&sock).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        write_frame(&mut stream, br#"{"op":"health"}"#).expect("send");
+        // The response write is torn to a strict prefix, so the
+        // client-side frame reader must report a *typed* truncation (or,
+        // if the tear kept zero bytes, a clean close) — never a hang and
+        // never garbage accepted as a frame.
+        match read_frame(&mut stream) {
+            Ok(None) => {}
+            Ok(Some(frame)) => panic!("torn write delivered a whole frame: {frame:?}"),
+            Err(e) => {
+                assert_eq!(e.kind, ErrorKind::BadFrame, "{e}");
+                assert!(
+                    e.detail.contains("truncated") || e.detail.contains("closed"),
+                    "{e}"
+                );
             }
-        });
-        // Disarmed again: the same daemon answers intact.
-        let health = one_shot(&sock, r#"{"op":"health"}"#).expect("health after tears");
+        }
+        drop(stream);
+        // The next connection's fate is intact: the same daemon answers.
+        let health = one_shot(&sock, r#"{"op":"health"}"#).expect("health after a tear");
         assert!(health.contains("serving"), "{health}");
         server.begin_shutdown();
         server.join();
@@ -480,18 +475,19 @@ mod faulted {
     #[test]
     fn injected_slow_reads_delay_but_never_wedge() {
         let dir = scratch_dir("slowread");
-        let server = start_server(&dir, ServeOptions::default());
-        let sock = server.socket_path().to_path_buf();
-        let cfg = WireFaultConfig {
-            torn_write_rate: 0.0,
-            slow_read_rate: 1.0,
-            slow_read: Duration::from_millis(30),
-            seed: 11,
+        let opts = ServeOptions {
+            faults: FaultPlan {
+                seed: 11,
+                slow_read: 1.0,
+                slow_read_stall: Duration::from_millis(30),
+                ..FaultPlan::DISARMED
+            },
+            ..ServeOptions::default()
         };
-        with_wire_faults(cfg, || {
-            let resp = one_shot(&sock, r#"{"op":"health"}"#).expect("slowed but served");
-            assert!(resp.contains("serving"), "{resp}");
-        });
+        let server = start_server(&dir, opts);
+        let sock = server.socket_path().to_path_buf();
+        let resp = one_shot(&sock, r#"{"op":"health"}"#).expect("slowed but served");
+        assert!(resp.contains("serving"), "{resp}");
         server.begin_shutdown();
         server.join();
         std::fs::remove_dir_all(&dir).ok();
@@ -502,22 +498,21 @@ mod faulted {
         // The proven recipe from tests/fault_injection.rs: this seed dooms
         // a deterministic subset of characterization runs, degrading at
         // least one dual slice whose single-input models survive.
-        let cfg = FaultConfig {
-            newton_rate: 0.20,
-            accept_rate: 0.05,
-            kill_rate: 0.02,
-            seed: 1996,
-        };
-        faultpoint::configure(cfg);
         let tech = Technology::demo_5v();
         let cell = Cell::nand(2);
         let opts = CharacterizeOptions {
             jobs: 2,
+            faults: FaultPlan {
+                seed: 1996,
+                newton: 0.20,
+                accept: 0.05,
+                kill: 0.02,
+                ..FaultPlan::DISARMED
+            },
             ..CharacterizeOptions::fast()
         };
         let model = ProximityModel::characterize(&cell, &tech, &opts)
             .expect("fault pressure degrades, not fails");
-        faultpoint::disarm();
         assert!(model.is_degraded(), "seed 1996 must degrade slices");
 
         // Find a degraded dual whose singles survived and build the wire

@@ -4,8 +4,8 @@
 //!
 //! 1. Healthy pipeline: every worker count serializes to the same model
 //!    JSON.
-//! 2. Under injected solver faults (`fault-injection` feature), the
-//!    recovery ladder fires inside the transients — and the model is
+//! 2. Under injected solver faults (a seeded `FaultPlan` on the options),
+//!    the recovery ladder fires inside the transients — and the model is
 //!    *still* byte-identical across worker counts, because fault streams
 //!    are a pure function of each run's parameters, not of which worker
 //!    ran it or when.
@@ -14,19 +14,16 @@ use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
 use proxim_model::jobs::CharStats;
 use proxim_model::model::ProximityModel;
-use std::sync::{Mutex, PoisonError};
+use proxim_spice::FaultPlan;
 
-/// The fault configuration is process-global; serialize the tests in this
-/// binary so cargo's parallel runner cannot interleave them.
-static IDENTITY_LOCK: Mutex<()> = Mutex::new(());
-
-/// One characterization at the given worker count, reduced to the bytes
-/// that must not vary, plus the run's stats.
-fn characterize_json(jobs: usize) -> (String, CharStats) {
+/// One characterization at the given worker count under `faults`, reduced
+/// to the bytes that must not vary, plus the run's stats.
+fn characterize_json(jobs: usize, faults: FaultPlan) -> (String, CharStats) {
     let tech = Technology::demo_5v();
     let cell = Cell::nand(2);
     let opts = CharacterizeOptions {
         jobs,
+        faults,
         ..CharacterizeOptions::fast()
     };
     let (model, stats) = ProximityModel::characterize_with_stats(&cell, &tech, &opts)
@@ -41,15 +38,11 @@ fn characterize_json(jobs: usize) -> (String, CharStats) {
 
 #[test]
 fn characterization_is_byte_identical_across_worker_counts() {
-    let _guard = IDENTITY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    #[cfg(feature = "fault-injection")]
-    proxim_spice::faultpoint::disarm();
-
-    let (reference, _) = characterize_json(1);
+    let (reference, _) = characterize_json(1, FaultPlan::DISARMED);
     for jobs in [2, 4] {
         assert_eq!(
             reference,
-            characterize_json(jobs).0,
+            characterize_json(jobs, FaultPlan::DISARMED).0,
             "model diverged at jobs = {jobs}"
         );
     }
@@ -58,37 +51,27 @@ fn characterization_is_byte_identical_across_worker_counts() {
 /// Transients that trip the fault injector climb the recovery ladder (and
 /// some degrade their slice outright). The model must not care which
 /// worker ran them.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn fault_replay_is_byte_identical_across_worker_counts() {
-    use proxim_spice::faultpoint::{self, FaultConfig};
-
-    let _guard = IDENTITY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            faultpoint::disarm();
-        }
-    }
-    let _disarm = Disarm;
     // The same pressure as the resilience suite: enough Newton faults that
     // the recovery ladder is guaranteed to run, plus a kill rate so some
     // transients degrade their slice outright.
-    faultpoint::configure(FaultConfig {
-        newton_rate: 0.20,
-        accept_rate: 0.05,
-        kill_rate: 0.02,
+    let faults = FaultPlan {
         seed: 1996,
-    });
+        newton: 0.20,
+        accept: 0.05,
+        kill: 0.02,
+        ..FaultPlan::DISARMED
+    };
 
-    let (reference, stats) = characterize_json(1);
+    let (reference, stats) = characterize_json(1, faults);
     assert!(
         stats.recoveries > 0,
         "this fault pressure must make the recovery ladder fire \
          (tune the seed if the characterization volume changes)"
     );
     for jobs in [2, 4] {
-        let (json, stats_n) = characterize_json(jobs);
+        let (json, stats_n) = characterize_json(jobs, faults);
         assert_eq!(
             reference, json,
             "worker count must not interact with fault replay (jobs = {jobs})"
