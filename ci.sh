@@ -29,6 +29,10 @@ step() {
 
 step 5m  "cargo fmt --check"                 cargo fmt --all -- --check
 step 15m "cargo clippy -- -D warnings"       cargo clippy --workspace --all-targets -- -D warnings
+# Broken or private intra-doc links fail here instead of piling up unseen.
+# `--lib`: the proxim_serve binary and library would share one doc path.
+step 10m "cargo doc -D warnings"             env RUSTDOCFLAGS="-D warnings" \
+    cargo doc --offline --no-deps --workspace --lib
 step 20m "tier-1: cargo build --release"     cargo build --release
 # The root package's build leaves out the other crates' binaries that the
 # smoke tests and benches below run (trace2chrome, bench_characterize,

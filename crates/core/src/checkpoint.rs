@@ -374,7 +374,11 @@ impl CheckpointJournal {
         }
         if obs::flight::sync_dump_armed() {
             if let Some(path) = obs::flight::armed_dump_path() {
-                let _ = crate::persist::atomic_write(&path, obs::flight::dump().as_bytes());
+                let _ = crate::store::atomic_write(
+                    &path,
+                    obs::flight::dump().as_bytes(),
+                    &proxim_spice::FaultPlan::DISARMED,
+                );
             }
         }
     }

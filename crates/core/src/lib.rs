@@ -38,6 +38,10 @@
 //!   §3 asymptotes, monotonicity, outlier detection) and the bounded
 //!   self-repair pass that re-simulates suspect grid points or demotes
 //!   unrepairable slices to degraded provenance.
+//! - [`persist`] and [`store`]: the model's JSON codec, the checksummed
+//!   `.pxm` container every stored model lives in, the crash-consistent
+//!   [`store::atomic_write`], and the content-addressed characterization
+//!   cache ([`persist::ModelCache`]) built on that store.
 //!
 //! # Example
 //!
@@ -86,6 +90,7 @@ pub mod model;
 pub mod nldm;
 pub mod persist;
 pub mod single;
+pub mod store;
 pub mod thresholds;
 pub mod validate;
 

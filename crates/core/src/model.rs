@@ -229,7 +229,11 @@ impl ProximityModel {
         // dump path is armed, the ring's view of this run lands on disk
         // whether the run finished, failed, or was cancelled.
         if let Some(path) = obs::flight::armed_dump_path() {
-            let _ = crate::persist::atomic_write(&path, obs::flight::dump().as_bytes());
+            let _ = crate::store::atomic_write(
+                &path,
+                obs::flight::dump().as_bytes(),
+                &proxim_spice::FaultPlan::DISARMED,
+            );
         }
         result
     }

@@ -9,15 +9,18 @@
 //! topology, the technology, and every result-affecting characterization
 //! option, so repeated [`ModelCache::characterize`] calls for the same
 //! inputs are served from disk with zero simulations — and any change to
-//! cell, technology, or grids misses and re-characterizes.
+//! cell, technology, or grids misses and re-characterizes. Its entries are
+//! [`ModelStore`] `.pxm` files, the daemon's format.
 
 use crate::characterize::CharacterizeOptions;
 use crate::error::ModelError;
 use crate::jobs::{metric, CharStats};
 use crate::model::ProximityModel;
+use crate::store::{atomic_write, ModelStore, ENTRY_EXT};
 use proxim_cells::{Cell, Technology};
 use proxim_obs as obs;
 use proxim_obs::json;
+use proxim_spice::FaultPlan;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -85,7 +88,12 @@ impl ProximityModel {
     ///
     /// Returns [`ModelError::Persist`] on serialization or I/O failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelError> {
-        atomic_write(path.as_ref(), self.to_json()?.as_bytes())
+        atomic_write(
+            path.as_ref(),
+            self.to_json()?.as_bytes(),
+            &FaultPlan::DISARMED,
+        )
+        .map_err(|e| persist_err(e.detail))
     }
 
     /// Loads a model from a file written by [`ProximityModel::save`].
@@ -105,8 +113,9 @@ impl ProximityModel {
 /// [`ProximityModel`]'s serialized shape changes so stale entries from an
 /// older build miss (and re-characterize) instead of failing to parse.
 /// v2: models carry the `degraded` slice provenance list.
-/// v3: cache entries are wrapped in a checksummed envelope and written
-/// atomically (tmp + fsync + rename), so torn entries are detectable.
+/// v3: cache entries are checksummed and written atomically (tmp + fsync +
+/// rename), so torn entries are detectable. They have since become
+/// [`ModelStore`] entries with the same guarantees; the key did not move.
 const MODEL_FORMAT_VERSION: u32 = 3;
 
 /// Upper bound on accepted model-JSON size. A characterized model is a few
@@ -118,10 +127,9 @@ pub const MAX_MODEL_JSON_BYTES: usize = 64 * 1024 * 1024;
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms and
 /// runs (unlike `std`'s `DefaultHasher`, whose output is unspecified).
 ///
-/// Public because every checksummed on-disk format in the workspace (cache
-/// envelopes, checkpoint journals, the binary model store in
-/// `proxim-serve`) uses this same function, so readers and writers cannot
-/// drift apart.
+/// Public because every checksummed on-disk format in the workspace (the
+/// `.pxm` model store, checkpoint journals) and every cache key uses this
+/// same function, so readers and writers cannot drift apart.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -137,116 +145,30 @@ fn persist_err(e: impl std::fmt::Display) -> ModelError {
     }
 }
 
-/// Monotonic discriminator for temp-file names, so two writer *threads* in
-/// one process never collide (two *processes* are separated by pid).
-static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Crash-consistent file write: the bytes land in a same-directory temp
-/// file, are fsync'd, and are atomically renamed over `path` (then the
-/// directory entry is fsync'd, best effort). A reader — or a crash at any
-/// instant — sees either the complete old file or the complete new file,
-/// never an interleaving or a prefix. Concurrent writers race only at the
-/// rename, so the last *complete* write wins intact.
-///
-/// Public so other persistence layers (the `proxim-serve` binary model
-/// store) share the exact same crash-consistency path instead of
-/// reimplementing it.
-///
-/// # Errors
-///
-/// Returns [`ModelError::Persist`] on any I/O failure; the staged temp
-/// file is removed best-effort so failures leave no debris.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), ModelError> {
-    use std::io::Write;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| persist_err(format!("unusable path {}", path.display())))?;
-    let tmp = path.with_file_name(format!(
-        ".{file_name}.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut f = fs::File::create(&tmp).map_err(persist_err)?;
-        f.write_all(bytes).map_err(persist_err)?;
-        f.sync_all().map_err(persist_err)?;
-        fs::rename(&tmp, path).map_err(persist_err)?;
-        // Make the rename itself durable. Failure here (exotic
-        // filesystems) costs durability of the *name*, not atomicity.
-        if let Some(dir) = dir {
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// First-line magic of a v3 cache entry; the per-entry checksum follows.
-const ENTRY_MAGIC: &str = "#proxim-cache v3 fnv=";
-
-/// Serializes a cache-entry payload: a checksummed header line, then the
-/// model JSON. The checksum covers every byte after the header's newline.
-fn envelope(json: &str) -> String {
-    format!("{ENTRY_MAGIC}{:016x}\n{json}", fnv1a_64(json.as_bytes()))
-}
-
-/// Validates an entry envelope and hands back the model JSON within.
-fn open_envelope(text: &str) -> Result<&str, ModelError> {
-    let (header, json) = text
-        .split_once('\n')
-        .ok_or_else(|| persist_err("cache entry has no envelope header"))?;
-    let sum = header
-        .strip_prefix(ENTRY_MAGIC)
-        .ok_or_else(|| persist_err("cache entry is missing the v3 envelope magic"))?;
-    let sum = u64::from_str_radix(sum, 16)
-        .map_err(|_| persist_err("cache entry has a malformed checksum"))?;
-    if fnv1a_64(json.as_bytes()) != sum {
-        return Err(persist_err(
-            "cache entry checksum mismatch (torn or corrupted write)",
-        ));
-    }
-    Ok(json)
-}
-
-/// Writes one cache entry: checksummed envelope, atomic rename.
-fn write_entry_text(path: &Path, json: &str) -> Result<(), ModelError> {
-    atomic_write(path, envelope(json).as_bytes())
-}
-
-/// Reads one cache entry back, verifying the envelope checksum.
-fn read_entry_text(path: &Path) -> Result<String, ModelError> {
-    let text = fs::read_to_string(path).map_err(persist_err)?;
-    open_envelope(&text).map(str::to_owned)
-}
-
 /// A content-addressed on-disk cache of characterized models.
 ///
-/// Each entry is one JSON file named by the hex cache key under the cache
-/// root. The key hashes the serialized cell, the serialized technology, and
+/// The cache is a [`ModelStore`] whose entry names are the 16-hex-digit
+/// cache key: each entry is one `<key>.pxm` file under the cache root. The
+/// key hashes the serialized cell, the serialized technology, and
 /// [`CharacterizeOptions::cache_key_string`] — everything that affects the
 /// characterized result, and nothing that doesn't (the `jobs` worker count
 /// is deliberately excluded, since the pipeline is deterministic in it).
 #[derive(Debug, Clone)]
 pub struct ModelCache {
-    root: PathBuf,
+    store: ModelStore,
 }
 
 impl ModelCache {
     /// Opens (and lazily creates) a cache rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self { root: root.into() }
+        Self {
+            store: ModelStore::new(root),
+        }
     }
 
-    /// The cache directory.
-    pub fn root(&self) -> &Path {
-        &self.root
+    /// The store that holds the entries.
+    pub fn store(&self) -> &ModelStore {
+        &self.store
     }
 
     /// The cache key for one `(cell, tech, opts)` triple.
@@ -275,20 +197,7 @@ impl ModelCache {
 
     /// The on-disk path an entry would live at.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.root.join(format!("{key:016x}.json"))
-    }
-
-    /// The path a corrupt entry with the given content hash is quarantined
-    /// at: the entry path plus the FNV-1a hash of the corrupt bytes and a
-    /// `.quarantined` suffix.
-    ///
-    /// The content hash keeps *repeated* corruption events at the same key
-    /// from overwriting each other: each distinct set of corrupt bytes
-    /// lands in its own file, so no evidence is lost between post-mortems.
-    /// (Identical corrupt bytes dedupe onto one file, which loses nothing.)
-    pub fn quarantined_path(&self, key: u64, content_hash: u64) -> PathBuf {
-        self.root
-            .join(format!("{key:016x}.json.{content_hash:016x}.quarantined"))
+        self.store.entry_path(&format!("{key:016x}"))
     }
 
     /// Characterizes through the cache: a stored model for the same cell,
@@ -297,17 +206,17 @@ impl ModelCache {
     /// stored. `stats` accumulates hit/miss counters and, on a miss, the
     /// characterization telemetry.
     ///
-    /// Entries are stored in a checksummed envelope and written atomically
-    /// (temp file + fsync + rename), so a concurrent writer or a crash
-    /// mid-store can never leave interleaved or truncated JSON at the
-    /// entry path: readers see a complete old entry, a complete new entry,
-    /// or a detectably corrupt one.
+    /// Entries are checksummed `.pxm` files written atomically (temp
+    /// file, fsync, rename), so a concurrent writer or a crash mid-store can
+    /// never leave interleaved or truncated bytes at the entry path:
+    /// readers see a complete old entry, a complete new entry, or a
+    /// detectably corrupt one.
     ///
-    /// A corrupt (present but unparseable, torn, or checksum-failing)
-    /// cache entry counts as a miss: it is quarantined aside — renamed to
-    /// `.json.quarantined` for post-mortem, counted in
-    /// [`CharStats::cache_quarantined`] — and the model is
-    /// re-characterized and stored fresh.
+    /// A corrupt cache entry (torn, checksum-failing, unparseable, or
+    /// carrying another key's name) counts as a miss: it is quarantined
+    /// aside by [`ModelStore::quarantine`] for post-mortem, counted in
+    /// [`CharStats::cache_quarantined`], and the model is re-characterized
+    /// and stored fresh.
     ///
     /// # Errors
     ///
@@ -351,24 +260,21 @@ impl ModelCache {
         control: &crate::checkpoint::RunControl,
     ) -> Result<ProximityModel, ModelError> {
         let key = Self::key(cell, tech, opts)?;
-        let path = self.entry_path(key);
-        match read_entry_text(&path).and_then(|json| ProximityModel::from_json(&json)) {
+        let name = format!("{key:016x}");
+        let path = self.store.entry_path(&name);
+        match self.store.load(&name) {
             Ok(model) => {
                 stats.cache_hits += 1;
                 note_cache("hit", metric::CACHE_HITS, key);
                 return Ok(model);
             }
-            // The entry exists but does not parse or fails its checksum:
-            // move it aside (best effort) so the bad bytes survive for
-            // inspection and cannot be mistaken for a valid entry again.
-            // The event is counted unconditionally — a quarantine whose
-            // rename failed is still a corrupt entry the operator must
-            // hear about, and the content-hashed name keeps repeated
-            // corruption at the same key from overwriting earlier
-            // evidence.
+            // The entry exists but fails a check: move it aside (best
+            // effort) so the bad bytes survive for inspection and cannot be
+            // mistaken for a valid entry again. The event is counted
+            // unconditionally — a quarantine whose rename failed is still a
+            // corrupt entry the operator must hear about.
             Err(_) if path.exists() => {
-                let content_hash = fnv1a_64(&fs::read(&path).unwrap_or_default());
-                let _ = fs::rename(&path, self.quarantined_path(key, content_hash));
+                let _ = self.store.quarantine(&path);
                 stats.cache_quarantined += 1;
                 note_cache("quarantined", metric::CACHE_QUARANTINED, key);
             }
@@ -389,31 +295,29 @@ impl ModelCache {
         stats.failed_jobs += run.failed_jobs;
         stats.degraded_slices += run.degraded_slices;
         stats.audit_findings += run.audit_findings;
-        fs::create_dir_all(&self.root).map_err(persist_err)?;
-        write_entry_text(&path, &model.to_json()?)?;
+        self.store.save(&name, &model)?;
         Ok(model)
     }
 
-    /// Deletes every cache entry (the `*.json` files under the root) and
-    /// every quarantined entry (`*.json.quarantined`). Other files are left
-    /// alone; a missing root is fine.
+    /// Deletes every cache entry (`*.pxm`), every quarantined entry
+    /// (`*.quarantined`), the `*.json` entries of older builds, and the
+    /// temp files a killed writer left behind. Other files are left alone;
+    /// a missing root is fine.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Persist`] if an entry cannot be removed.
     pub fn wipe(&self) -> Result<(), ModelError> {
-        let entries = match fs::read_dir(&self.root) {
-            Ok(e) => e,
-            Err(_) => return Ok(()),
+        self.store.reclaim_temp_files();
+        let Ok(entries) = fs::read_dir(self.store.root()) else {
+            return Ok(());
         };
         for entry in entries.flatten() {
             let p = entry.path();
             if p.extension()
-                .is_some_and(|e| e == "json" || e == "quarantined")
+                .is_some_and(|e| e == ENTRY_EXT || e == "json" || e == "quarantined")
             {
-                fs::remove_file(&p).map_err(|e| ModelError::Persist {
-                    detail: e.to_string(),
-                })?;
+                fs::remove_file(&p).map_err(persist_err)?;
             }
         }
         Ok(())
@@ -564,7 +468,7 @@ mod tests {
         assert_eq!(second.sims_run, 0, "a hit must not simulate at all");
         assert_eq!(m1.to_json().unwrap(), m2.to_json().unwrap());
 
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 
     #[test]
@@ -612,7 +516,7 @@ mod tests {
             ModelCache::key(&nand, &tech, &opts).unwrap(),
         );
 
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 
     #[test]
@@ -624,7 +528,7 @@ mod tests {
 
         let key = ModelCache::key(&cell, &tech, &opts).unwrap();
         let path = cache.entry_path(key);
-        std::fs::create_dir_all(cache.root()).unwrap();
+        std::fs::create_dir_all(cache.store().root()).unwrap();
         std::fs::write(&path, "{definitely not a model").unwrap();
 
         let mut stats = CharStats::default();
@@ -634,9 +538,10 @@ mod tests {
 
         // The entry was replaced with a loadable model, and the corrupt
         // bytes were moved aside rather than destroyed.
-        let json = read_entry_text(&path).unwrap();
-        assert!(ProximityModel::from_json(&json).is_ok());
-        let quarantined = cache.quarantined_path(key, fnv1a_64(b"{definitely not a model"));
+        assert!(cache.store().load(&format!("{key:016x}")).is_ok());
+        let quarantined = cache
+            .store()
+            .quarantined_path(&path, fnv1a_64(b"{definitely not a model"));
         assert_eq!(
             std::fs::read_to_string(&quarantined).unwrap(),
             "{definitely not a model"
@@ -646,7 +551,7 @@ mod tests {
         cache.wipe().unwrap();
         assert!(!path.exists() && !quarantined.exists());
 
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 
     #[test]
@@ -661,7 +566,7 @@ mod tests {
 
         let key = ModelCache::key(&cell, &tech, &opts).unwrap();
         let path = cache.entry_path(key);
-        std::fs::create_dir_all(cache.root()).unwrap();
+        std::fs::create_dir_all(cache.store().root()).unwrap();
 
         let mut total = 0;
         for corrupt in ["{first corruption", "{second, different corruption"] {
@@ -674,7 +579,9 @@ mod tests {
         assert_eq!(total, 2);
 
         for corrupt in ["{first corruption", "{second, different corruption"] {
-            let q = cache.quarantined_path(key, fnv1a_64(corrupt.as_bytes()));
+            let q = cache
+                .store()
+                .quarantined_path(&path, fnv1a_64(corrupt.as_bytes()));
             assert_eq!(
                 std::fs::read_to_string(&q).unwrap(),
                 corrupt,
@@ -682,7 +589,7 @@ mod tests {
             );
         }
 
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 
     #[test]
@@ -695,64 +602,28 @@ mod tests {
         let mut stats = CharStats::default();
         cache.characterize(&cell, &tech, &opts, &mut stats).unwrap();
 
-        // Simulate a torn write: the envelope header survives but the
-        // payload is cut short. The JSON prefix may even still parse as
-        // *invalid* JSON — the checksum is what catches it.
+        // Simulate a torn write: the header survives but the payload is
+        // cut short — the section framing is what catches it.
         let key = ModelCache::key(&cell, &tech, &opts).unwrap();
         let path = cache.entry_path(key);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(read_entry_text(&path).is_err(), "torn entry must not load");
+        assert!(
+            cache.store().load(&format!("{key:016x}")).is_err(),
+            "torn entry must not load"
+        );
 
         let torn: Vec<u8> = bytes[..bytes.len() / 2].to_vec();
         let mut stats = CharStats::default();
         cache.characterize(&cell, &tech, &opts, &mut stats).unwrap();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         assert_eq!(stats.cache_quarantined, 1);
-        assert!(cache.quarantined_path(key, fnv1a_64(&torn)).exists());
+        assert!(cache
+            .store()
+            .quarantined_path(&path, fnv1a_64(&torn))
+            .exists());
 
-        std::fs::remove_dir_all(cache.root()).ok();
-    }
-
-    #[test]
-    fn concurrent_writers_never_leave_a_torn_entry() {
-        // Two writers hammer the same entry path with *different* complete
-        // payloads while a reader polls it. The atomic-rename path must
-        // guarantee every successful read is one of the complete payloads —
-        // interleaved or truncated JSON would fail the envelope checksum
-        // (and this assertion).
-        let dir = std::env::temp_dir().join(format!("proxim_cache_race_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("entry.json");
-
-        let payload_a = format!("{{\"who\":\"a\",\"pad\":\"{}\"}}", "a".repeat(256 * 1024));
-        let payload_b = format!("{{\"who\":\"b\",\"pad\":\"{}\"}}", "b".repeat(256 * 1024));
-        write_entry_text(&path, &payload_a).unwrap();
-
-        const ROUNDS: usize = 40;
-        std::thread::scope(|scope| {
-            for payload in [&payload_a, &payload_b] {
-                let path = &path;
-                scope.spawn(move || {
-                    for _ in 0..ROUNDS {
-                        write_entry_text(path, payload).unwrap();
-                    }
-                });
-            }
-            let reads: Vec<String> = (0..ROUNDS * 4)
-                .map(|_| read_entry_text(&path).expect("entry must never be torn mid-write"))
-                .collect();
-            for text in reads {
-                assert!(
-                    text == payload_a || text == payload_b,
-                    "read neither complete payload (len {})",
-                    text.len()
-                );
-            }
-        });
-
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 
     #[test]
@@ -773,6 +644,17 @@ mod tests {
         // Wiping a nonexistent root is fine.
         ModelCache::new("/nonexistent/proxim/cache").wipe().unwrap();
 
-        std::fs::remove_dir_all(cache.root()).ok();
+        std::fs::remove_dir_all(cache.store().root()).ok();
+    }
+
+    #[test]
+    fn wipe_reclaims_a_killed_writers_temp_files() {
+        let cache = fresh_cache("proxim_cache_test_wipe_tmp");
+        std::fs::create_dir_all(cache.store().root()).unwrap();
+        let tmp = cache.store().root().join(".00112233445566ff.pxm.tmp.1.2");
+        std::fs::write(&tmp, b"half a write").unwrap();
+        cache.wipe().unwrap();
+        assert!(!tmp.exists(), "a killed writer's temp file survives wipe");
+        std::fs::remove_dir_all(cache.store().root()).ok();
     }
 }

@@ -1,7 +1,10 @@
-//! The checksummed binary model store.
+//! The checksummed binary model store: the one on-disk model container.
 //!
 //! A served library must load fast and fail *loud*: a torn or bit-rotted
 //! entry has to be detected before a single query is answered from it.
+//! The daemon's library and the characterization cache
+//! ([`ModelCache`](crate::persist::ModelCache), whose entry names are the
+//! 16-hex-digit cache keys) both keep their models here.
 //! Each entry is one `<name>.pxm` file — a sectioned binary container in
 //! which every section carries its own length and FNV-1a checksum
 //! envelope:
@@ -24,24 +27,34 @@
 //! corrupt files before the payload parser ever runs; the JSON payload
 //! keeps the bytes debuggable and reuses the hardened model codec.
 //!
-//! Writes go through the crash-consistent
-//! [`atomic_write`](proxim_model::persist::atomic_write) path (same-dir
+//! Writes go through the crash-consistent [`atomic_write`] path (same-dir
 //! temp file + fsync + rename), so a crash — including `SIGKILL` mid-write,
 //! which `tests/chaos.rs` fires for real — leaves either the complete old
 //! entry or the complete new entry, never a prefix. Entries that fail any
-//! check at load are quarantined aside under the model-cache convention:
+//! check at load are quarantined aside by [`ModelStore::quarantine`]:
 //! renamed to `<file>.<content-hash>.quarantined` so the evidence survives
-//! (and repeated corruption events cannot overwrite each other), counted,
-//! and the rest of the library keeps serving.
+//! (and repeated corruption events cannot overwrite each other), counted by
+//! the caller, and the rest of the library keeps serving.
+//!
+//! Every durable sink — store entries, quarantine renames, metrics
+//! snapshots, flight dumps — reports a *typed* [`DiskError`] (`ENOSPC`
+//! told apart from other I/O failure by its errno) that callers degrade
+//! on instead of panicking. [`atomic_write`] takes the caller's
+//! [`FaultPlan`] and the quarantine rename the store's: their `disk_write`
+//! and `disk_rename` sites fail the operation with a synthetic error of the plan's `disk_error`
+//! kind, decided from the seed and the path alone
+//! ([`FaultStream::for_path`]), so a faulted run replays identically.
 
-use crate::diskfault::{self, DiskError, DiskFaultKind};
-use proxim_model::persist::{fnv1a_64, MAX_MODEL_JSON_BYTES};
-use proxim_model::{ModelError, ProximityModel};
+use crate::error::ModelError;
+use crate::model::ProximityModel;
+use crate::persist::{fnv1a_64, MAX_MODEL_JSON_BYTES};
 use proxim_obs::json::{push_escaped, Json};
-use proxim_spice::FaultPlan;
+use proxim_spice::fault::{DiskFaultKind, FaultPlan, FaultStream};
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// First bytes of every store entry.
 pub const STORE_MAGIC: &[u8; 8] = b"PXMSTOR1";
@@ -60,6 +73,106 @@ const STORE_FORMAT: u32 = 1;
 
 /// File extension of a live store entry.
 pub const ENTRY_EXT: &str = "pxm";
+
+/// A typed disk-sink failure: what category, and the rendered detail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DiskError {
+    /// The typed category.
+    pub kind: DiskFaultKind,
+    /// The rendered underlying error.
+    pub detail: String,
+}
+
+impl DiskError {
+    /// The synthetic error an injected fault of `kind` reports.
+    fn injected(kind: DiskFaultKind) -> Self {
+        Self {
+            kind,
+            detail: match kind {
+                DiskFaultKind::NoSpace => "injected: No space left on device (os error 28)".into(),
+                DiskFaultKind::Io => "injected: Input/output error (os error 5)".into(),
+            },
+        }
+    }
+}
+
+impl From<std::io::Error> for DiskError {
+    fn from(e: std::io::Error) -> Self {
+        // 28 is ENOSPC.
+        let kind = if e.raw_os_error() == Some(28) {
+            DiskFaultKind::NoSpace
+        } else {
+            DiskFaultKind::Io
+        };
+        Self {
+            kind,
+            detail: e.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for DiskError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            DiskFaultKind::NoSpace => write!(f, "disk full: {}", self.detail),
+            DiskFaultKind::Io => write!(f, "disk I/O error: {}", self.detail),
+        }
+    }
+}
+
+impl std::error::Error for DiskError {}
+
+/// Monotonic discriminator for temp-file names, so two writer *threads* in
+/// one process never collide (two *processes* are separated by pid).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Crash-consistent file write: the bytes land in a same-directory temp
+/// file `.<file>.tmp.<pid>.<seq>`, are fsync'd, and are atomically renamed
+/// over `path` (then the directory entry is fsync'd, best effort). A reader
+/// — or a crash at any instant — sees either the complete old file or the
+/// complete new file, never an interleaving or a prefix. Concurrent writers
+/// race only at the rename, so the last *complete* write wins intact.
+///
+/// # Errors
+///
+/// A [`DiskError`] on any I/O failure, or when `faults` fires its
+/// `disk_write` site for `path` (then nothing is touched); the staged temp
+/// file is removed best-effort so failures leave no debris.
+pub fn atomic_write(path: &Path, bytes: &[u8], faults: &FaultPlan) -> Result<(), DiskError> {
+    if let Some(kind) = FaultStream::for_path(faults, path).disk_write() {
+        return Err(DiskError::injected(kind));
+    }
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| DiskError {
+            kind: DiskFaultKind::Io,
+            detail: format!("unusable path {}", path.display()),
+        })?;
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = (|| -> std::io::Result<()> {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, path)?;
+        // Make the rename itself durable. Failure here (exotic
+        // filesystems) costs durability of the *name*, not atomicity.
+        if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            if let Ok(d) = fs::File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result.map_err(DiskError::from)
+}
 
 /// What went wrong while reading or writing a store entry.
 ///
@@ -142,6 +255,17 @@ impl std::error::Error for StoreError {
 impl From<ModelError> for StoreError {
     fn from(e: ModelError) -> Self {
         Self::Model(e)
+    }
+}
+
+impl From<StoreError> for ModelError {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Model(e) => e,
+            other => Self::Persist {
+                detail: other.to_string(),
+            },
+        }
     }
 }
 
@@ -397,13 +521,11 @@ impl ModelStore {
     ///
     /// [`StoreError::BadName`] for unstorable names, [`StoreError::Model`]
     /// on serialization failure, and a typed [`StoreError::DiskFull`] /
-    /// [`StoreError::Io`] on write failure (every store write goes through
-    /// the [`diskfault`]-guarded atomic path).
+    /// [`StoreError::Io`] on write failure.
     pub fn save(&self, name: &str, model: &ProximityModel) -> Result<(), StoreError> {
         let bytes = encode_entry(name, model)?;
         fs::create_dir_all(&self.root).map_err(io_err)?;
-        diskfault::checked_write(&self.entry_path(name), &bytes, &self.faults)
-            .map_err(StoreError::from)
+        Ok(atomic_write(&self.entry_path(name), &bytes, &self.faults)?)
     }
 
     /// Loads and fully validates the entry `name`.
@@ -411,9 +533,9 @@ impl ModelStore {
     /// # Errors
     ///
     /// A typed [`StoreError`] on missing, torn, corrupt, or invalid
-    /// entries. Loading never quarantines; that policy belongs to
-    /// [`crate::library::ModelLibrary`], which owns the degraded-start
-    /// decision.
+    /// entries. Loading never quarantines; that policy belongs to the
+    /// caller (the daemon's library owns the degraded-start decision, the
+    /// cache re-characterizes).
     pub fn load(&self, name: &str) -> Result<ProximityModel, StoreError> {
         if !valid_name(name) {
             return Err(StoreError::BadName { name: name.into() });
@@ -437,11 +559,16 @@ impl ModelStore {
     /// full disk): the corrupt entry is still *in place*, and reporting
     /// the intended destination as evidence would be a lie — callers must
     /// surface the rename error distinctly and count it under
-    /// `serve.store.quarantine_failed`.
+    /// `serve.store.quarantine_failed`. The store's fault plan fails the
+    /// rename on purpose when its `disk_rename` site fires for `path`.
     pub fn quarantine(&self, path: &Path) -> Result<PathBuf, QuarantineFailure> {
         let content_hash = fnv1a_64(&fs::read(path).unwrap_or_default());
         let to = self.quarantined_path(path, content_hash);
-        match diskfault::checked_rename(path, &to, &self.faults) {
+        let renamed = match FaultStream::for_path(&self.faults, path).disk_rename() {
+            Some(kind) => Err(DiskError::injected(kind)),
+            None => fs::rename(path, &to).map_err(DiskError::from),
+        };
+        match renamed {
             Ok(()) => Ok(to),
             Err(error) => Err(QuarantineFailure {
                 entry: path.to_path_buf(),
@@ -492,7 +619,7 @@ impl ModelStore {
 
 /// The entry name of a live store file (`<name>.pxm` with a storable
 /// name), or `None` for anything else.
-pub(crate) fn entry_name(path: &Path) -> Option<String> {
+pub fn entry_name(path: &Path) -> Option<String> {
     let file = path.file_name()?.to_str()?;
     if file.starts_with('.') {
         return None;
@@ -503,15 +630,15 @@ pub(crate) fn entry_name(path: &Path) -> Option<String> {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::characterize::CharacterizeOptions;
     use proxim_cells::{Cell, Technology};
-    use proxim_model::characterize::CharacterizeOptions;
     use std::sync::OnceLock;
 
     /// One shared fast model; characterization is the expensive part of
     /// these tests, so it runs once.
-    pub(crate) fn shared_model() -> &'static ProximityModel {
+    fn shared_model() -> &'static ProximityModel {
         static MODEL: OnceLock<ProximityModel> = OnceLock::new();
         MODEL.get_or_init(|| {
             let tech = Technology::demo_5v();
@@ -626,6 +753,80 @@ pub(crate) mod tests {
         }
         assert!(store.list().is_empty(), "quarantined files are not entries");
         fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn disk_failures_are_typed_and_armed_faults_change_nothing() {
+        use std::io::Error;
+        assert_eq!(
+            DiskError::from(Error::from_raw_os_error(28)).kind,
+            DiskFaultKind::NoSpace
+        );
+        assert_eq!(
+            DiskError::from(Error::from_raw_os_error(5)).kind,
+            DiskFaultKind::Io
+        );
+
+        let store = ModelStore::new(scratch("armed"));
+        fs::create_dir_all(store.root()).unwrap();
+        let full = FaultPlan {
+            disk_write: 1.0,
+            disk_rename: 1.0,
+            disk_error: DiskFaultKind::NoSpace,
+            ..FaultPlan::DISARMED
+        };
+        let a = store.root().join("a.txt");
+        atomic_write(&a, b"first", &FaultPlan::DISARMED).unwrap();
+        let e = atomic_write(&a, b"second", &full).unwrap_err();
+        assert_eq!(e.kind, DiskFaultKind::NoSpace);
+        assert!(e.detail.contains("injected"), "{e}");
+        let failed = store.clone().with_faults(full).quarantine(&a).unwrap_err();
+        assert_eq!(failed.error.kind, DiskFaultKind::NoSpace);
+        assert_eq!(fs::read(&a).unwrap(), b"first", "failed ops change nothing");
+        let eio = FaultPlan {
+            disk_error: DiskFaultKind::Io,
+            ..full
+        };
+        assert_eq!(
+            atomic_write(&a, b"x", &eio).unwrap_err().kind,
+            DiskFaultKind::Io
+        );
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_never_leave_a_torn_file() {
+        // Two writers hammer the same path with *different* complete
+        // payloads while a reader polls it. The atomic-rename path must
+        // guarantee every read is one of the complete payloads, never an
+        // interleaving or a prefix.
+        let dir = scratch("race");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.bin");
+        let payload_a = vec![b'a'; 256 * 1024];
+        let payload_b = vec![b'b'; 256 * 1024 + 1];
+        atomic_write(&path, &payload_a, &FaultPlan::DISARMED).unwrap();
+
+        const ROUNDS: usize = 40;
+        std::thread::scope(|scope| {
+            for payload in [&payload_a, &payload_b] {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        atomic_write(path, payload, &FaultPlan::DISARMED).unwrap();
+                    }
+                });
+            }
+            for _ in 0..ROUNDS * 4 {
+                let bytes = fs::read(&path).expect("the file always exists");
+                assert!(
+                    bytes == payload_a || bytes == payload_b,
+                    "read neither complete payload (len {})",
+                    bytes.len()
+                );
+            }
+        });
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

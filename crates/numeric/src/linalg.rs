@@ -530,7 +530,7 @@ impl SymbolicLu {
     /// `U` in `values` for [`Self::solve_factored`]. Returns `false` —
     /// leaving `values` partly eliminated and unusable — when the static
     /// order is structurally impossible or a pre-chosen pivot fails the
-    /// stability threshold (smaller than [`STATIC_PIVOT_RTOL`] of its
+    /// stability threshold (smaller than `STATIC_PIVOT_RTOL` = 1e-3 of its
     /// column, or the whole column is numerically zero). The decision
     /// depends only on the values, so identical matrices take identical
     /// paths; callers fall back to [`Matrix::lu_into`], whose partial

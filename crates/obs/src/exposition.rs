@@ -1,5 +1,5 @@
 //! Prometheus text-exposition rendering (and a syntax validator) for a
-//! metrics [`Snapshot`](crate::metrics::Snapshot).
+//! metrics [`Snapshot`].
 //!
 //! The daemon's introspection plane answers a `metrics` op with this
 //! format so any Prometheus-compatible scraper can consume a snapshot

@@ -31,7 +31,7 @@
 //! post-mortem dump still works after recording stops. The recorder never
 //! touches the filesystem itself — callers write [`dump`]'s string through
 //! their crash-consistent writer of choice (the model stack uses
-//! `proxim_model::persist::atomic_write`).
+//! `proxim_model::store::atomic_write`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -21,9 +21,8 @@
 //! `serve.fleet.{hedges,hedge_wins}` account for both sides of that trade.
 
 use crate::client::{is_idempotent, RetryPolicy};
-use crate::proto::{ErrorKind, ProtoError};
+use crate::proto::{retryable_refusal, ErrorKind, ProtoError};
 use crate::server::one_shot;
-use proxim_obs::json::Json;
 use proxim_obs::serve_metrics as sm;
 use proxim_obs::Registry;
 use std::path::PathBuf;
@@ -105,33 +104,16 @@ enum Step {
 
 fn classify(result: Result<String, ProtoError>) -> Step {
     match result {
-        Ok(response) => {
-            let Ok(json) = Json::parse(&response) else {
-                return Step::Finish(Ok(response));
-            };
-            let kind = json
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str);
-            let overloaded = kind == Some(ErrorKind::Overloaded.wire_name());
-            let draining = kind == Some(ErrorKind::ShuttingDown.wire_name());
-            if !overloaded && !draining {
-                return Step::Finish(Ok(response));
-            }
-            let hint = json
-                .get("error")
-                .and_then(|e| e.get("retry_after_ms"))
-                .and_then(Json::as_f64)
-                .filter(|ms| ms.is_finite() && *ms >= 0.0)
-                .map(|ms| Duration::from_millis(ms as u64));
-            Step::Retry {
+        Ok(response) => match retryable_refusal(&response) {
+            Some((kind, hint)) => Step::Retry {
                 last: Ok(response),
                 hint,
                 // An overloaded replica recovers in milliseconds — keep it
                 // in rotation. A draining one is going away — cool it down.
-                cooldown: draining,
-            }
-        }
+                cooldown: kind == ErrorKind::ShuttingDown,
+            },
+            None => Step::Finish(Ok(response)),
+        },
         // Any transport failure — connect-refused *or* mid-exchange (the
         // replica died under us) — is retryable here: the caller only
         // reaches this classifier for idempotent requests.
@@ -392,17 +374,7 @@ const HEDGE_ABANDON: Duration = Duration::from_secs(60);
 /// rather than a retryable refusal or transport failure.
 fn is_final(result: &Result<String, ProtoError>) -> bool {
     match result {
-        Ok(response) => {
-            let Ok(json) = Json::parse(response) else {
-                return true;
-            };
-            let kind = json
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str);
-            kind != Some(ErrorKind::Overloaded.wire_name())
-                && kind != Some(ErrorKind::ShuttingDown.wire_name())
-        }
+        Ok(response) => retryable_refusal(response).is_none(),
         Err(_) => false,
     }
 }

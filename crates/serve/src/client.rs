@@ -20,7 +20,7 @@
 //! - **never for non-idempotent ops**: `obs` mutates observability state
 //!   and `reload` swaps the serving set; both are sent exactly once.
 
-use crate::proto::{ErrorKind, ProtoError};
+use crate::proto::{retryable_refusal, ErrorKind, ProtoError};
 use crate::server::one_shot;
 use proxim_obs::json::Json;
 use proxim_spice::fault::unit;
@@ -109,30 +109,13 @@ enum Verdict {
 
 fn classify(result: Result<String, ProtoError>) -> Verdict {
     match result {
-        Ok(response) => {
-            let Ok(json) = Json::parse(&response) else {
-                return Verdict::Finish(Ok(response));
-            };
-            let kind = json
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str);
-            let retryable = kind == Some(ErrorKind::Overloaded.wire_name())
-                || kind == Some(ErrorKind::ShuttingDown.wire_name());
-            if !retryable {
-                return Verdict::Finish(Ok(response));
-            }
-            let hint = json
-                .get("error")
-                .and_then(|e| e.get("retry_after_ms"))
-                .and_then(Json::as_f64)
-                .filter(|ms| ms.is_finite() && *ms >= 0.0)
-                .map(|ms| Duration::from_millis(ms as u64));
-            Verdict::Retry {
+        Ok(response) => match retryable_refusal(&response) {
+            Some((_, hint)) => Verdict::Retry {
                 last: Ok(response),
                 hint,
-            }
-        }
+            },
+            None => Verdict::Finish(Ok(response)),
+        },
         Err(e) => {
             // `one_shot` types a failed connect() as Internal with a
             // "connect:" detail — the daemon was down or its socket gone,

@@ -4,15 +4,19 @@
 //! [`ProximityModel::gate_timing`](proxim_model::ProximityModel) is the
 //! product surface. This crate wraps it in a long-running service that
 //! stays up and answers *honestly* under corrupt inputs, slow clients,
-//! overload, and crashes:
+//! overload, and crashes.
 //!
-//! - [`store`]: a checksummed binary model store. Every entry is a
-//!   sectioned container with per-section FNV-1a envelopes, written through
-//!   the crash-consistent `atomic_write` path (tmp + fsync + rename), so a
-//!   reader sees a complete old entry, a complete new entry, or a
-//!   *detectably* corrupt one — never silently torn bytes. Corrupt or torn
-//!   entries are quarantined aside (content-hash-suffixed `.quarantined`
-//!   files, the model-cache convention) at load.
+//! Models are served from a [`ModelStore`] ([`proxim_model::store`]):
+//! `.pxm` entries, each a sectioned container with per-section FNV-1a
+//! envelopes, written through the crash-consistent `atomic_write` path, so
+//! a reader sees a complete old entry, a complete new entry, or a
+//! *detectably* corrupt one. The same module types every durable-sink
+//! failure ([`DiskError`]: ENOSPC apart from other I/O), so a full disk
+//! degrades with a counter and a flight event, never a panic or an aborted
+//! drain. Fault injection rides one [`FaultPlan`](proxim_spice::FaultPlan)
+//! (see [`proxim_spice::fault`]): the wire sites in [`ServeOptions`], the
+//! disk sites in [`ModelStore::with_faults`] and `atomic_write`'s argument.
+//!
 //! - [`library`]: the in-memory model library the daemon serves from.
 //!   Loading is degrade-instead-of-die: corrupt entries are quarantined and
 //!   the daemon starts *degraded* with the surviving models rather than
@@ -36,13 +40,6 @@
 //!   permit so they answer even under full overload, and `SIGTERM` drains: stop
 //!   accepting, finish (or shed) in-flight work, flush final metrics,
 //!   exit cleanly.
-//! - [`diskfault`]: typed ENOSPC/EIO classification for every durable sink
-//!   (store writes, quarantine renames, metrics snapshots, flight dumps) —
-//!   a full disk degrades with a counter and a flight event, never a panic
-//!   or an aborted drain. Each entry point takes the caller's
-//!   [`FaultPlan`](proxim_spice::FaultPlan), whose disk sites fail it on
-//!   purpose; the wire sites ride in [`ServeOptions`] and the store's in
-//!   [`ModelStore::with_faults`] (see [`proxim_spice::fault`]).
 //! - [`client`]: a deadline-aware retrying client used by the CLI's
 //!   `query`/`churn` subcommands: capped exponential backoff with
 //!   deterministic jitter on `overloaded`/`shutting_down`/connect-refused,
@@ -57,7 +54,7 @@
 //!   control socket, and drives rolling reloads one replica at a time so
 //!   an upgrade never drops below N−1 capacity.
 //! - [`balance`]: the client side of the fleet —
-//!   [`FleetClient`](balance::FleetClient) round-robins across replica
+//!   [`FleetClient`] round-robins across replica
 //!   sockets with per-replica health tracking, fails over on
 //!   connect-refused/`overloaded`/`shutting_down` under the [`client`]
 //!   idempotency and deadline rules, and hedges idempotent requests to a
@@ -72,21 +69,19 @@
 
 pub mod balance;
 pub mod client;
-pub mod diskfault;
 pub mod fleet;
 pub mod library;
 pub mod proto;
 pub mod server;
-pub mod store;
 
 pub use balance::{FleetClient, FleetClientOptions, FleetOutcome};
 pub use client::{RetryOutcome, RetryPolicy};
-pub use diskfault::{DiskError, DiskFaultKind};
 pub use fleet::{Fleet, FleetOptions, ReplicaState};
 pub use library::{
     judge_candidate, AcquireError, Acquired, LibraryOptions, LoadReport, ModelLibrary,
     ReloadRejection,
 };
 pub use proto::{ErrorKind, ProtoError, Request, MAX_FRAME_BYTES};
+pub use proxim_model::store::{DiskError, ModelStore, QuarantineFailure, StoreError};
+pub use proxim_spice::fault::DiskFaultKind;
 pub use server::{ServeOptions, Server};
-pub use store::{ModelStore, QuarantineFailure, StoreError};

@@ -32,7 +32,7 @@
 //! until the budget holds. Eviction only drops the library's reference;
 //! requests mid-flight keep their `Arc` alive.
 
-use crate::store::{entry_name, ModelStore, StoreError};
+use proxim_model::store::{entry_name, ModelStore, StoreError};
 use proxim_model::ProximityModel;
 use proxim_obs::serve_metrics as sm;
 use proxim_obs::{Counter, Gauge, Registry};
@@ -570,10 +570,23 @@ pub fn judge_candidate(
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::store::tests::shared_model;
-    use crate::store::ENTRY_EXT;
+    use proxim_cells::{Cell, Technology};
+    use proxim_model::characterize::CharacterizeOptions;
+    use proxim_model::store::ENTRY_EXT;
+
+    /// One shared fast model; characterization is the expensive part of
+    /// these tests, so it runs once.
+    pub(crate) fn shared_model() -> &'static ProximityModel {
+        static MODEL: OnceLock<ProximityModel> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let tech = Technology::demo_5v();
+            let cell = Cell::inv();
+            ProximityModel::characterize(&cell, &tech, &CharacterizeOptions::fast())
+                .expect("test model characterizes")
+        })
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -623,8 +636,8 @@ mod tests {
 
     #[test]
     fn deeply_nested_meta_section_is_quarantined_not_a_crash() {
-        use crate::store::{decode_entry, SECTION_META, SECTION_MODEL, STORE_MAGIC};
         use proxim_model::persist::fnv1a_64;
+        use proxim_model::store::{decode_entry, SECTION_META, SECTION_MODEL, STORE_MAGIC};
 
         let store = seeded_store("deepmeta", &["good"]);
         // A well-formed container whose meta section passes its checksum

@@ -26,6 +26,7 @@ use proxim_numeric::pwl::Edge;
 use proxim_obs::json::{push_escaped, push_f64, Json};
 use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
+use std::time::Duration;
 
 /// Hard cap on a frame payload. Every real request is far smaller; the cap
 /// exists so a hostile 4-byte prefix cannot demand a huge allocation.
@@ -313,6 +314,27 @@ pub fn is_timeout(e: &ProtoError) -> bool {
     e.timeout
 }
 
+/// Reads a response as a retryable refusal: an `overloaded` or
+/// `shutting_down` error, which the daemon issues before any server-side
+/// effect. Returns the kind and the server's `retry_after_ms` hint, or
+/// `None` for every other response (answers, other typed errors, text that
+/// does not parse). What to do about a transport failure is the caller's
+/// policy, not this reader's.
+pub fn retryable_refusal(response: &str) -> Option<(ErrorKind, Option<Duration>)> {
+    let json = Json::parse(response).ok()?;
+    let error = json.get("error")?;
+    let wire = error.get("kind").and_then(Json::as_str)?;
+    let kind = [ErrorKind::Overloaded, ErrorKind::ShuttingDown]
+        .into_iter()
+        .find(|k| k.wire_name() == wire)?;
+    let hint = error
+        .get("retry_after_ms")
+        .and_then(Json::as_f64)
+        .filter(|ms| ms.is_finite() && *ms >= 0.0)
+        .map(|ms| Duration::from_millis(ms as u64));
+    Some((kind, hint))
+}
+
 /// Assembles the on-wire bytes of one frame: 4-byte big-endian length,
 /// then the payload. Exposed so the server's write path (which may need to
 /// tear the assembled frame under fault injection) frames identically to
@@ -576,7 +598,7 @@ fn parse_model_name(json: &Json) -> Result<String, ProtoError> {
         .get("model")
         .and_then(Json::as_str)
         .ok_or_else(|| bad_request("request missing \"model\""))?;
-    if !crate::store::valid_name(name) {
+    if !proxim_model::store::valid_name(name) {
         return Err(bad_request(format!("model name {name:?} is not servable")));
     }
     Ok(name.to_owned())

@@ -19,7 +19,7 @@
 //! - **Bounded admission + load shedding**: at most `workers` requests
 //!   evaluate at once and at most `queue_capacity` more wait for a permit;
 //!   a request that arrives when the line is full is *shed* with a typed
-//!   `overloaded` response and counted ([`serve_metrics::SHED`]) — never
+//!   `overloaded` response and counted ([`serve_metrics::SHED`](sm::SHED)) — never
 //!   silently dropped, never unboundedly buffered.
 //! - **Per-request deadlines**: every admitted request carries a
 //!   [`CancelToken`] whose wall-clock deadline starts at admission; it is
@@ -29,7 +29,7 @@
 //! - **Slow-client bounds**: reads and writes against the peer carry
 //!   timeouts. An idle client is closed after the read timeout; a client
 //!   that stalls a response write is closed and counted
-//!   ([`serve_metrics::WRITE_TIMEOUTS`]) so it cannot pin a handler thread.
+//!   ([`serve_metrics::WRITE_TIMEOUTS`](sm::WRITE_TIMEOUTS)) so it cannot pin a handler thread.
 //!   The permit is released before the write, so a slow reader never holds
 //!   up evaluation for anyone else.
 //! - **Drain on `SIGTERM`**: cancelling [`Server::shutdown_token`] stops
@@ -1437,8 +1437,8 @@ pub fn one_shot_tcp(addr: &str, request: &str) -> Result<String, ProtoError> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::store::tests::shared_model;
-    use crate::store::ModelStore;
+    use crate::library::tests::shared_model;
+    use proxim_model::store::ModelStore;
     use proxim_obs::json::Json;
 
     fn scratch(name: &str) -> PathBuf {

@@ -7,8 +7,8 @@
 //! named site. The plan is a plain `Copy` value that travels in the options
 //! each layer already takes — `CharacterizeOptions` → `Simulator` →
 //! [`TranOptions`](crate::tran::TranOptions) for the solver sites,
-//! `ServeOptions` for the wire, `ModelStore` and `checked_write` for the
-//! disk — so two plans in one process never see each other, and a disarmed
+//! `ServeOptions` for the wire, `ModelStore` and `atomic_write` (in
+//! `proxim_model::store`) for the disk — so two plans in one process never see each other, and a disarmed
 //! site costs one branch.
 //!
 //! The sites (every rate is a probability in `[0, 1]`):

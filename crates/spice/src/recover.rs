@@ -139,7 +139,7 @@ const MAX_RECORDED: usize = 64;
 /// The record of every recovery action taken during one transient run.
 ///
 /// Counters are exact; the per-attempt detail list keeps only the first
-/// [`MAX_RECORDED`] entries.
+/// `MAX_RECORDED` (64) entries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryTrace {
     attempts: Vec<RecoveryAttempt>,
@@ -189,7 +189,7 @@ impl RecoveryTrace {
         }
     }
 
-    /// The recorded attempts (first [`MAX_RECORDED`] at most).
+    /// The recorded attempts (the first 64 at most).
     pub fn attempts(&self) -> &[RecoveryAttempt] {
         &self.attempts
     }

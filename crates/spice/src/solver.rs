@@ -7,7 +7,7 @@
 //! plus one voltage-constraint row per source) and its Jacobian, and Newton
 //! iterates `x += clamp(-J^{-1} f)`.
 //!
-//! Each analysis compiles its circuit once into a [`System`], a stamp plan:
+//! Each analysis compiles its circuit once into a `System`, a stamp plan:
 //! every element's matrix entries are resolved to slots of one LU value
 //! array, laid out in the static pivot order, so a transient's Newton loop
 //! assembles straight into the array that [`SymbolicLu::factor_in_place`]

@@ -55,6 +55,7 @@
 
 use proxim_cells::{Cell, Technology};
 use proxim_model::characterize::CharacterizeOptions;
+use proxim_model::store::atomic_write;
 use proxim_model::ProximityModel;
 use proxim_obs::json::Json;
 use proxim_obs::{exposition, flight, serve_metrics as sm, trace};
@@ -62,7 +63,7 @@ use proxim_serve::client::{call_with_retry, RetryPolicy};
 use proxim_serve::fleet::FleetEvent;
 use proxim_serve::server::one_shot;
 use proxim_serve::{
-    diskfault, Fleet, FleetOptions, LibraryOptions, ModelLibrary, ModelStore, ServeOptions, Server,
+    Fleet, FleetOptions, LibraryOptions, ModelLibrary, ModelStore, ServeOptions, Server,
 };
 use proxim_spice::{CancelToken, FaultPlan};
 use std::io::Write;
@@ -131,7 +132,7 @@ fn usage() -> ExitCode {
 fn flush_observability(faults: &FaultPlan) {
     proxim_obs::sink::flush();
     if let Some(path) = flight::armed_dump_path() {
-        if let Err(e) = diskfault::checked_write(&path, flight::dump().as_bytes(), faults) {
+        if let Err(e) = atomic_write(&path, flight::dump().as_bytes(), faults) {
             eprintln!("proxim_serve: flight dump degraded: {e}");
         }
     }
@@ -313,7 +314,7 @@ fn cmd_serve(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
     if let Some(path) = metrics_out {
         // A full disk must not turn a clean drain into a failed exit: the
         // snapshot is a nicety, the exit status is the contract.
-        if let Err(e) = diskfault::checked_write(&path, json.as_bytes(), &faults) {
+        if let Err(e) = atomic_write(&path, json.as_bytes(), &faults) {
             registry.counter(sm::DISK_FAULTS).incr();
             drop(
                 trace::event("serve.disk.degraded")
@@ -476,7 +477,7 @@ fn cmd_obs(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
             eprintln!("proxim_serve: response carried no dump");
             return ExitCode::from(1);
         };
-        if let Err(e) = diskfault::checked_write(&path, dump.as_bytes(), &faults) {
+        if let Err(e) = atomic_write(&path, dump.as_bytes(), &faults) {
             eprintln!("proxim_serve: cannot write {}: {e}", path.display());
             return ExitCode::from(1);
         }

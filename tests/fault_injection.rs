@@ -11,8 +11,9 @@
 //!    solves are counted, doomed runs degrade their slice with provenance
 //!    instead of failing the model, and queries that would have used a lost
 //!    slice fall back along the documented path and say so.
-//! 3. A corrupt model-cache entry is quarantined aside and the model is
-//!    re-characterized, never trusted.
+//! 3. A corrupt model-cache entry, or an intact one under another key's
+//!    name, is quarantined aside and the model is re-characterized, never
+//!    trusted.
 //! 4. An armed plan is part of the cache key: a faulted run never serves
 //!    its degraded model to a healthy one.
 //!
@@ -315,7 +316,8 @@ fn corrupt_cache_entry_is_quarantined_and_recharacterized() {
     assert_eq!(stats.cache_quarantined, 1);
     assert!(stats.sims_run > 0, "the corrupt entry must not be served");
     assert!(cache
-        .quarantined_path(key, proxim_model::persist::fnv1a_64(&bytes))
+        .store()
+        .quarantined_path(&path, proxim_model::persist::fnv1a_64(&bytes))
         .exists());
     assert!(!model.is_degraded());
 
@@ -323,6 +325,39 @@ fn corrupt_cache_entry_is_quarantined_and_recharacterized() {
     let mut stats = CharStats::default();
     cache.characterize(&cell, &tech, &opts, &mut stats).unwrap();
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 0));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cache_entry_under_another_key_is_quarantined_not_served() {
+    use proxim_model::jobs::CharStats;
+    use proxim_model::persist::ModelCache;
+
+    let tech = Technology::demo_5v();
+    let opts = CharacterizeOptions::fast();
+    let (inv, nand) = (Cell::inv(), Cell::nand(2));
+    let dir = std::env::temp_dir().join(format!("proxim_fault_cache_bind_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = ModelCache::new(&dir);
+
+    // A complete, checksum-clean entry lands at the wrong key's path (an
+    // operator's copy, a restored backup): it is intact, but it is not
+    // the model that key names.
+    let mut stats = CharStats::default();
+    cache.characterize(&inv, &tech, &opts, &mut stats).unwrap();
+    std::fs::copy(
+        cache.entry_path(ModelCache::key(&inv, &tech, &opts).unwrap()),
+        cache.entry_path(ModelCache::key(&nand, &tech, &opts).unwrap()),
+    )
+    .unwrap();
+
+    let mut stats = CharStats::default();
+    let model = cache.characterize(&nand, &tech, &opts, &mut stats).unwrap();
+    assert_eq!(model.cell().input_count(), 2, "served the inverter's model");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
+    assert_eq!(stats.cache_quarantined, 1);
+    assert!(stats.sims_run > 0, "the misplaced entry must not be served");
 
     std::fs::remove_dir_all(&dir).ok();
 }
