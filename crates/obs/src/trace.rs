@@ -156,18 +156,16 @@ impl Drop for Span {
             }
         });
         let mut line = String::with_capacity(96);
-        line.push_str("{\"t\":\"span\",\"name\":");
-        push_escaped(&mut line, &data.name);
-        line.push_str(&format!(",\"id\":{}", data.id));
-        if let Some(p) = data.parent {
-            line.push_str(&format!(",\"parent\":{p}"));
-        }
-        line.push_str(&format!(
-            ",\"tid\":{},\"ts\":{},\"dur\":{dur}",
-            data.tid, data.start_us
-        ));
-        push_args(&mut line, &data.args);
-        line.push('}');
+        format_span_into(
+            &mut line,
+            &data.name,
+            data.id,
+            data.parent,
+            data.tid,
+            data.start_us,
+            dur,
+            &data.args,
+        );
         route_line(line);
     }
 }
@@ -228,7 +226,7 @@ impl Drop for Event {
     }
 }
 
-fn push_args(line: &mut String, args: &[(String, String)]) {
+fn push_args(line: &mut String, args: &[(impl AsRef<str>, impl AsRef<str>)]) {
     if args.is_empty() {
         return;
     }
@@ -237,9 +235,9 @@ fn push_args(line: &mut String, args: &[(String, String)]) {
         if i > 0 {
             line.push(',');
         }
-        push_escaped(line, k);
+        push_escaped(line, k.as_ref());
         line.push(':');
-        push_escaped(line, v);
+        push_escaped(line, v.as_ref());
     }
     line.push('}');
 }
@@ -284,48 +282,9 @@ pub fn emit_counter(name: &str, value: f64) {
     route_line(line);
 }
 
-/// Emits a span record with explicit timestamps, for callers that measure
-/// a phase with plain clocks and decide only afterwards whether to record
-/// it (the serving path's per-request sampling works this way: every
-/// request is timed, only sampled or slow ones are written to the sink,
-/// and the flight ring sees all of them).
-///
-/// `start_us` is on the [`now_us`] clock. `to_sink` gates the JSONL sink;
-/// the flight ring records whenever it is enabled. Returns the span id for
-/// parenting children, or 0 when nothing recorded.
-pub fn emit_span_at(
-    name: &str,
-    start_us: u64,
-    dur_us: u64,
-    parent: Option<u64>,
-    args: &[(&str, &str)],
-    to_sink: bool,
-) -> u64 {
-    let sink_live = to_sink && crate::trace_enabled();
-    if !sink_live && !flight::enabled() {
-        return 0;
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let mut line = String::with_capacity(128);
-    format_span_into(
-        &mut line,
-        name,
-        id,
-        parent,
-        current_tid(),
-        start_us,
-        dur_us,
-        args,
-    );
-    if sink_live {
-        sink::write_line(&line);
-    }
-    flight::record(&line);
-    id
-}
-
-/// Formats one span record into `line`. `write!` into the caller's buffer
-/// keeps the hot emission path allocation-free.
+/// Formats one span record into `line`: the one writer of the span layout,
+/// for live spans, span trees and flight dumps alike. Appending to the
+/// caller's buffer keeps the hot emission path allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn format_span_into(
     line: &mut String,
@@ -335,7 +294,7 @@ pub(crate) fn format_span_into(
     tid: u64,
     start_us: u64,
     dur_us: u64,
-    args: &[(&str, &str)],
+    args: &[(impl AsRef<str>, impl AsRef<str>)],
 ) {
     use crate::json::push_u64;
     line.push_str("{\"t\":\"span\",\"name\":");
@@ -352,18 +311,7 @@ pub(crate) fn format_span_into(
     push_u64(line, start_us);
     line.push_str(",\"dur\":");
     push_u64(line, dur_us);
-    if !args.is_empty() {
-        line.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            push_escaped(line, k);
-            line.push(':');
-            push_escaped(line, v);
-        }
-        line.push('}');
-    }
+    push_args(line, args);
     line.push('}');
 }
 
@@ -392,9 +340,9 @@ thread_local! {
 /// block write under a single lock instead of one per span — the
 /// difference between tracing being nearly free and tracing being a tax
 /// when a serving loop emits a fixed little tree per request. Children
-/// are parented to the parent's fresh id. Same routing as
-/// [`emit_span_at`]; returns the parent's id, or 0 when nothing was
-/// recorded.
+/// are parented to the parent's fresh id. `to_sink` gates the JSONL
+/// sink; the flight ring records whenever it is enabled. Returns the
+/// parent's id, or 0 when nothing was recorded.
 pub fn emit_span_tree_at(parent: &SpanAt<'_>, children: &[SpanAt<'_>], to_sink: bool) -> u64 {
     let sink_live = to_sink && crate::trace_enabled();
     if !sink_live && !flight::enabled() {

@@ -1,17 +1,17 @@
-//! `FleetClient`: client-side load balancing across a fleet of replicas.
+//! `FleetClient`: the daemon's retrying client, over one replica socket
+//! or a fleet of them.
 //!
-//! A single-socket client ([`crate::client::call_with_retry`]) can only
-//! wait out a refusal; a fleet client can *route around* it. The balancer
-//! round-robins across replica sockets with per-replica health tracking
-//! and applies the same retry discipline as `call_with_retry` — capped
+//! The client round-robins across its sockets with per-replica health
+//! tracking and retries under the [`crate::client`] policy: capped
 //! exponential backoff with deterministic jitter, never past the deadline,
-//! never re-sending non-idempotent ops — but widens the retryable set for
-//! idempotent requests: besides `overloaded`/`shutting_down`/
-//! connect-refused, a *mid-exchange* transport failure (the replica was
-//! SIGKILLed with our request on its socket) is also retried, on a
-//! different replica. That is safe precisely because the op is idempotent:
-//! re-sending a read cannot double an effect, and it is what turns a
-//! replica crash into zero client-visible failures.
+//! never re-sending non-idempotent ops. One classifier decides what is
+//! retried: `overloaded`/`shutting_down` refusals, a failed `connect()`,
+//! and — only when another socket exists — a *mid-exchange* transport
+//! failure (the replica was SIGKILLed with our request on its socket).
+//! Over one socket that failure is returned, since the request may have
+//! executed; over a fleet it is re-sent to the next replica, which is safe
+//! because the op is idempotent and is what turns a replica crash into
+//! zero client-visible failures.
 //!
 //! **Hedged requests**: for idempotent ops, an optional hedge delay arms a
 //! second attempt on a *different* replica when the first has not answered
@@ -20,7 +20,7 @@
 //! healthy replica's median, at the cost of duplicate reads —
 //! `serve.fleet.{hedges,hedge_wins}` account for both sides of that trade.
 
-use crate::client::{is_idempotent, RetryPolicy};
+use crate::client::{is_idempotent, jitter_start, jittered_delay, RetryPolicy};
 use crate::proto::{retryable_refusal, ErrorKind, ProtoError};
 use crate::server::one_shot;
 use proxim_obs::serve_metrics as sm;
@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 /// Tuning for [`FleetClient`].
 #[derive(Debug, Clone)]
 pub struct FleetClientOptions {
-    /// Backoff/deadline/jitter discipline between attempt rounds, shared
-    /// with [`crate::client::call_with_retry`].
+    /// Backoff/deadline/jitter discipline between attempt rounds.
     pub retry: RetryPolicy,
     /// Arm a hedged second attempt for idempotent requests after this
     /// delay without a response. `None` disables hedging.
@@ -69,6 +68,8 @@ pub struct FleetOutcome {
     pub hedged: bool,
     /// Whether a hedged (second) attempt produced the winning response.
     pub hedge_won: bool,
+    /// Total time spent sleeping between attempt rounds.
+    pub backoff: Duration,
 }
 
 struct Endpoint {
@@ -92,9 +93,9 @@ pub struct FleetClient {
 enum Step {
     /// Hand this to the caller.
     Finish(Result<String, ProtoError>),
-    /// Retryable on another replica (idempotent requests only), with the
-    /// server's retry-after hint if one rode on the refusal and whether the
-    /// replica itself should cool down.
+    /// Retryable (idempotent requests only), with the server's retry-after
+    /// hint if one rode on the refusal and whether the replica itself
+    /// should cool down.
     Retry {
         last: Result<String, ProtoError>,
         hint: Option<Duration>,
@@ -102,7 +103,9 @@ enum Step {
     },
 }
 
-fn classify(result: Result<String, ProtoError>) -> Step {
+/// The one retry classifier. `failover` says whether another socket
+/// exists to re-send a mid-exchange failure to.
+fn classify(result: Result<String, ProtoError>, failover: bool) -> Step {
     match result {
         Ok(response) => match retryable_refusal(&response) {
             Some((kind, hint)) => Step::Retry {
@@ -114,14 +117,14 @@ fn classify(result: Result<String, ProtoError>) -> Step {
             },
             None => Step::Finish(Ok(response)),
         },
-        // Any transport failure — connect-refused *or* mid-exchange (the
-        // replica died under us) — is retryable here: the caller only
-        // reaches this classifier for idempotent requests.
-        Err(e) => Step::Retry {
+        // A failed connect never reached a server. A mid-exchange failure
+        // may have been acted on, so it is re-sent only to another socket.
+        Err(e) if e.connect_failed || failover => Step::Retry {
             last: Err(e),
             hint: None,
             cooldown: true,
         },
+        Err(e) => Step::Finish(Err(e)),
     }
 }
 
@@ -163,7 +166,8 @@ impl FleetClient {
         self.hedge_wins.load(Ordering::Relaxed)
     }
 
-    /// Attempt rounds that moved to a different replica after a failure.
+    /// Attempt rounds retried after a retryable failure (on the next
+    /// replica in rotation when there is more than one).
     pub fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
@@ -284,9 +288,9 @@ impl FleetClient {
         (winner.0, winner.1, armed, hedge_won)
     }
 
-    /// One fleet call under the full discipline: rotation, health
-    /// tracking, failover with backoff for idempotent ops, hedging,
-    /// exactly-once for mutating ops.
+    /// One call under the full discipline: rotation, health tracking,
+    /// retries with backoff for idempotent ops, hedging, exactly-once for
+    /// mutating ops.
     ///
     /// # Errors
     ///
@@ -295,27 +299,26 @@ impl FleetClient {
     pub fn call(&self, request: &str) -> Result<FleetOutcome, ProtoError> {
         assert!(!self.endpoints.is_empty(), "FleetClient needs >= 1 socket");
         let idempotent = is_idempotent(request);
+        let failover = self.endpoints.len() > 1;
         let policy = &self.opts.retry;
-        let mut jitter_state = policy.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut attempts = 0u32;
-        let mut hedged_any = false;
-        let mut hedge_won_any = false;
+        let mut jitter_state = jitter_start(policy);
+        let mut outcome = FleetOutcome {
+            response: String::new(),
+            attempts: 0,
+            replica: 0,
+            hedged: false,
+            hedge_won: false,
+            backoff: Duration::ZERO,
+        };
         loop {
-            attempts += 1;
+            outcome.attempts += 1;
             let primary = self.pick(None);
             let (replica, result, hedged, hedge_won) = self.round(request, primary, idempotent);
-            hedged_any |= hedged;
-            hedge_won_any |= hedge_won;
-            let (last, hint, cooldown) = match classify(result) {
-                Step::Finish(result) => {
-                    return result.map(|response| FleetOutcome {
-                        response,
-                        attempts,
-                        replica,
-                        hedged: hedged_any,
-                        hedge_won: hedge_won_any,
-                    })
-                }
+            outcome.replica = replica;
+            outcome.hedged |= hedged;
+            outcome.hedge_won |= hedge_won;
+            let (last, hint, cooldown) = match classify(result, failover) {
+                Step::Finish(result) => return finish(result, outcome),
                 Step::Retry {
                     last,
                     hint,
@@ -325,45 +328,35 @@ impl FleetClient {
             if cooldown {
                 self.cool_down(replica);
             }
-            let out_of_attempts = attempts >= policy.max_attempts.max(1);
-            if !idempotent || out_of_attempts {
-                return finish(last, attempts, replica, hedged_any, hedge_won_any);
+            if !idempotent || outcome.attempts >= policy.max_attempts.max(1) {
+                return finish(last, outcome);
             }
             self.failovers.fetch_add(1, Ordering::Relaxed);
-            // Same jittered schedule as call_with_retry, same hint floor,
-            // same deadline rule: never sleep past it.
-            let jitter = 0.5 + proxim_spice::fault::unit(&mut jitter_state);
-            let exp = policy
-                .base
-                .saturating_mul(1u32.checked_shl(attempts - 1).unwrap_or(u32::MAX));
-            let mut delay = exp.min(policy.cap).mul_f64(jitter);
+            let mut delay = jittered_delay(policy, outcome.attempts - 1, &mut jitter_state);
             if let Some(hint) = hint {
                 delay = delay.max(hint);
             }
             if let Some(deadline) = policy.deadline {
                 let now = Instant::now();
                 if now >= deadline || now + delay > deadline {
-                    return finish(last, attempts, replica, hedged_any, hedge_won_any);
+                    // Sleeping would cross the caller's deadline: stop here
+                    // and surface the last refusal.
+                    return finish(last, outcome);
                 }
             }
             std::thread::sleep(delay);
+            outcome.backoff += delay;
         }
     }
 }
 
 fn finish(
     last: Result<String, ProtoError>,
-    attempts: u32,
-    replica: usize,
-    hedged: bool,
-    hedge_won: bool,
+    outcome: FleetOutcome,
 ) -> Result<FleetOutcome, ProtoError> {
     last.map(|response| FleetOutcome {
         response,
-        attempts,
-        replica,
-        hedged,
-        hedge_won,
+        ..outcome
     })
 }
 
@@ -376,5 +369,248 @@ fn is_final(result: &Result<String, ProtoError>) -> bool {
     match result {
         Ok(response) => retryable_refusal(response).is_none(),
         Err(_) => false,
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::client::backoff_schedule;
+    use crate::proto::{read_frame, render_error, write_frame};
+    use std::os::unix::net::UnixListener;
+    use std::path::Path;
+
+    fn scratch_sock(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("proxim_balance_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).ok();
+        let path = dir.join(format!("{name}.sock"));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// A scripted one-shot server: reads one frame per accepted connection
+    /// and answers it with the next canned payload, or hangs up without
+    /// answering on an empty one. Returns how many connections it served.
+    fn scripted_server(path: &Path, responses: Vec<String>) -> std::thread::JoinHandle<usize> {
+        let listener = UnixListener::bind(path).unwrap();
+        std::thread::spawn(move || {
+            let mut served = 0;
+            for response in responses {
+                let Ok((mut stream, _)) = listener.accept() else {
+                    break;
+                };
+                let _ = read_frame(&mut stream);
+                if !response.is_empty() {
+                    let _ = write_frame(&mut stream, response.as_bytes());
+                }
+                served += 1;
+            }
+            served
+        })
+    }
+
+    /// The retrying client over `sockets` under `retry`, as the CLI builds it.
+    fn client(sockets: &[&Path], retry: RetryPolicy) -> FleetClient {
+        FleetClient::new(
+            sockets.iter().map(|s| s.to_path_buf()).collect(),
+            FleetClientOptions {
+                retry,
+                ..FleetClientOptions::default()
+            },
+        )
+    }
+
+    fn overloaded() -> String {
+        render_error(&ProtoError::new(ErrorKind::Overloaded, "queue full"))
+    }
+
+    #[test]
+    fn retries_overloaded_until_success() {
+        let sock = scratch_sock("overload");
+        let shed =
+            render_error(&ProtoError::new(ErrorKind::Overloaded, "queue full").with_retry_after(1));
+        let server = scripted_server(
+            &sock,
+            vec![shed.clone(), shed, "{\"ok\":true,\"models\":[]}".into()],
+        );
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            ..RetryPolicy::default()
+        };
+        let out = client(&[&sock], policy).call(r#"{"op":"list"}"#).unwrap();
+        assert_eq!(out.attempts, 3);
+        assert!(out.response.contains("\"ok\":true"), "{}", out.response);
+        assert!(out.backoff >= Duration::from_millis(1));
+        assert_eq!(server.join().unwrap(), 3);
+        std::fs::remove_file(&sock).ok();
+    }
+
+    #[test]
+    fn non_idempotent_ops_are_sent_exactly_once() {
+        let sock = scratch_sock("once");
+        let shed = render_error(&ProtoError::new(ErrorKind::ShuttingDown, "draining"));
+        let server = scripted_server(&sock, vec![shed, "{\"ok\":true}".into()]);
+        let out = client(&[&sock], RetryPolicy::default())
+            .call(r#"{"op":"reload"}"#)
+            .unwrap();
+        assert_eq!(out.attempts, 1, "reload must never be re-sent");
+        assert!(out.response.contains("shutting_down"), "{}", out.response);
+        // Release the scripted server's second accept.
+        let _ = one_shot(&sock, "{}");
+        let _ = server.join();
+        std::fs::remove_file(&sock).ok();
+    }
+
+    #[test]
+    fn never_sleeps_past_the_deadline() {
+        let sock = scratch_sock("deadline");
+        let shed = overloaded();
+        // Every attempt is refused; without the deadline this would retry
+        // for ~10 s of backoff.
+        let server = scripted_server(&sock, vec![shed.clone(), shed.clone(), shed]);
+        let policy = RetryPolicy {
+            base: Duration::from_millis(400),
+            cap: Duration::from_secs(5),
+            max_attempts: 20,
+            deadline: Some(Instant::now() + Duration::from_millis(60)),
+            ..RetryPolicy::default()
+        };
+        let t0 = Instant::now();
+        let out = client(&[&sock], policy).call(r#"{"op":"list"}"#).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_millis(400),
+            "stopped before the first 400 ms sleep"
+        );
+        assert!(out.response.contains("overloaded"), "{}", out.response);
+        drop(server);
+        std::fs::remove_file(&sock).ok();
+    }
+
+    #[test]
+    fn connect_refused_is_retried_and_last_error_is_surfaced() {
+        let sock = scratch_sock("refused"); // nothing listening
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let client = client(&[&sock], policy);
+        let e = client.call(r#"{"op":"health"}"#).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Internal);
+        assert!(e.detail.starts_with("connect: "), "{e}");
+        assert!(e.connect_failed, "{e}");
+        assert_eq!(client.failovers(), 2, "all three attempts were made");
+    }
+
+    #[test]
+    fn sleeps_exactly_the_published_schedule() {
+        let sock = scratch_sock("schedule");
+        // No retry_after hint: the slept delays must equal backoff_schedule.
+        let shed = overloaded();
+        let server = scripted_server(
+            &sock,
+            vec![shed.clone(), shed.clone(), shed, "{\"ok\":true}".into()],
+        );
+        let policy = RetryPolicy {
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(8),
+            seed: 42,
+            ..RetryPolicy::default()
+        };
+        let out = client(&[&sock], policy).call(r#"{"op":"list"}"#).unwrap();
+        assert_eq!(out.attempts, 4);
+        let expected: Duration = backoff_schedule(&policy, 3).iter().sum();
+        assert_eq!(
+            out.backoff, expected,
+            "slept backoff must be byte-identical to backoff_schedule"
+        );
+        assert_eq!(server.join().unwrap(), 4);
+        std::fs::remove_file(&sock).ok();
+    }
+
+    #[test]
+    fn retry_after_hint_raises_the_backoff_floor() {
+        let sock = scratch_sock("hint");
+        // The jittered schedule alone would sleep ~1-2 ms; a 40 ms hint on
+        // the shed response must raise the actual sleep to >= 40 ms.
+        let shed = render_error(
+            &ProtoError::new(ErrorKind::Overloaded, "queue full").with_retry_after(40),
+        );
+        let server = scripted_server(&sock, vec![shed, "{\"ok\":true}".into()]);
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        };
+        let out = client(&[&sock], policy).call(r#"{"op":"list"}"#).unwrap();
+        assert_eq!(out.attempts, 2);
+        assert!(
+            out.backoff >= Duration::from_millis(40),
+            "hint not honored: slept only {:?}",
+            out.backoff
+        );
+        assert_eq!(server.join().unwrap(), 2);
+        std::fs::remove_file(&sock).ok();
+    }
+
+    #[test]
+    fn fleet_sleeps_exactly_the_published_schedule() {
+        let (a, b) = (scratch_sock("fleet_sched_a"), scratch_sock("fleet_sched_b"));
+        // Overloaded replicas stay in rotation, so four attempts alternate
+        // a, b, a, b and every one is refused.
+        let server_a = scripted_server(&a, vec![overloaded(), overloaded()]);
+        let server_b = scripted_server(&b, vec![overloaded(), overloaded()]);
+        let policy = RetryPolicy {
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(8),
+            max_attempts: 4,
+            seed: 7,
+            ..RetryPolicy::default()
+        };
+        let out = client(&[&a, &b], policy).call(r#"{"op":"list"}"#).unwrap();
+        assert_eq!(out.attempts, 4);
+        assert!(out.response.contains("overloaded"), "{}", out.response);
+        let expected: Duration = backoff_schedule(&policy, 3).iter().sum();
+        assert_eq!(out.backoff, expected, "fleet backoff is backoff_schedule");
+        assert_eq!(server_a.join().unwrap() + server_b.join().unwrap(), 4);
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
+    }
+
+    #[test]
+    fn mid_exchange_failure_is_resent_only_to_another_socket() {
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        };
+        // One socket: the request may have executed, so the error is
+        // returned after the one attempt.
+        let lone = scratch_sock("hangup_lone");
+        let server = scripted_server(&lone, vec![String::new()]);
+        let single = client(&[&lone], policy);
+        let e = single.call(r#"{"op":"health"}"#).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadFrame, "{e}");
+        assert!(!e.connect_failed, "{e}");
+        assert_eq!(single.failovers(), 0, "one socket never re-sends");
+        assert_eq!(server.join().unwrap(), 1);
+        std::fs::remove_file(&lone).ok();
+
+        // Two sockets: the idempotent request goes to the other one.
+        let (a, b) = (scratch_sock("hangup_a"), scratch_sock("hangup_b"));
+        let server_a = scripted_server(&a, vec![String::new()]);
+        let server_b = scripted_server(&b, vec!["{\"ok\":true}".into()]);
+        let out = client(&[&a, &b], policy)
+            .call(r#"{"op":"health"}"#)
+            .unwrap();
+        assert_eq!((out.attempts, out.replica), (2, 1));
+        assert!(out.response.contains("\"ok\":true"), "{}", out.response);
+        assert_eq!(server_a.join().unwrap(), 1);
+        assert_eq!(server_b.join().unwrap(), 1);
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
     }
 }

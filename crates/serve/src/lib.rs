@@ -40,11 +40,9 @@
 //!   permit so they answer even under full overload, and `SIGTERM` drains: stop
 //!   accepting, finish (or shed) in-flight work, flush final metrics,
 //!   exit cleanly.
-//! - [`client`]: a deadline-aware retrying client used by the CLI's
-//!   `query`/`churn` subcommands: capped exponential backoff with
-//!   deterministic jitter on `overloaded`/`shutting_down`/connect-refused,
-//!   honoring the server's retry-after hint, never retrying past the
-//!   caller's deadline and never retrying non-idempotent ops.
+//! - [`client`]: the retry policy — which ops are idempotent, and the
+//!   capped exponential backoff with deterministic jitter, raised to the
+//!   server's retry-after hint and never past the caller's deadline.
 //! - [`fleet`]: the replication layer above the daemon. A supervisor
 //!   spawns N replica daemons (each on its own socket under a fleet
 //!   directory), health-probes them on the probe fast path, restarts
@@ -53,12 +51,13 @@
 //!   degraded on the survivors), answers the `fleet` stats op on a
 //!   control socket, and drives rolling reloads one replica at a time so
 //!   an upgrade never drops below N−1 capacity.
-//! - [`balance`]: the client side of the fleet —
-//!   [`FleetClient`] round-robins across replica
-//!   sockets with per-replica health tracking, fails over on
-//!   connect-refused/`overloaded`/`shutting_down` under the [`client`]
-//!   idempotency and deadline rules, and hedges idempotent requests to a
-//!   second replica after a configurable delay, first-response-wins.
+//! - [`balance`]: the one retrying client, used by the CLI's `query`/`churn`
+//!   subcommands over one socket and by fleet callers over many —
+//!   [`FleetClient`] round-robins across its sockets with per-replica
+//!   health tracking, retries `overloaded`/`shutting_down`/connect-refused
+//!   (and, with another socket to go to, mid-exchange failures) under the
+//!   [`client`] policy, and hedges idempotent requests to a second replica
+//!   after a configurable delay, first-response-wins.
 //!
 //! Metric names live in [`proxim_obs::serve_metrics`]; every request is
 //! traced as a `serve.request` span when tracing is enabled.
@@ -75,7 +74,7 @@ pub mod proto;
 pub mod server;
 
 pub use balance::{FleetClient, FleetClientOptions, FleetOutcome};
-pub use client::{RetryOutcome, RetryPolicy};
+pub use client::RetryPolicy;
 pub use fleet::{Fleet, FleetOptions, ReplicaState};
 pub use library::{
     judge_candidate, AcquireError, Acquired, LibraryOptions, LoadReport, ModelLibrary,

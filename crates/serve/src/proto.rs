@@ -98,6 +98,20 @@ impl ErrorKind {
     pub fn is_retryable(self) -> bool {
         matches!(self, Self::Overloaded | Self::ShuttingDown)
     }
+
+    /// Every kind, in declaration order.
+    pub const ALL: [Self; 10] = [
+        Self::Overloaded,
+        Self::BadFrame,
+        Self::BadRequest,
+        Self::UnknownModel,
+        Self::InvalidQuery,
+        Self::DeadlineExceeded,
+        Self::ShuttingDown,
+        Self::ReloadRejected,
+        Self::ReplicaQuarantined,
+        Self::Internal,
+    ];
 }
 
 /// A typed protocol failure: what category, and the human detail.
@@ -113,6 +127,10 @@ pub struct ProtoError {
     /// OS- and locale-dependent (Linux spells a socket read timeout
     /// "Resource temporarily unavailable").
     pub timeout: bool,
+    /// Whether this is a failed `connect()`: the request never left the
+    /// client, so no server can have acted on it. Set where the connect
+    /// fails ([`crate::server::one_shot`]), never read from the detail.
+    pub connect_failed: bool,
     /// Server hint: how long a retrying client should wait before trying
     /// again. Set on shed (`overloaded`) responses from the daemon's own
     /// queue-drain estimate; rendered on the wire as `retry_after_ms`.
@@ -126,6 +144,7 @@ impl ProtoError {
             kind,
             detail: detail.into(),
             timeout: false,
+            connect_failed: false,
             retry_after_ms: None,
         }
     }
@@ -304,6 +323,7 @@ fn io_proto(e: std::io::Error) -> ProtoError {
         kind: ErrorKind::Internal,
         detail: format!("transport error: {e}"),
         timeout,
+        connect_failed: false,
         retry_after_ms: None,
     }
 }
@@ -324,9 +344,9 @@ pub fn retryable_refusal(response: &str) -> Option<(ErrorKind, Option<Duration>)
     let json = Json::parse(response).ok()?;
     let error = json.get("error")?;
     let wire = error.get("kind").and_then(Json::as_str)?;
-    let kind = [ErrorKind::Overloaded, ErrorKind::ShuttingDown]
+    let kind = ErrorKind::ALL
         .into_iter()
-        .find(|k| k.wire_name() == wire)?;
+        .find(|k| k.is_retryable() && k.wire_name() == wire)?;
     let hint = error
         .get("retry_after_ms")
         .and_then(Json::as_f64)
@@ -1159,6 +1179,22 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(7.0)
         );
+    }
+
+    #[test]
+    fn retryable_refusal_reads_exactly_the_retryable_kinds() {
+        for kind in ErrorKind::ALL {
+            let wire = render_error(&ProtoError::new(kind, "x").with_retry_after(3));
+            let read = retryable_refusal(&wire);
+            assert_eq!(read.is_some(), kind.is_retryable(), "{kind:?}");
+            if let Some((got, hint)) = read {
+                assert_eq!(got, kind);
+                assert_eq!(hint, Some(Duration::from_millis(3)));
+            }
+        }
+        let names: std::collections::HashSet<_> =
+            ErrorKind::ALL.iter().map(|k| k.wire_name()).collect();
+        assert_eq!(names.len(), ErrorKind::ALL.len(), "wire names are distinct");
     }
 
     #[test]

@@ -874,7 +874,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: Conn, index: u64) {
 /// slow-request log, the head-sampling decision, and retroactive spans.
 ///
 /// Spans are emitted *after* the fact with explicit timestamps
-/// ([`trace::emit_span_at`]) because the sink decision depends on the
+/// ([`trace::emit_span_tree_at`]) because the sink decision depends on the
 /// total latency: every request is measured, only sampled or slow ones
 /// reach the JSONL sink, and the flight ring records all of them.
 fn finish_request(shared: &Arc<Shared>, t: &ReqTrace) {
@@ -1408,11 +1408,11 @@ fn evaluate(
 ///
 /// # Errors
 ///
-/// Connection failures surface as [`ErrorKind::Internal`]; everything else
-/// comes from [`proto::call`].
+/// Connection failures surface as [`ErrorKind::Internal`] with
+/// [`ProtoError::connect_failed`] set; everything else comes from
+/// [`proto::call`].
 pub fn one_shot(socket: &Path, request: &str) -> Result<String, ProtoError> {
-    let mut stream = UnixStream::connect(socket)
-        .map_err(|e| ProtoError::new(ErrorKind::Internal, format!("connect: {e}")))?;
+    let mut stream = UnixStream::connect(socket).map_err(connect_error)?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     proto::call(&mut stream, request)
@@ -1423,14 +1423,19 @@ pub fn one_shot(socket: &Path, request: &str) -> Result<String, ProtoError> {
 ///
 /// # Errors
 ///
-/// Connection failures surface as [`ErrorKind::Internal`]; everything else
-/// comes from [`proto::call`].
+/// As for [`one_shot`].
 pub fn one_shot_tcp(addr: &str, request: &str) -> Result<String, ProtoError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| ProtoError::new(ErrorKind::Internal, format!("connect: {e}")))?;
+    let mut stream = TcpStream::connect(addr).map_err(connect_error)?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     proto::call(&mut stream, request)
+}
+
+fn connect_error(e: io::Error) -> ProtoError {
+    ProtoError {
+        connect_failed: true,
+        ..ProtoError::new(ErrorKind::Internal, format!("connect: {e}"))
+    }
 }
 
 #[cfg(test)]

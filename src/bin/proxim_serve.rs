@@ -59,11 +59,11 @@ use proxim_model::store::atomic_write;
 use proxim_model::ProximityModel;
 use proxim_obs::json::Json;
 use proxim_obs::{exposition, flight, serve_metrics as sm, trace};
-use proxim_serve::client::{call_with_retry, RetryPolicy};
 use proxim_serve::fleet::FleetEvent;
 use proxim_serve::server::one_shot;
 use proxim_serve::{
-    Fleet, FleetOptions, LibraryOptions, ModelLibrary, ModelStore, ServeOptions, Server,
+    Fleet, FleetClient, FleetClientOptions, FleetOptions, LibraryOptions, ModelLibrary, ModelStore,
+    RetryPolicy, ServeOptions, Server,
 };
 use proxim_spice::{CancelToken, FaultPlan};
 use std::io::Write;
@@ -358,7 +358,7 @@ fn cmd_query(args: &mut std::env::Args) -> ExitCode {
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             ..RetryPolicy::default()
         };
-        call_with_retry(&socket, &json, &policy).map(|outcome| {
+        retrying_client(&socket, policy).call(&json).map(|outcome| {
             if outcome.attempts > 1 {
                 eprintln!(
                     "proxim_serve: served after {} attempts ({:?} backing off)",
@@ -512,8 +512,8 @@ fn cmd_obs(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
 /// the eviction-churn smoke: every model keeps cycling through residency
 /// and the loop still sees nothing but `ok` responses.
 fn churn_queries(socket: &Path, queries: u64) -> ExitCode {
-    let policy = RetryPolicy::default();
-    let names = match call_with_retry(socket, "{\"op\":\"list\"}", &policy) {
+    let client = retrying_client(socket, RetryPolicy::default());
+    let names = match client.call("{\"op\":\"list\"}") {
         Ok(outcome) => match Json::parse(&outcome.response) {
             Ok(json) => json
                 .get("models")
@@ -544,7 +544,7 @@ fn churn_queries(socket: &Path, queries: u64) -> ExitCode {
         let request = format!(
             "{{\"op\":\"query\",\"model\":\"{name}\",\"events\":[{{\"pin\":0,\"edge\":\"rise\",\"t\":0.0,\"tt\":1e-9}}]}}"
         );
-        match call_with_retry(socket, &request, &policy) {
+        match client.call(&request) {
             Ok(outcome) => {
                 if outcome.response.contains("\"ok\":true") {
                     ok += 1;
@@ -567,6 +567,17 @@ fn churn_queries(socket: &Path, queries: u64) -> ExitCode {
     } else {
         ExitCode::from(3)
     }
+}
+
+/// The retrying client over one daemon socket.
+fn retrying_client(socket: &Path, retry: RetryPolicy) -> FleetClient {
+    FleetClient::new(
+        vec![socket.to_path_buf()],
+        FleetClientOptions {
+            retry,
+            ..FleetClientOptions::default()
+        },
+    )
 }
 
 fn cmd_churn(args: &mut std::env::Args, faults: FaultPlan) -> ExitCode {
