@@ -42,7 +42,9 @@
 //!   and streams spans/events to that file (convert with `trace2chrome` and
 //!   open in Perfetto);
 //! - unless tracing is armed, the sequential run is gated against the
-//!   committed baseline report on process CPU per transient run
+//!   baseline report (`--baseline`, by default the committed
+//!   `BENCH_characterize.json`, never the `--out` path) on process CPU per
+//!   transient run
 //!   (`cpu_us_per_sim`, user + system time from `/proc/self/stat` over
 //!   eight identical sequential runs, so its 10 ms ticks stay ~1 % of the
 //!   measure): a rise
@@ -52,16 +54,22 @@
 //!   tolerance;
 //! - the sequential section also records the solver work per transient run,
 //!   `steps_per_sim` (accepted time steps) and `newton_iters_per_sim`, from
-//!   the registry's `spice.tran.*` counters. Both are deterministic, so they
-//!   are gated tightly whether or not tracing is armed: more than 0.5 % above
-//!   the committed baseline fails the run;
+//!   the registry's `spice.tran.*` counters, which count integrated work
+//!   only: steps a transient inherited from a shared prefix are not in them.
+//!   Both are deterministic, so they are gated tightly whether or not
+//!   tracing is armed: more than 0.5 % above the baseline fails the run.
+//!   Every run section also carries the characterization's own `tran` work
+//!   counters ([`CharStats::tran`]): integrated steps and Newton iterations,
+//!   forked runs and the steps they inherited;
 //! - and it splits one transient's wall time by layer, per run:
 //!   `assemble_us_per_sim` (device evaluation and stamping) and
 //!   `lu_us_per_sim` (factor + solve), both scaled up from the solver's
 //!   1-in-64 iteration samples, and `step_control_us_per_sim`, the rest of
 //!   `tran_us_per_sim` (step control, convergence checks, recording).
 //!
-//! Set `PROXIM_BENCH_NO_GATE=1` (any value but empty or `0`) to skip every
+//! The report is written only once every gate has passed, so a failed run
+//! leaves the previous report (the default baseline) as it was. Set
+//! `PROXIM_BENCH_NO_GATE=1` (any value but empty or `0`) to skip every
 //! gate, e.g. on a different machine than the one that produced the
 //! baseline.
 
@@ -191,9 +199,12 @@ fn cpu_us_per_sim(cpu_s: f64, sims: usize) -> f64 {
 /// sequential run's, see [`sequential_fields`]).
 fn stats_json(stats: &CharStats, wall: f64, extra: &str) -> String {
     let p = stats.phases;
+    let w = stats.tran;
     format!(
         concat!(
             "{{\"threads\": {}, \"workers_engaged\": {}, \"sims_run\": {}, ",
+            "\"tran\": {{\"accepted_steps\": {}, \"newton_iterations\": {}, ",
+            "\"forked_runs\": {}, \"shared_steps\": {}}}, ",
             "{}",
             "\"wall_s\": {:.6}, ",
             "\"sims_per_sec\": {:.1}, ",
@@ -207,6 +218,10 @@ fn stats_json(stats: &CharStats, wall: f64, extra: &str) -> String {
         stats.threads,
         stats.workers_engaged,
         stats.sims_run,
+        w.accepted_steps,
+        w.newton_iterations,
+        w.forked_runs,
+        w.shared_steps,
         extra,
         wall,
         stats.sims_run as f64 / wall.max(1e-12),
@@ -298,8 +313,8 @@ fn work_gate(current: Work, baseline: Option<Work>, baseline_path: &str) -> Resu
 }
 
 /// Compares the fresh sequential CPU per transient run against the
-/// baseline value captured before the report was overwritten. Returns an
-/// error message on a rise beyond the tolerance.
+/// baseline report's value, read before the run. Returns an error message
+/// on a rise beyond the tolerance.
 fn cpu_gate(current: f64, baseline: Option<f64>, baseline_path: &str) -> Result<String, String> {
     if !proxim_bench::gates_enabled() {
         return Ok("cpu gate: skipped (PROXIM_BENCH_NO_GATE)".into());
@@ -424,9 +439,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    // The gate compares against the committed report by default — the same
-    // file the run overwrites, so the baseline number is captured up front.
-    let baseline = baseline.unwrap_or_else(|| out.clone());
+    // The gates compare against the committed report by default, whatever
+    // `--out` names: a fresh output path must not skip them, nor a run
+    // gate against its own earlier output.
+    let baseline = baseline.unwrap_or_else(|| String::from("BENCH_characterize.json"));
 
     // The bench is the profiling harness: metrics are always on, and
     // PROXIM_TRACE upgrades to full span tracing.
@@ -670,21 +686,15 @@ fn main() -> ExitCode {
         audit_pct,
         histograms_json(&snap),
     );
-    if let Err(e) = std::fs::write(&out, &report) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
     println!("{report}");
     eprintln!("{}", snap.render_summary());
-    eprintln!("wrote {out} (speedup {speedup:.2}x on {threads} worker(s))");
 
     // Close out the trace with a final metrics record so the JSONL file is
     // self-describing, then gate (tracing skews timing, so only untraced
-    // runs are compared against the committed baseline).
+    // runs are compared against the baseline) and write the report only
+    // if every gate passed.
     obs::trace::emit_metrics(&snap);
     obs::sink::flush();
-    // Re-reading the baseline now would see our own report; use the values
-    // captured before the write.
     match work_gate(work_seq, baseline_work, &baseline) {
         Ok(msg) => eprintln!("{msg}"),
         Err(msg) => {
@@ -701,5 +711,10 @@ fn main() -> ExitCode {
             }
         }
     }
+    if let Err(e) = std::fs::write(&out, &report) {
+        eprintln!("cannot write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
+    eprintln!("wrote {out} (speedup {speedup:.2}x on {threads} worker(s))");
     ExitCode::SUCCESS
 }

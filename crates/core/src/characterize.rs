@@ -5,16 +5,18 @@
 //! per scenario, applies controlled PWL ramps, picks a settling horizon from
 //! the drive strength, and returns the measured output waveform — ended as
 //! soon as the threshold crossings a measurement reads are fixed (see
-//! [`proxim_spice::StopRule`]).
+//! [`proxim_spice::StopRule`]). Stimuli that share their leading ramp can be
+//! simulated as one family ([`Simulator::simulate_family`]), which
+//! integrates the shared part of their transients once.
 
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use crate::thresholds::Thresholds;
-use proxim_cells::{Cell, Technology};
+use proxim_cells::{Cell, CellNetlist, InputRamp, Technology};
 use proxim_numeric::grid::{linspace, logspace};
 use proxim_numeric::pwl::{Edge, Pwl};
-use proxim_spice::tran::{StopRule, TranOptions};
-use proxim_spice::{CancelToken, FaultPlan, RecoveryTrace};
+use proxim_spice::tran::{tran_family, StopRule, TranOptions, TranWork};
+use proxim_spice::{CancelToken, Circuit, FaultPlan, RecoveryTrace};
 
 /// Grids and knobs controlling characterization cost and fidelity.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,8 +173,9 @@ impl CharacterizeOptions {
 /// The measured response of one simulated scenario.
 #[derive(Debug, Clone)]
 pub struct SimResponse {
-    /// The events as actually applied (time-shifted so every ramp starts
-    /// strictly after `t = 0`).
+    /// The events as actually applied: the earliest ramp starts at exactly
+    /// 0.2 ns (or that much after its own start, when every event starts
+    /// after `t = 0`) and every other event keeps its offset from it.
     pub events: Vec<InputEvent>,
     /// The simulated output waveform. It ends one accepted solver step
     /// after the step in which the output first crossed the far
@@ -189,6 +192,9 @@ pub struct SimResponse {
     /// [`crate::jobs::CharStats::recoveries`] and
     /// [`crate::jobs::CharStats::recovery_seconds`].
     pub recovery: RecoveryTrace,
+    /// The transient's solver work: what it integrated, and what it
+    /// inherited from a family's shared prefix.
+    pub work: TranWork,
 }
 
 impl SimResponse {
@@ -293,7 +299,9 @@ impl<'a> Simulator<'a> {
     /// A conservative settling horizon after the last ramp ends: the time to
     /// slew the loaded output several times over, accounting for the series
     /// stack dividing the drive strength. [`Simulator::simulate`] sets each
-    /// transient's `t_stop` this far past the end of the last input ramp.
+    /// transient's `t_stop` this far past the end of the last input ramp,
+    /// and sizes its steps for a run this far past the end of the leading
+    /// one.
     pub fn settle_margin(&self) -> f64 {
         let n = self.cell.input_count() as f64;
         let vdd = self.tech.vdd;
@@ -335,23 +343,91 @@ impl<'a> Simulator<'a> {
     }
 
     fn simulate_until(&self, events: &[InputEvent], wide: bool) -> Result<SimResponse, ModelError> {
+        let mut response = None;
+        self.simulate_family(&[(events, wide)], |_, r| response = Some(r));
+        response.unwrap_or_else(|| unreachable!("a family of one has one response"))
+    }
+
+    /// Simulates a family of stimuli — `(events, wide)` each, as
+    /// [`Simulator::simulate`] (`wide == false`) or
+    /// [`Simulator::simulate_wide`] would — and hands each stimulus's
+    /// response to `each` with its index, as soon as it is done (not in
+    /// stimulus order). Each response is bit-identical to simulating the
+    /// stimulus alone.
+    ///
+    /// Stimuli that share their leading ramp (pin, edge, transition time
+    /// and start) drive transients that agree until a later input starts
+    /// to move, so [`tran_family`] integrates that shared prefix once and
+    /// forks each member from it. Their step bounds and fault stream are
+    /// keyed by the leading ramp's horizon — its end plus
+    /// [`Simulator::settle_margin`] — rather than by `t_stop`, so that they
+    /// agree too.
+    pub fn simulate_family(
+        &self,
+        stimuli: &[(&[InputEvent], bool)],
+        mut each: impl FnMut(usize, Result<SimResponse, ModelError>),
+    ) {
+        // Members clone one elaborated cell, sharing its names.
+        let cell = self.cell.netlist(self.tech, self.c_load);
+        let mut prepared = Vec::with_capacity(stimuli.len());
+        for (i, &(events, wide)) in stimuli.iter().enumerate() {
+            match self.prepare(&cell, events, wide) {
+                Ok(p) => prepared.push((i, p)),
+                Err(e) => each(i, Err(e)),
+            }
+        }
+        let members: Vec<(&Circuit, TranOptions)> = prepared
+            .iter()
+            .map(|(_, p)| (&p.net.circuit, p.options))
+            .collect();
+        tran_family(&members, &self.cancel, |k, result| {
+            let (i, p) = &prepared[k];
+            let response = result.map_err(ModelError::from).map(|r| SimResponse {
+                output: r.waveform(p.net.out),
+                events: p.events.clone(),
+                output_edge: p.output_edge,
+                work: r.work(),
+                recovery: r.recovery,
+            });
+            each(*i, response);
+        });
+    }
+
+    /// Elaborates one stimulus: the applied events, the `cell` netlist
+    /// driven by them, and the transient options.
+    fn prepare(
+        &self,
+        cell: &CellNetlist,
+        events: &[InputEvent],
+        wide: bool,
+    ) -> Result<Prepared, ModelError> {
         let scenario = Scenario::resolve(self.cell, events)?;
 
-        // Shift so the earliest ramp starts at a small positive time.
-        let t_min = events
+        // Place the earliest ramp at exactly 0.2 ns (the DC initial
+        // condition then reflects the initial rails) and keep every other
+        // event's offset from it.
+        let lead = (0..events.len())
+            .min_by(|&a, &b| events[a].ramp.t_start.total_cmp(&events[b].ramp.t_start));
+        let base = lead.map_or(0.0, |k| events[k].ramp.t_start.min(0.0));
+        let events: Vec<InputEvent> = events
             .iter()
-            .map(|e| e.ramp.t_start)
-            .fold(f64::INFINITY, f64::min);
-        let shift = 0.2e-9 - t_min.min(0.0);
-        let events: Vec<InputEvent> = events.iter().map(|e| e.delayed(shift)).collect();
+            .map(|e| InputEvent {
+                ramp: InputRamp {
+                    t_start: 0.2e-9 + (e.ramp.t_start - base),
+                    ..e.ramp
+                },
+                ..*e
+            })
+            .collect();
 
-        let t_ramps_end = events
-            .iter()
-            .map(|e| e.ramp.t_start + e.ramp.transition_time)
-            .fold(0.0f64, f64::max);
+        let ramp_end = |e: &InputEvent| e.ramp.t_start + e.ramp.transition_time;
+        let t_ramps_end = events.iter().map(ramp_end).fold(0.0f64, f64::max);
         let t_stop = t_ramps_end + self.settle_margin();
+        // Steps are sized for the leading ramp's horizon: stimuli sharing
+        // that ramp then share their step bounds, whatever follows it.
+        let horizon = lead.map_or(0.0, |k| ramp_end(&events[k])) + self.settle_margin();
 
-        let mut net = self.cell.netlist(self.tech, self.c_load);
+        let mut net = cell.clone();
         for (pin, lv) in scenario.stable_levels.iter().enumerate() {
             if let Some(high) = lv {
                 net.set_level(pin, *high);
@@ -370,25 +446,35 @@ impl<'a> Simulator<'a> {
             (Edge::Rising, true) => th.v_ih.max(0.95 * vdd),
             (Edge::Falling, true) => th.v_il.min(0.05 * vdd),
         };
-        let options = TranOptions::to(t_stop)
-            .with_dv_max(self.dv_max)
-            .with_tolerance_scale(self.tol_scale)
-            .with_faults(self.faults)
-            .with_stop(StopRule {
-                node: net.out,
-                edge,
-                near: th.threshold_for(edge),
-                far,
-            });
-        let result = net.circuit.tran_cancellable(&options, &self.cancel)?;
-        let output = result.waveform(net.out);
-        Ok(SimResponse {
+        let options = TranOptions {
+            t_stop,
+            ..TranOptions::to(horizon)
+        }
+        .with_dv_max(self.dv_max)
+        .with_tolerance_scale(self.tol_scale)
+        .with_faults(self.faults)
+        .with_stop(StopRule {
+            node: net.out,
+            edge,
+            near: th.threshold_for(edge),
+            far,
+        });
+        Ok(Prepared {
             events,
-            output,
-            output_edge: scenario.output_edge,
-            recovery: result.recovery,
+            net,
+            options,
+            output_edge: edge,
         })
     }
+}
+
+/// One elaborated stimulus, ready for its transient.
+struct Prepared {
+    /// The events as applied.
+    events: Vec<InputEvent>,
+    net: CellNetlist,
+    options: TranOptions,
+    output_edge: Edge,
 }
 
 #[cfg(test)]

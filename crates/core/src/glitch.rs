@@ -242,7 +242,7 @@ pub(crate) fn simulate_glitch(
     e_c: InputEvent,
     e_b: InputEvent,
     output_edge: Edge,
-) -> Result<(f64, proxim_spice::RecoveryTrace), ModelError> {
+) -> Result<(f64, proxim_spice::RecoveryTrace, proxim_spice::TranWork), ModelError> {
     // Shift both events positive, mirroring Simulator::simulate.
     let t_min = e_c.ramp.t_start.min(e_b.ramp.t_start);
     let shift = 0.2e-9 - t_min.min(0.0);
@@ -275,7 +275,8 @@ pub(crate) fn simulate_glitch(
         Edge::Falling => out.min().1,
         Edge::Rising => out.max().1,
     };
-    Ok((peak, result.recovery))
+    let work = result.work();
+    Ok((peak, result.recovery, work))
 }
 
 fn settle(sim: &Simulator<'_>) -> f64 {

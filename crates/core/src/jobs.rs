@@ -7,6 +7,12 @@
 //! pool of scoped worker threads pulling from an atomic work queue — and the
 //! tables are then **assembled** from the outcomes in job order.
 //!
+//! Jobs whose stimuli share their leading input ramp form a *family*
+//! ([`families`]): their transients agree until a later input starts to
+//! move, so a family is one unit of work on one worker, simulated through
+//! [`Simulator::simulate_family`], which integrates the shared prefix once.
+//! Every outcome is still the job's own, bit for bit.
+//!
 //! Because assembly consumes outcomes strictly by job index, the resulting
 //! model is byte-identical regardless of worker count or scheduling: thread
 //! interleaving decides only *when* a slot is filled, never *what* ends up
@@ -16,13 +22,14 @@
 //! poison the pool, and assembly surfaces the first failed job in index
 //! order.
 
-use crate::characterize::Simulator;
+use crate::characterize::{SimResponse, Simulator};
 use crate::checkpoint::{stimulus_hash, CheckpointJournal};
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use proxim_numeric::pwl::Edge;
 use proxim_obs as obs;
-use proxim_spice::{AnalysisError, RecoveryTrace};
+use proxim_spice::{AnalysisError, RecoveryTrace, TranWork};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -76,6 +83,18 @@ pub mod metric {
     /// bench harness fails when a parallel section unexpectedly resolves
     /// to a single engaged worker.
     pub const WORKERS_ENGAGED: &str = "char.pool.workers_engaged";
+
+    /// Accepted time steps the characterization's queued transients
+    /// integrated (a forked run's inherited prefix excluded). This and the
+    /// three counters below are booked into the run registry only: the
+    /// solver books the same names into the global registry itself.
+    pub const TRAN_ACCEPTED_STEPS: &str = "spice.tran.accepted_steps";
+    /// Newton iterations the queued transients integrated.
+    pub const TRAN_NEWTON_ITERATIONS: &str = "spice.tran.newton_iterations";
+    /// Queued transients forked from a family's shared prefix.
+    pub const TRAN_FORKED_RUNS: &str = "spice.tran.forked_runs";
+    /// Accepted steps forked transients inherited instead of integrating.
+    pub const TRAN_SHARED_STEPS: &str = "spice.tran.shared_steps";
 
     /// Bucket bounds of [`JOB_SECONDS`]: characterization transients range
     /// from sub-millisecond single-input rows to second-scale glitch runs.
@@ -231,15 +250,52 @@ impl JobOutcome {
     }
 }
 
-/// Executes one job against the simulator, also reporting the recovery
-/// ladder's trace for the underlying transient.
-fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTrace), ModelError> {
-    match &job.stimulus {
+/// What a job measured, with its transient's recovery trace and work.
+type Measured = (JobOutcome, RecoveryTrace, TranWork);
+
+/// Measures one events response: the delay from `events[0]`, the
+/// transition time, and (for `wide`) the 5–95 % edge time.
+fn measure(s: &Simulator<'_>, r: SimResponse, wide: bool) -> Result<Measured, ModelError> {
+    let th = s.thresholds;
+    let delay = r.delay_from(0, &th)?;
+    let trans = r.transition_time(&th)?;
+    let vdd = s.tech.vdd;
+    let wide = if wide {
+        r.output
+            .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
+    } else {
+        None
+    };
+    Ok((
+        JobOutcome::Response {
+            output_edge: r.output_edge,
+            delay,
+            trans,
+            wide,
+        },
+        r.recovery,
+        r.work,
+    ))
+}
+
+/// Executes one family of jobs (see [`families`]) against the simulator,
+/// one result per job in `family` order.
+fn run_family(
+    sim: &Simulator<'_>,
+    jobs: &[SimJob],
+    family: &[usize],
+) -> Vec<Result<Measured, ModelError>> {
+    let Some(&first) = family.first() else {
+        return Vec::new();
+    };
+    match &jobs[first].stimulus {
         Stimulus::Events {
-            events,
             c_load,
             measure_wide,
+            ..
         } => {
+            // One family shares the load and the wide flag (they are part
+            // of its key).
             let pass;
             let s = match c_load {
                 Some(c) => {
@@ -251,46 +307,100 @@ fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTra
                 }
                 None => sim,
             };
-            let th = s.thresholds;
-            let r = if *measure_wide {
-                s.simulate_wide(events)?
-            } else {
-                s.simulate(events)?
-            };
-            let delay = r.delay_from(0, &th)?;
-            let trans = r.transition_time(&th)?;
-            let vdd = s.tech.vdd;
-            let wide = if *measure_wide {
-                r.output
-                    .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
-            } else {
-                None
-            };
-            Ok((
-                JobOutcome::Response {
-                    output_edge: r.output_edge,
-                    delay,
-                    trans,
-                    wide,
-                },
-                r.recovery,
-            ))
+            let stimuli: Vec<(&[InputEvent], bool)> = family
+                .iter()
+                .map(|&i| match &jobs[i].stimulus {
+                    Stimulus::Events { events, .. } => (events.as_slice(), *measure_wide),
+                    Stimulus::Glitch { .. } => unreachable!("a glitch job is a family of its own"),
+                })
+                .collect();
+            // Each response is measured, and its waveform dropped, as soon
+            // as it is done.
+            let mut measured = vec![None; family.len()];
+            s.simulate_family(&stimuli, |k, r| {
+                measured[k] = Some(r.and_then(|r| measure(s, r, *measure_wide)));
+            });
+            measured.into_iter().flatten().collect()
         }
         Stimulus::Glitch {
             scenario,
             causer,
             blocker,
         } => {
-            let (v, recovery) = crate::glitch::simulate_glitch(
+            let run = crate::glitch::simulate_glitch(
                 sim,
                 scenario,
                 *causer,
                 *blocker,
                 scenario.output_edge,
-            )?;
-            Ok((JobOutcome::Peak(v), recovery))
+            )
+            .map(|(v, recovery, work)| (JobOutcome::Peak(v), recovery, work));
+            vec![run]
         }
     }
+}
+
+/// The key of a job's family (see [`families`]); glitch jobs have none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct FamilyKey {
+    pin: usize,
+    edge: Edge,
+    tau: u64,
+    start: u64,
+    c_load: Option<u64>,
+    wide: bool,
+}
+
+fn family_key(job: &SimJob) -> Option<FamilyKey> {
+    let Stimulus::Events {
+        events,
+        c_load,
+        measure_wide,
+    } = &job.stimulus
+    else {
+        return None;
+    };
+    let lead = events
+        .iter()
+        .min_by(|a, b| a.ramp.t_start.total_cmp(&b.ramp.t_start))?;
+    // `Simulator::simulate` places a lead starting at or before t = 0 at
+    // 0.2 ns, and a later one 0.2 ns after its start.
+    let start = if lead.ramp.t_start <= 0.0 {
+        0.0
+    } else {
+        lead.ramp.t_start
+    };
+    Some(FamilyKey {
+        pin: lead.pin,
+        edge: lead.edge(),
+        tau: lead.transition_time().to_bits(),
+        start: start.to_bits(),
+        c_load: c_load.map(f64::to_bits),
+        wide: *measure_wide,
+    })
+}
+
+/// Partitions a batch into families: the jobs whose leading (earliest,
+/// first among equals) input event has the same pin, edge, transition time
+/// and applied start, at the same load override and wide flag, in job
+/// order, listed by their first job. A glitch job is a family of its own.
+/// Each family is one unit of work.
+pub fn families(jobs: &[SimJob]) -> Vec<Vec<usize>> {
+    let mut families: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<FamilyKey, usize> = HashMap::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match family_key(job) {
+            Some(key) => {
+                let slot = *by_key.entry(key).or_insert_with(|| {
+                    families.push(Vec::new());
+                    families.len() - 1
+                });
+                families[slot].push(i);
+            }
+            None => families.push(vec![i]),
+        }
+    }
+    families
 }
 
 /// One supervised job execution: its outcome plus per-job telemetry.
@@ -298,7 +408,9 @@ fn run_job(sim: &Simulator<'_>, job: &SimJob) -> Result<(JobOutcome, RecoveryTra
 struct JobRun {
     outcome: JobOutcome,
     recovery: RecoveryTrace,
-    /// Wall-clock seconds the job held a worker, failures included.
+    work: TranWork,
+    /// Wall-clock seconds the job held a worker, failures included (its
+    /// share of its family's time).
     seconds: f64,
     /// Whether the outcome was replayed from a checkpoint journal instead
     /// of simulated.
@@ -310,30 +422,50 @@ impl JobRun {
         Self {
             outcome: JobOutcome::Failed { job: i, reason },
             recovery: RecoveryTrace::default(),
+            work: TranWork::default(),
             seconds,
             skipped: false,
         }
     }
 }
 
-/// Runs one job under panic supervision: a simulation error or a caught
-/// panic becomes a typed [`JobOutcome::Failed`] in the job's slot instead of
-/// unwinding into (and poisoning) the worker pool.
-fn run_supervised(sim: &Simulator<'_>, i: usize, job: &SimJob) -> JobRun {
-    let kind = match &job.stimulus {
+/// Runs one family under panic supervision: a simulation error becomes a
+/// typed [`JobOutcome::Failed`] in its job's slot, and a caught panic fails
+/// every job of the family, instead of unwinding into (and poisoning) the
+/// worker pool.
+fn run_supervised(sim: &Simulator<'_>, jobs: &[SimJob], family: &[usize]) -> Vec<JobRun> {
+    let Some(&first) = family.first() else {
+        return Vec::new();
+    };
+    let kind = match &jobs[first].stimulus {
         Stimulus::Events { .. } => "events",
         Stimulus::Glitch { .. } => "glitch",
     };
-    let span = obs::span("char.job").arg("job", i).arg("kind", kind);
+    let span = obs::span("char.job")
+        .arg("job", first)
+        .arg("jobs", family.len())
+        .arg("kind", kind);
     let start = Instant::now();
-    let run = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(sim, job))) {
-        Ok(Ok((outcome, recovery))) => JobRun {
-            outcome,
-            recovery,
-            seconds: start.elapsed().as_secs_f64(),
-            skipped: false,
-        },
-        Ok(Err(reason)) => JobRun::failed(i, reason, start.elapsed().as_secs_f64()),
+    let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_family(sim, jobs, family)
+    }));
+    // A family holds its worker as a whole; each job is charged its share.
+    let seconds = start.elapsed().as_secs_f64() / family.len() as f64;
+    let runs: Vec<JobRun> = match results {
+        Ok(results) => family
+            .iter()
+            .zip(results)
+            .map(|(&i, r)| match r {
+                Ok((outcome, recovery, work)) => JobRun {
+                    outcome,
+                    recovery,
+                    work,
+                    seconds,
+                    skipped: false,
+                },
+                Err(reason) => JobRun::failed(i, reason, seconds),
+            })
+            .collect(),
         Err(payload) => {
             let detail = payload
                 .downcast_ref::<&str>()
@@ -344,45 +476,74 @@ fn run_supervised(sim: &Simulator<'_>, i: usize, job: &SimJob) -> JobRun {
                 analysis: "characterization job".into(),
                 detail: format!("job panicked: {detail}"),
             });
-            JobRun::failed(i, reason, start.elapsed().as_secs_f64())
+            family
+                .iter()
+                .map(|&i| JobRun::failed(i, reason.clone(), seconds))
+                .collect()
         }
     };
-    drop(
-        span.arg("ok", !matches!(run.outcome, JobOutcome::Failed { .. }))
-            .arg("recoveries", run.recovery.total()),
-    );
-    run
+    let failed = runs
+        .iter()
+        .filter(|r| matches!(r.outcome, JobOutcome::Failed { .. }))
+        .count();
+    drop(span.arg("ok", failed == 0).arg(
+        "recoveries",
+        runs.iter().map(|r| r.recovery.total()).sum::<usize>(),
+    ));
+    runs
 }
 
-/// One job under run control: the simulator's cancellation token is checked
-/// at the job boundary (a cancelled claim becomes a typed, *non-degradable*
-/// failure in the job's slot, so the run fails with the cancellation
-/// instead of degrading slices), and — when a checkpoint journal is active
-/// — completed outcomes are answered from the journal or recorded into it.
+/// One family under run control: the simulator's cancellation token is
+/// checked at the family boundary (a cancelled claim becomes a typed,
+/// *non-degradable* failure in each job's slot, so the run fails with the
+/// cancellation instead of degrading slices), and — when a checkpoint
+/// journal is active — jobs already journaled are answered from it, the
+/// rest run as a (smaller) family, and their outcomes are recorded. Returns
+/// `(job index, run)` pairs.
 fn run_controlled(
     sim: &Simulator<'_>,
-    i: usize,
-    job: &SimJob,
+    jobs: &[SimJob],
+    family: &[usize],
     checkpoint: Option<(&CheckpointJournal, &str)>,
-) -> JobRun {
+) -> Vec<(usize, JobRun)> {
     if let Err(e) = sim.cancel.check("characterization job") {
-        return JobRun::failed(i, e.into(), 0.0);
+        let reason = ModelError::from(e);
+        return family
+            .iter()
+            .map(|&i| (i, JobRun::failed(i, reason.clone(), 0.0)))
+            .collect();
     }
     let Some((journal, phase)) = checkpoint else {
-        return run_supervised(sim, i, job);
+        return family
+            .iter()
+            .copied()
+            .zip(run_supervised(sim, jobs, family))
+            .collect();
     };
-    let stim = stimulus_hash(job);
-    if let Some(outcome) = journal.lookup(phase, i, stim) {
-        return JobRun {
-            outcome,
-            recovery: RecoveryTrace::default(),
-            seconds: 0.0,
-            skipped: true,
-        };
+    let mut done = Vec::with_capacity(family.len());
+    let mut todo = Vec::new();
+    for &i in family {
+        let stim = stimulus_hash(&jobs[i]);
+        match journal.lookup(phase, i, stim) {
+            Some(outcome) => done.push((
+                i,
+                JobRun {
+                    outcome,
+                    recovery: RecoveryTrace::default(),
+                    work: TranWork::default(),
+                    seconds: 0.0,
+                    skipped: true,
+                },
+            )),
+            None => todo.push((i, stim)),
+        }
     }
-    let run = run_supervised(sim, i, job);
-    journal.record(phase, i, stim, &run.outcome);
-    run
+    let rest: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
+    for ((i, stim), run) in todo.into_iter().zip(run_supervised(sim, jobs, &rest)) {
+        journal.record(phase, i, stim, &run.outcome);
+        done.push((i, run));
+    }
+    done
 }
 
 /// The result of executing a batch of jobs: one outcome per job (in job
@@ -403,6 +564,8 @@ pub struct JobBatch {
     pub skipped: usize,
     /// Wall-clock seconds each job held a worker, in job order.
     pub job_seconds: Vec<f64>,
+    /// Solver work of the transients the batch ran.
+    pub work: TranWork,
     /// Pool workers that claimed at least one job (`1` for inline
     /// execution). A parallel batch where this stays at `1` means the pool
     /// was dead weight — the condition the bench harness gates on.
@@ -416,8 +579,10 @@ impl JobBatch {
         let mut failed_jobs = 0;
         let mut skipped = 0;
         let mut job_seconds = Vec::new();
+        let mut work = TranWork::default();
         for run in runs {
             recovery.merge(&run.recovery);
+            work.add(&run.work);
             if matches!(run.outcome, JobOutcome::Failed { .. }) {
                 failed_jobs += 1;
             }
@@ -434,6 +599,7 @@ impl JobBatch {
             failed_jobs,
             skipped,
             job_seconds,
+            work,
             workers_engaged: 1,
         }
     }
@@ -442,95 +608,99 @@ impl JobBatch {
 /// Executes a batch of jobs across `threads` workers and returns the
 /// outcomes **in job order**.
 ///
-/// Workers pull indices from a shared atomic counter, so load balances
-/// dynamically across jobs of very different cost (a glitch transient can
-/// run 10× longer than a fast single-input row). Results are written back
-/// by index, making the output independent of scheduling.
+/// The batch is split into [`families`], and workers pull families from a
+/// shared atomic counter, so load balances dynamically across work of very
+/// different cost (a glitch transient can run 10× longer than a fast
+/// single-input row). Results are written back by job index, making the
+/// output independent of scheduling.
 ///
-/// Every job runs under [`catch_unwind`](std::panic::catch_unwind)
+/// Every family runs under [`catch_unwind`](std::panic::catch_unwind)
 /// supervision, and a worker thread that dies anyway (a panic outside the
 /// supervised region) only loses its own claimed jobs: the batch marks
 /// those slots [`JobOutcome::Failed`] and the surviving workers' results
 /// are still assembled.
 ///
-/// `threads == 1` (or a batch of at most one job) runs inline on the caller
-/// thread with no pool at all.
+/// `threads == 1` (or a batch of at most one family) runs inline on the
+/// caller thread with no pool at all.
 pub fn execute_jobs(sim: &Simulator<'_>, jobs: &[SimJob], threads: usize) -> JobBatch {
     execute_jobs_controlled(sim, jobs, threads, None)
 }
 
 /// [`execute_jobs`] under run control: the simulator's cancellation token
-/// is polled before every job claim (cancelled claims become typed failed
-/// slots, surfaced by [`first_error`] in job order), and an active
+/// is polled before every family claim (cancelled claims become typed
+/// failed slots, surfaced by [`first_error`] in job order), and an active
 /// checkpoint journal short-circuits already-completed jobs — their
 /// recorded outcomes are replayed bit-exactly with zero simulations —
-/// while newly completed jobs are journaled as they finish, from whichever
-/// worker thread finishes them.
+/// while newly completed jobs are journaled as their family finishes, from
+/// whichever worker thread ran it.
 pub fn execute_jobs_controlled(
     sim: &Simulator<'_>,
     jobs: &[SimJob],
     threads: usize,
     checkpoint: Option<(&CheckpointJournal, &str)>,
 ) -> JobBatch {
+    let families = families(jobs);
     let _span = obs::span("char.execute")
         .arg("jobs", jobs.len())
+        .arg("families", families.len())
         .arg("threads", threads);
-    if threads <= 1 || jobs.len() <= 1 {
-        return JobBatch::collect(
-            jobs.iter()
-                .enumerate()
-                .map(|(i, j)| run_controlled(sim, i, j, checkpoint)),
-        );
-    }
-
-    let workers = threads.min(jobs.len());
-    let next = AtomicUsize::new(0);
     let mut results: Vec<Option<JobRun>> = vec![None; jobs.len()];
     let mut worker_panic: Option<String> = None;
-    let mut engaged = 0usize;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        local.push((i, run_controlled(sim, i, &jobs[i], checkpoint)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => {
-                    if !local.is_empty() {
-                        engaged += 1;
-                    }
-                    for (i, r) in local {
-                        results[i] = Some(r);
-                    }
-                }
-                Err(payload) => {
-                    // The worker died outside job supervision; its claimed
-                    // slots stay `None` and are marked failed below. It did
-                    // engage — the pool-liveness gauge counts claims, not
-                    // clean exits.
-                    engaged += 1;
-                    let detail = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    worker_panic.get_or_insert(detail);
-                }
+    let mut engaged = 1usize;
+    if threads <= 1 || families.len() <= 1 {
+        for family in &families {
+            for (i, r) in run_controlled(sim, jobs, family, checkpoint) {
+                results[i] = Some(r);
             }
         }
-    });
+    } else {
+        let workers = threads.min(families.len());
+        let next = AtomicUsize::new(0);
+        engaged = 0;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (next, families) = (&next, &families);
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(family) = families.get(k) else {
+                                break;
+                            };
+                            local.extend(run_controlled(sim, jobs, family, checkpoint));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(local) => {
+                        if !local.is_empty() {
+                            engaged += 1;
+                        }
+                        for (i, r) in local {
+                            results[i] = Some(r);
+                        }
+                    }
+                    Err(payload) => {
+                        // The worker died outside job supervision; its
+                        // claimed slots stay `None` and are marked failed
+                        // below. It did engage — the pool-liveness gauge
+                        // counts claims, not clean exits.
+                        engaged += 1;
+                        let detail = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".into());
+                        worker_panic.get_or_insert(detail);
+                    }
+                }
+            }
+        });
+    }
     let worker_panic = worker_panic.unwrap_or_else(|| "worker lost".into());
     let mut batch = JobBatch::collect(results.into_iter().enumerate().map(|(i, slot)| {
         slot.unwrap_or_else(|| {
@@ -612,6 +782,11 @@ pub struct CharStats {
     /// Physics-invariant violations reported by the post-assembly audit
     /// (telemetry only — findings never fail a characterization run).
     pub audit_findings: usize,
+    /// Solver work of the queued transients (singles and pairs; the
+    /// calibration chain's and correction terms' few are not in it):
+    /// accepted steps and Newton iterations integrated, transients forked
+    /// from a shared prefix, and the steps they inherited from it.
+    pub tran: TranWork,
     /// Wall-clock seconds per pipeline phase.
     pub phases: PhaseTimes,
 }
@@ -633,6 +808,12 @@ impl CharStats {
             workers_engaged: (snap.gauge(metric::WORKERS_ENGAGED) as usize).max(1),
             degraded_slices: count(metric::DEGRADED_SLICES),
             audit_findings: count(metric::AUDIT_FINDINGS),
+            tran: TranWork {
+                accepted_steps: snap.counter(metric::TRAN_ACCEPTED_STEPS),
+                newton_iterations: snap.counter(metric::TRAN_NEWTON_ITERATIONS),
+                forked_runs: snap.counter(metric::TRAN_FORKED_RUNS),
+                shared_steps: snap.counter(metric::TRAN_SHARED_STEPS),
+            },
             ..Self::default()
         }
     }
@@ -702,6 +883,19 @@ pub(crate) fn record_batch(reg: &obs::Registry, enumerated: usize, batch: &JobBa
             engaged.set(batch.workers_engaged as f64);
         }
     }
+    book_work(reg, &batch.work);
+}
+
+/// Books transient solver work into the run registry (not its global
+/// mirror: the solver books the same names there itself).
+pub(crate) fn book_work(reg: &obs::Registry, work: &TranWork) {
+    reg.counter(metric::TRAN_ACCEPTED_STEPS)
+        .add(work.accepted_steps);
+    reg.counter(metric::TRAN_NEWTON_ITERATIONS)
+        .add(work.newton_iterations);
+    reg.counter(metric::TRAN_FORKED_RUNS).add(work.forked_runs);
+    reg.counter(metric::TRAN_SHARED_STEPS)
+        .add(work.shared_steps);
 }
 
 /// Wall-clock breakdown of the characterization pipeline.
@@ -821,10 +1015,16 @@ mod tests {
         let (cell, tech) = env();
         let sim = Simulator::new(&cell, &tech, Thresholds::new(1.2, 3.4, 5.0), 100e-15, 0.1);
         let ev = vec![InputEvent::new(0, Edge::Rising, 0.0, 400e-12)];
-        let (at_ref, _) = run_job(&sim, &SimJob::events(ev.clone())).unwrap();
-        let (at_big, _) = run_job(&sim, &SimJob::events_at_load(ev, 400e-15)).unwrap();
-        let (d_ref, _) = at_ref.response().unwrap();
-        let (d_big, _) = at_big.response().unwrap();
+        let batch = execute_jobs(
+            &sim,
+            &[
+                SimJob::events(ev.clone()),
+                SimJob::events_at_load(ev, 400e-15),
+            ],
+            1,
+        );
+        let (d_ref, _) = batch.outcomes[0].response().unwrap();
+        let (d_big, _) = batch.outcomes[1].response().unwrap();
         assert!(
             d_big > d_ref,
             "larger load must be slower: {d_big} vs {d_ref}"

@@ -9,6 +9,7 @@ use crate::tran::{TranOptions, TranResult};
 use proxim_numeric::pwl::Pwl;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A handle to a circuit node. Node 0 is ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,6 +77,54 @@ impl Waveform {
             Self::Pwl(p) => p.points().iter().map(|&(t, _)| t).collect(),
         }
     }
+
+    /// The value held before the first knot (forever, for DC) and the
+    /// knots.
+    fn knots(&self) -> (f64, &[(f64, f64)]) {
+        match self {
+            Self::Dc(v) => (*v, &[]),
+            Self::Pwl(p) => (p.points()[0].1, p.points()),
+        }
+    }
+
+    /// The latest time `T` such that both waveforms evaluate to the same
+    /// bits at every `t ≤ T`: infinite when they are the same waveform,
+    /// negative infinity when they may differ from the start. Two knot lists
+    /// that agree up to knot `k` interpolate every `t` up to that knot from
+    /// the same segment, and a waveform holds its first value until its
+    /// first knot.
+    pub(crate) fn agrees_until(&self, other: &Self) -> f64 {
+        let bits = |(t, v): &(f64, f64)| (t.to_bits(), v.to_bits());
+        let ((va, ka), (vb, kb)) = (self.knots(), other.knots());
+        let common = ka
+            .iter()
+            .zip(kb)
+            .take_while(|(x, y)| bits(x) == bits(y))
+            .count();
+        if common == ka.len() && common == kb.len() {
+            return if va.to_bits() == vb.to_bits() {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        if common > 0 {
+            let t = ka[common - 1].0;
+            // A later knot at the same time would make `t` itself evaluate
+            // differently.
+            let repeats = |k: &[(f64, f64)]| k.get(common).is_some_and(|p| p.0 == t);
+            return if repeats(ka) || repeats(kb) {
+                f64::NEG_INFINITY
+            } else {
+                t
+            };
+        }
+        if va.to_bits() != vb.to_bits() {
+            return f64::NEG_INFINITY;
+        }
+        let first = |k: &[(f64, f64)]| k.first().map_or(f64::INFINITY, |p| p.0);
+        first(ka).min(first(kb))
+    }
 }
 
 /// One circuit element.
@@ -120,14 +169,25 @@ pub(crate) enum Element {
 /// Build the circuit with [`Circuit::node`] and the element constructors,
 /// then run analyses via [`Circuit::dc_op`], [`Circuit::dc_sweep`], and
 /// [`Circuit::tran`].
+///
+/// Clones share the node and element names until one of them adds a node
+/// or an element, so circuits that differ only in their source waveforms
+/// (a family of characterization stimuli, say) cost little more than their
+/// elements.
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
-    node_index: HashMap<String, NodeId>,
+    names: Arc<Names>,
     pub(crate) elements: Vec<Element>,
-    element_names: Vec<String>,
-    element_index: HashMap<String, usize>,
     pub(crate) n_vsources: usize,
+}
+
+/// The node and element names of a circuit, and their lookup maps.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    nodes: Vec<String>,
+    node_index: HashMap<String, NodeId>,
+    elements: Vec<String>,
+    element_index: HashMap<String, usize>,
 }
 
 impl Circuit {
@@ -136,31 +196,35 @@ impl Circuit {
 
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Self {
-            node_names: vec!["0".to_string()],
-            ..Self::default()
+        let mut names = Names {
+            nodes: vec!["0".to_string()],
+            ..Names::default()
         };
-        c.node_index.insert("0".to_string(), NodeId(0));
-        c
+        names.node_index.insert("0".to_string(), NodeId(0));
+        Self {
+            names: Arc::new(names),
+            ..Self::default()
+        }
     }
 
     /// Returns the node with the given name, creating it if absent.
     /// The names `"0"` and `"gnd"` refer to ground.
     pub fn node(&mut self, name: &str) -> NodeId {
         let key = if name == "gnd" { "0" } else { name };
-        if let Some(&id) = self.node_index.get(key) {
+        if let Some(&id) = self.names.node_index.get(key) {
             return id;
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(key.to_string());
-        self.node_index.insert(key.to_string(), id);
+        let names = Arc::make_mut(&mut self.names);
+        let id = NodeId(names.nodes.len());
+        names.nodes.push(key.to_string());
+        names.node_index.insert(key.to_string(), id);
         id
     }
 
     /// Looks up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
         let key = if name == "gnd" { "0" } else { name };
-        self.node_index.get(key).copied()
+        self.names.node_index.get(key).copied()
     }
 
     /// The name of a node.
@@ -169,12 +233,12 @@ impl Circuit {
     ///
     /// Panics if the node does not belong to this circuit.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
+        &self.names.nodes[id.0]
     }
 
     /// Total number of nodes, including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.names.nodes.len()
     }
 
     /// Number of voltage sources.
@@ -189,13 +253,14 @@ impl Circuit {
 
     fn register(&mut self, name: &str, element: Element) -> usize {
         assert!(
-            !self.element_index.contains_key(name),
+            !self.names.element_index.contains_key(name),
             "duplicate element name {name:?}"
         );
         let idx = self.elements.len();
         self.elements.push(element);
-        self.element_names.push(name.to_string());
-        self.element_index.insert(name.to_string(), idx);
+        let names = Arc::make_mut(&mut self.names);
+        names.elements.push(name.to_string());
+        names.element_index.insert(name.to_string(), idx);
         idx
     }
 
@@ -298,6 +363,7 @@ impl Circuit {
     /// Panics if no voltage source with that name exists.
     pub fn set_vsource(&mut self, name: &str, wave: Waveform) {
         let idx = *self
+            .names
             .element_index
             .get(name)
             .unwrap_or_else(|| panic!("no element named {name:?}"));
@@ -314,6 +380,7 @@ impl Circuit {
     /// Panics if no voltage source with that name exists.
     pub fn vsource_waveform(&self, name: &str) -> &Waveform {
         let idx = *self
+            .names
             .element_index
             .get(name)
             .unwrap_or_else(|| panic!("no element named {name:?}"));
@@ -339,6 +406,52 @@ impl Circuit {
         bps.sort_by(f64::total_cmp);
         bps.dedup();
         bps
+    }
+
+    /// When `other` is this circuit up to its source waveforms (the same
+    /// nodes and the same elements, sources included, on the same
+    /// terminals), the latest time up to which every source of `other`
+    /// evaluates to this circuit's bits (see [`Waveform::agrees_until`]);
+    /// `None` when the two differ in anything else.
+    pub(crate) fn sources_agree_until(&self, other: &Self) -> Option<f64> {
+        if self.node_count() != other.node_count() || self.elements.len() != other.elements.len() {
+            return None;
+        }
+        let mut until = f64::INFINITY;
+        for pair in self.elements.iter().zip(&other.elements) {
+            let (a, b) = match pair {
+                (
+                    Element::VSource {
+                        plus,
+                        minus,
+                        wave: a,
+                        branch,
+                    },
+                    Element::VSource {
+                        plus: p,
+                        minus: m,
+                        wave: b,
+                        branch: k,
+                    },
+                ) if (plus, minus, branch) == (p, m, k) => (a, b),
+                (
+                    Element::ISource {
+                        plus,
+                        minus,
+                        wave: a,
+                    },
+                    Element::ISource {
+                        plus: p,
+                        minus: m,
+                        wave: b,
+                    },
+                ) if (plus, minus) == (p, m) => (a, b),
+                (a, b) if a == b => continue,
+                _ => return None,
+            };
+            until = until.min(a.agrees_until(b));
+        }
+        Some(until)
     }
 
     /// Computes the DC operating point.

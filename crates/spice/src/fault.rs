@@ -27,10 +27,11 @@
 //!   fail it with `disk_error` (`ENOSPC` or `EIO`).
 //!
 //! Decisions come from splitmix64 streams seeded by the plan's seed and a
-//! key intrinsic to the work — a transient's [`run_entropy`], a
-//! connection's index, a file's path — never wall clock or thread identity,
-//! so a faulted characterization degrades the same slices on any worker
-//! count, and a disarmed plan is byte-identical to no plan at all.
+//! key intrinsic to the work — a transient's [`run_entropy`] (keyed by the
+//! horizon its step bounds were sized for), a connection's index, a file's
+//! path — never wall clock or thread identity, so a faulted
+//! characterization degrades the same slices on any worker count, and a
+//! disarmed plan is byte-identical to no plan at all.
 //!
 //! A plan renders as, and parses from, a comma-separated `key=value` spec
 //! (the `proxim_serve` daemon reads one from `PROXIM_FAULTS`):
@@ -240,11 +241,18 @@ pub fn unit(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Mixes a transient run's own parameters into per-run entropy. Using only
-/// run-intrinsic values (never thread identity or wall clock) keeps faulted
-/// characterizations deterministic across worker counts.
-pub fn run_entropy(t_stop: f64, dv_max: f64, unknowns: usize, elements: usize) -> u64 {
-    let mut state = t_stop.to_bits() ^ dv_max.to_bits().rotate_left(17);
+/// Mixes a transient run's own parameters into per-run entropy: the
+/// horizon its step bounds were sized for (see
+/// [`TranOptions::horizon`](crate::tran::TranOptions::horizon)), its
+/// voltage-change bound, and the size of its circuit. Using only
+/// run-intrinsic values (never thread identity or wall clock) keeps
+/// faulted characterizations deterministic across worker counts. A run's
+/// end time enters only as the horizon, which is `t_stop` unless the run
+/// was moved past it: runs that share a horizon draw the same faults, so a
+/// transient that forks from a shared prefix
+/// ([`crate::tran::tran_family`]) sees the stream it would have seen alone.
+pub fn run_entropy(horizon: f64, dv_max: f64, unknowns: usize, elements: usize) -> u64 {
+    let mut state = horizon.to_bits() ^ dv_max.to_bits().rotate_left(17);
     state ^= (unknowns as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     state ^= (elements as u64).rotate_left(32);
     // One scrambling round so nearby parameter sets decorrelate.
@@ -253,8 +261,9 @@ pub fn run_entropy(t_stop: f64, dv_max: f64, unknowns: usize, elements: usize) -
 
 /// The decisions of one plan for one unit of work: a transient run, a
 /// connection, or a durable write. Each method answers whether its site
-/// fires next; under a disarmed plan none ever does.
-#[derive(Debug)]
+/// fires next; under a disarmed plan none ever does. Cloning a stream forks
+/// it: both copies make the same decisions from then on.
+#[derive(Debug, Clone)]
 pub struct FaultStream {
     plan: FaultPlan,
     state: u64,

@@ -65,4 +65,4 @@ pub use op::OpResult;
 pub use recover::{RecoveryPolicy, RecoveryTrace};
 pub use solver::AnalysisError;
 pub use sweep::DcSweepResult;
-pub use tran::{StopRule, TranOptions, TranResult};
+pub use tran::{tran_family, SharedPrefix, StopRule, TranOptions, TranResult, TranWork};

@@ -16,6 +16,12 @@
 //! one accepted step after one node's waveform has made the threshold
 //! crossings a measurement reads; the shortened result is a bit-exact prefix
 //! of the full run.
+//!
+//! Runs that agree up to some step — the same circuit apart from sources
+//! that only differ later, the same options apart from `t_stop` — can run
+//! as one family ([`tran_family`]): the shared prefix is integrated once
+//! and each member forks from a snapshot of it, with a result bit-identical
+//! to its run alone. [`Circuit::tran`] is a family of one.
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, Element, NodeId};
@@ -44,10 +50,15 @@ struct TranMetrics {
     assemble_seconds: obs::Gauge,
     /// Sampled estimate of LU factor + solve time, in seconds.
     lu_seconds: obs::Gauge,
-    /// Accepted time steps, summed over runs.
+    /// Accepted time steps integrated, summed over runs: a forked run's
+    /// inherited prefix counts in `shared_steps` instead.
     accepted_steps: obs::Counter,
-    /// Newton iterations, summed over runs.
+    /// Newton iterations integrated, summed over runs.
     newton_iterations: obs::Counter,
+    /// Runs forked from a family's shared prefix ([`tran_family`]).
+    forked_runs: obs::Counter,
+    /// Accepted steps forked runs inherited instead of integrating.
+    shared_steps: obs::Counter,
     /// Factorizations that took the static-order (symbolic) path.
     lu_static_solves: obs::Counter,
     /// Factorizations where the static order declined and dense partial
@@ -74,6 +85,8 @@ impl TranMetrics {
             lu_seconds: reg.gauge("spice.tran.lu_seconds"),
             accepted_steps: reg.counter("spice.tran.accepted_steps"),
             newton_iterations: reg.counter("spice.tran.newton_iterations"),
+            forked_runs: reg.counter("spice.tran.forked_runs"),
+            shared_steps: reg.counter("spice.tran.shared_steps"),
             lu_static_solves: reg.counter("spice.lu.static_solves"),
             lu_static_fallbacks: reg.counter("spice.lu.static_fallbacks"),
             newton_iters: reg.histogram(
@@ -85,6 +98,25 @@ impl TranMetrics {
                 &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
             ),
         })
+    }
+
+    /// Books one finished run: its result, `seconds` of wall time, and its
+    /// static-order LU solves and fallbacks.
+    fn book(&self, r: &TranResult, seconds: f64, (static_solves, static_fallbacks): (u64, u64)) {
+        let work = r.work();
+        self.runs.incr();
+        self.seconds.add(seconds);
+        self.accepted_steps.add(work.accepted_steps);
+        self.newton_iterations.add(work.newton_iterations);
+        self.forked_runs.add(work.forked_runs);
+        self.shared_steps.add(work.shared_steps);
+        self.recoveries.add(r.recovery.total() as u64);
+        self.recovery_seconds.add(r.recovery.total_seconds());
+        self.assemble_seconds.add(r.assemble_seconds);
+        self.lu_seconds.add(r.lu_seconds);
+        self.recovery_depth.observe(r.recovery.total() as f64);
+        self.lu_static_solves.add(static_solves);
+        self.lu_static_fallbacks.add(static_fallbacks);
     }
 }
 
@@ -147,10 +179,16 @@ pub enum Integrator {
 }
 
 /// Options controlling a transient run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranOptions {
     /// End time of the analysis, in seconds.
     pub t_stop: f64,
+    /// The end time the step bounds were sized for, and the fault stream's
+    /// key ([`crate::fault::run_entropy`]): `t_stop` as built by
+    /// [`TranOptions::to`]. Runs that differ only in what follows a shared
+    /// leading stimulus keep one horizon, and so their step bounds and
+    /// fault draws, whatever their `t_stop`.
+    pub horizon: f64,
     /// Smallest allowed step; the run fails below this.
     pub dt_min: f64,
     /// Largest allowed step.
@@ -184,10 +222,9 @@ pub struct TranOptions {
 /// caller reads off the shortened waveform equals the full run's. If `far`
 /// is never crossed the run goes to `t_stop` as without a rule.
 ///
-/// Nothing else moves: `t_stop` and everything derived from it (step
-/// bounds, the final breakpoint, the fault-stream entropy) keep their
-/// values, so the shortened run's samples are a bit-exact prefix of the
-/// full run's.
+/// Nothing else moves: `t_stop` (the final breakpoint), the step bounds
+/// and the fault stream keep their values, so the shortened run's samples
+/// are a bit-exact prefix of the full run's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StopRule {
     /// The watched node.
@@ -216,8 +253,8 @@ impl StopRule {
 }
 
 impl TranOptions {
-    /// Reasonable defaults for an analysis ending at `t_stop`:
-    /// `dt_max = t_stop / 100`, `dt_init = t_stop / 10_000`,
+    /// Reasonable defaults for an analysis ending at `t_stop` (also its
+    /// `horizon`): `dt_max = t_stop / 100`, `dt_init = t_stop / 10_000`,
     /// `dv_max = 0.05 V`, trapezoidal integration.
     ///
     /// # Panics
@@ -230,6 +267,7 @@ impl TranOptions {
         );
         Self {
             t_stop,
+            horizon: t_stop,
             dt_min: t_stop * 1e-9,
             dt_max: t_stop / 100.0,
             dt_init: t_stop / 10_000.0,
@@ -333,9 +371,60 @@ pub struct TranResult {
     /// Everything the recovery ladder did during the run (empty for a
     /// healthy run).
     pub recovery: RecoveryTrace,
+    /// What this run inherited from a family's shared prefix instead of
+    /// integrating ([`tran_family`]); `None` for a run that integrated
+    /// every step from its own DC operating point. The samples and counts
+    /// above are the same either way.
+    pub shared: Option<SharedPrefix>,
+}
+
+/// The part of a forked run's final attempt that its family integrated
+/// once: counted in [`TranResult::accepted_steps`] and
+/// [`TranResult::newton_iterations`], but not integrated by this run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharedPrefix {
+    /// Accepted steps inherited.
+    pub accepted_steps: usize,
+    /// Newton iterations inherited.
+    pub newton_iterations: usize,
+}
+
+/// Solver work summed over transient runs: what was integrated, and what
+/// forked runs inherited from shared prefixes instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TranWork {
+    /// Accepted time steps integrated.
+    pub accepted_steps: u64,
+    /// Newton iterations integrated.
+    pub newton_iterations: u64,
+    /// Runs forked from a family's shared prefix.
+    pub forked_runs: u64,
+    /// Accepted steps forked runs inherited instead of integrating.
+    pub shared_steps: u64,
+}
+
+impl TranWork {
+    /// Adds `other`'s work to this total.
+    pub fn add(&mut self, other: &Self) {
+        self.accepted_steps += other.accepted_steps;
+        self.newton_iterations += other.newton_iterations;
+        self.forked_runs += other.forked_runs;
+        self.shared_steps += other.shared_steps;
+    }
 }
 
 impl TranResult {
+    /// The solver work of this one run.
+    pub fn work(&self) -> TranWork {
+        let shared = self.shared.unwrap_or_default();
+        TranWork {
+            accepted_steps: (self.accepted_steps - shared.accepted_steps) as u64,
+            newton_iterations: (self.newton_iterations - shared.newton_iterations) as u64,
+            forked_runs: u64::from(self.shared.is_some()),
+            shared_steps: shared.accepted_steps as u64,
+        }
+    }
+
     /// The accepted time points.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -457,65 +546,449 @@ pub(crate) fn tran(
     options: &TranOptions,
     cancel: &CancelToken,
 ) -> Result<TranResult, AnalysisError> {
-    with_arena(|arena| tran_in_arena(ckt, options, cancel, arena))
+    let mut result = None;
+    tran_family(&[(ckt, *options)], cancel, |_, r| result = Some(r));
+    result.unwrap_or_else(|| unreachable!("a family of one has one result"))
 }
 
-fn tran_in_arena(
+/// Runs a family of transients that may share a prefix, integrating that
+/// prefix once, and hands each member's result to `each` with the
+/// member's index, as soon as it is done (the leader's last), so the
+/// caller need hold no more of them than it keeps. Each result is
+/// bit-identical — times, node and branch samples, Newton and step
+/// counts, recovery trace — to the member's run on its own.
+///
+/// The family integrates its *leader*: the member whose source breakpoints
+/// diverge from the others' last. Another member can fork from the leader
+/// when its circuit has the leader's nodes and elements, its options
+/// differ from the leader's only in `t_stop`, and its sources equal the
+/// leader's at t = 0. It then shares the leader's DC operating point and
+/// every step up to the first one it cannot share: a step its own next
+/// breakpoint or `t_stop` would bound differently, or one that ends past
+/// the time their sources stop agreeing. At the top of that step the
+/// leader's run is snapshotted — iterate, capacitor history, time, step,
+/// breakpoint index, stop-rule crossings, fault stream, solve and
+/// iteration counts, recovery trace and recorded samples — and the member
+/// resumes from the snapshot on its own circuit. A member whose shared
+/// prefix outlasts the leader's run (the stop rule fired, the common
+/// `t_stop` was reached, or the run failed) gets the leader's result. A
+/// member that cannot fork runs in a family of its own.
+///
+/// A forked member that fails at `dt_min` restarts from t = 0, as it would
+/// alone. [`TranResult::shared`] records what each member inherited.
+pub fn tran_family(
+    members: &[(&Circuit, TranOptions)],
+    cancel: &CancelToken,
+    mut each: impl FnMut(usize, Result<TranResult, AnalysisError>),
+) {
+    with_arena(|arena| {
+        let mut rest: Vec<usize> = (0..members.len()).collect();
+        while !rest.is_empty() {
+            rest = run_family(members, &rest, cancel, arena, &mut each);
+        }
+    });
+}
+
+/// Runs the leader of `family` (indices into `members`), forks every member
+/// that can fork from it, hands their results to `each` (the leader's
+/// last), and returns the members that cannot fork.
+fn run_family(
+    members: &[(&Circuit, TranOptions)],
+    family: &[usize],
+    cancel: &CancelToken,
+    arena: &mut TranArena,
+    each: &mut dyn FnMut(usize, Result<TranResult, AnalysisError>),
+) -> Vec<usize> {
+    let mut bps: Vec<Vec<f64>> = family
+        .iter()
+        .map(|&i| {
+            let mut list = Vec::new();
+            breakpoints_into(members[i].0, members[i].1.t_stop, &mut list);
+            list
+        })
+        .collect();
+    // The member diverging last has the greatest breakpoint list; the
+    // earliest member leads among equals.
+    let later = |a: &[f64], b: &[f64]| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(a.len().cmp(&b.len()))
+    };
+    let lead = (0..family.len())
+        .max_by(|&a, &b| later(&bps[a], &bps[b]).then(b.cmp(&a)))
+        .unwrap_or(0);
+    let (ckt, options) = members[family[lead]];
+    let mut due = Vec::new();
+    let mut alone = Vec::new();
+    for (k, &i) in family.iter().enumerate() {
+        if k == lead {
+            continue;
+        }
+        let (member, member_opts) = members[i];
+        match sources_agree(ckt, &options, member, &member_opts) {
+            Some(agree) => due.push(Due {
+                member: i,
+                bps: std::mem::take(&mut bps[k]),
+                bp_idx: 0,
+                agree,
+            }),
+            None => alone.push(i),
+        }
+    }
+    let mut forks = Forks {
+        taken: vec![None; due.len()],
+        due,
+    };
+    let lead_result = run(ckt, &options, cancel, arena, None, &mut forks);
+    for (d, snapshot) in forks.due.iter().zip(forks.taken) {
+        let (member, member_opts) = members[d.member];
+        let result = match snapshot {
+            Some(mut snapshot) => {
+                // Forks of the leader's final attempt copy their samples
+                // from its result now, one member at a time.
+                if let Ok(lead) = &lead_result {
+                    snapshot
+                        .attempt
+                        .fill(&lead.times, &lead.samples, &lead.branch_samples);
+                }
+                run(
+                    member,
+                    &member_opts,
+                    cancel,
+                    arena,
+                    Some(snapshot),
+                    &mut Forks::none(),
+                )
+            }
+            None => inherit(&lead_result),
+        };
+        each(d.member, result);
+    }
+    each(family[lead], lead_result);
+    alone
+}
+
+/// Whether `member` can fork from `lead`'s run — the same circuit up to
+/// its sources, the same options up to `t_stop`, the same sources at
+/// t = 0 (the DC operating point reads them there) — and, if so, the time
+/// up to which its sources equal the leader's.
+fn sources_agree(
+    lead: &Circuit,
+    lead_opts: &TranOptions,
+    member: &Circuit,
+    opts: &TranOptions,
+) -> Option<f64> {
+    if (TranOptions {
+        t_stop: lead_opts.t_stop,
+        ..*opts
+    }) != *lead_opts
+    {
+        return None;
+    }
+    lead.sources_agree_until(member)
+        .filter(|&agree| agree >= 0.0)
+}
+
+/// A family member following the leader's run until it forks.
+#[derive(Debug)]
+struct Due {
+    /// Index into the family's members.
+    member: usize,
+    /// Its breakpoints (see [`breakpoints_into`]), and the index of the
+    /// first one its own run would not have passed yet.
+    bps: Vec<f64>,
+    bp_idx: usize,
+    /// The time up to which its sources equal the leader's.
+    agree: f64,
+}
+
+impl Due {
+    /// Whether the member's own run, in the leader's state at `t` with
+    /// next step `h`, would take the leader's step to `t_new`. The step is
+    /// the only place the two runs differ until their sources do: it is
+    /// bounded by each run's own next breakpoint and clamped to its own
+    /// `t_stop`. Advances the member's breakpoint index past `t` as its
+    /// run would.
+    fn shares(&mut self, t: f64, h: f64, t_new: f64, opts: &TranOptions) -> bool {
+        let t_stop = self.bps[self.bps.len() - 1];
+        while self.bp_idx < self.bps.len() && self.bps[self.bp_idx] <= t + opts.dt_min * 0.5 {
+            self.bp_idx += 1;
+        }
+        let next_bp = self.bps.get(self.bp_idx).copied().unwrap_or(t_stop);
+        let h_eff = h.min(opts.dt_max).min(next_bp - t).max(opts.dt_min);
+        t < t_stop - opts.dt_min * 0.5
+            && (t + h_eff).min(t_stop).to_bits() == t_new.to_bits()
+            && t_new <= self.agree
+    }
+}
+
+/// The members forking from a leader's run, and their snapshots.
+struct Forks {
+    due: Vec<Due>,
+    /// One slot per member of `due`, filled where it forks.
+    taken: Vec<Option<Snapshot>>,
+}
+
+impl Forks {
+    /// A run with no members to fork.
+    fn none() -> Self {
+        Self {
+            due: Vec::new(),
+            taken: Vec::new(),
+        }
+    }
+
+    /// The leader's run starts an attempt at t = 0: every member not yet
+    /// forked starts it too.
+    fn restart(&mut self) {
+        for d in &mut self.due {
+            d.bp_idx = 0;
+        }
+    }
+
+    /// Snapshots every member that cannot share the leader's step from
+    /// `st` to `t_new`; `snapshot` is the leader's state at `st`, which
+    /// each member takes with its own breakpoint index.
+    fn take_due(
+        &mut self,
+        st: &StepState,
+        t_new: f64,
+        opts: &TranOptions,
+        snapshot: impl Fn() -> Snapshot,
+    ) {
+        for (d, slot) in self.due.iter_mut().zip(&mut self.taken) {
+            if slot.is_some() {
+                continue;
+            }
+            let from = d.bp_idx;
+            if !d.shares(st.t, st.h, t_new, opts) {
+                let mut s = snapshot();
+                s.attempt.step.bp_idx = from;
+                *slot = Some(s);
+            }
+        }
+    }
+
+    /// The leader's attempt failed with `st` as it stood: forks taken
+    /// during it copy their samples now, before the buffers go.
+    fn fill_from(&mut self, st: &StepState) {
+        for s in self.taken.iter_mut().flatten() {
+            s.attempt.fill(&st.times, &st.samples, &st.branch_samples);
+        }
+    }
+}
+
+/// The state a run carries across its attempts.
+#[derive(Debug, Clone)]
+struct RunState {
+    /// The current attempt's options: each restart halves `dt_init` and
+    /// `dv_max`.
+    options: TranOptions,
+    trace: RecoveryTrace,
+    faults: FaultStream,
+    /// Newton solves attempted so far, against the policy's budget.
+    solves: usize,
+}
+
+impl RunState {
+    fn new(options: &TranOptions, sys: &System<'_>, ckt: &Circuit) -> Self {
+        Self {
+            options: *options,
+            trace: RecoveryTrace::default(),
+            // Per-run entropy comes only from the run's own parameters, so
+            // fault decisions replay identically regardless of worker
+            // scheduling; it is keyed by the horizon rather than `t_stop`,
+            // so family members draw alike.
+            faults: FaultStream::for_run(
+                &options.faults,
+                run_entropy(options.horizon, options.dv_max, sys.n, ckt.elements.len()),
+            ),
+            solves: 0,
+        }
+    }
+}
+
+/// What an attempt's step loop advances.
+#[derive(Debug, Clone, Default)]
+struct StepState {
+    x: Vec<f64>,
+    t: f64,
+    /// The next step to try.
+    h: f64,
+    bp_idx: usize,
+    /// The stop rule's node voltage at `t`.
+    v_watch: f64,
+    newton_iterations: usize,
+    accepted_steps: usize,
+    times: Vec<f64>,
+    samples: Vec<f64>,
+    branch_samples: Vec<f64>,
+}
+
+impl StepState {
+    /// A copy of everything but the recorded samples.
+    fn without_samples(&self) -> Self {
+        Self {
+            x: self.x.clone(),
+            times: Vec::new(),
+            samples: Vec::new(),
+            branch_samples: Vec::new(),
+            ..*self
+        }
+    }
+
+    /// Appends the sample at `t`: every node voltage (ground first) and
+    /// every branch current of the iterate.
+    fn record(&mut self, nv: usize) {
+        self.times.push(self.t);
+        self.samples.push(0.0);
+        self.samples.extend_from_slice(&self.x[..nv]);
+        self.branch_samples.extend_from_slice(&self.x[nv..]);
+    }
+}
+
+/// An attempt's state at the top of a step, outside the arena's reused
+/// buffers as well as in them.
+#[derive(Debug, Clone)]
+struct AttemptState {
+    /// Per-element capacitor history.
+    hist: Vec<(f64, f64)>,
+    /// The stop rule's near and far crossings.
+    crossings: [Vec<(f64, Edge)>; 2],
+    /// The step state; a fork's recorded samples stay behind in the
+    /// leader's buffers until [`AttemptState::fill`] copies them.
+    step: StepState,
+    /// Samples the leader had recorded where the member forked, while they
+    /// are not yet copied into `step`.
+    recorded: Option<usize>,
+}
+
+impl AttemptState {
+    /// Copies the first `recorded` samples from the leader's attempt
+    /// buffers (which only grew since the fork), if not yet done.
+    fn fill(&mut self, times: &[f64], samples: &[f64], branch_samples: &[f64]) {
+        let Some(n) = self.recorded.take() else {
+            return;
+        };
+        // Sized like the leader's buffers, the member's will rarely grow.
+        let prefix = |buf: &[f64]| {
+            let mut v = Vec::with_capacity(buf.len());
+            v.extend_from_slice(&buf[..n * (buf.len() / times.len().max(1))]);
+            v
+        };
+        self.step.times = prefix(times);
+        self.step.samples = prefix(samples);
+        self.step.branch_samples = prefix(branch_samples);
+    }
+}
+
+/// Everything a run reads at the top of a step, copied where a family
+/// member forks from the leader's run.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    run: RunState,
+    attempt: AttemptState,
+}
+
+/// The result of a member whose shared prefix outlasted the leader's run:
+/// the leader's own, all of it inherited.
+fn inherit(lead: &Result<TranResult, AnalysisError>) -> Result<TranResult, AnalysisError> {
+    let mut r = lead.clone()?;
+    r.shared = Some(SharedPrefix {
+        accepted_steps: r.accepted_steps,
+        newton_iterations: r.newton_iterations,
+    });
+    r.assemble_seconds = 0.0;
+    r.lu_seconds = 0.0;
+    if let Some(m) = TranMetrics::new() {
+        m.book(&r, 0.0, (0, 0));
+    }
+    Ok(r)
+}
+
+/// The breakpoints a run to `t_stop` lands on: the PWL corners of all
+/// sources inside `(0, t_stop)`, then `t_stop`.
+fn breakpoints_into(ckt: &Circuit, t_stop: f64, list: &mut Vec<f64>) {
+    list.clear();
+    list.extend(
+        ckt.source_breakpoints()
+            .into_iter()
+            .filter(|&t| t > 0.0 && t < t_stop),
+    );
+    list.push(t_stop);
+}
+
+/// One run: the restart loop around [`tran_attempt`]. With `resume`, the
+/// first attempt continues a family leader's attempt from a snapshot
+/// instead of starting at t = 0.
+fn run(
     ckt: &Circuit,
     options: &TranOptions,
     cancel: &CancelToken,
     arena: &mut TranArena,
+    resume: Option<Snapshot>,
+    forks: &mut Forks,
 ) -> Result<TranResult, AnalysisError> {
     // The stamp plan and its static-order LU program are pure functions
     // of topology, compiled once per run and used by every solve (DC init
     // included).
     let sys = System::with_static_order(ckt);
-    let policy = options.recovery;
-    // Per-run entropy comes only from the run's own parameters, so fault
-    // decisions replay identically regardless of worker scheduling.
-    let mut faults = FaultStream::for_run(
-        &options.faults,
-        run_entropy(options.t_stop, options.dv_max, sys.n, ckt.elements.len()),
-    );
     let metrics = TranMetrics::new();
     let mut span = obs::span("spice.tran").arg("t_stop", format_args!("{:.3e}", options.t_stop));
-    let mut trace = RecoveryTrace::default();
-    let mut solves = 0usize;
-    let mut attempt_opts = *options;
+    let (mut state, mut resume) = match resume {
+        // A forked member goes on with the leader's attempt under its own
+        // end time.
+        Some(Snapshot { run, attempt }) => (
+            RunState {
+                options: TranOptions {
+                    t_stop: options.t_stop,
+                    ..run.options
+                },
+                ..run
+            },
+            Some(attempt),
+        ),
+        None => (RunState::new(options, &sys, ckt), None),
+    };
+    let mut shared = resume.as_ref().map(|a| SharedPrefix {
+        accepted_steps: a.step.accepted_steps,
+        newton_iterations: a.step.newton_iterations,
+    });
     let run_start = Instant::now();
     arena.ws.static_solves = 0;
     arena.ws.static_fallbacks = 0;
     arena.ws.sample_layers = metrics.is_some();
     arena.ws.assemble_seconds = 0.0;
     arena.ws.lu_seconds = 0.0;
+    let mut st = StepState::default();
     loop {
         let attempt_start = Instant::now();
-        match tran_attempt(
+        let attempt = tran_attempt(
             ckt,
             &sys,
-            &attempt_opts,
-            &policy,
-            &mut trace,
-            &mut faults,
-            &mut solves,
+            &mut state,
             &metrics,
             cancel,
             arena,
-        ) {
+            &mut st,
+            resume.take(),
+            forks,
+        );
+        if attempt.is_err() {
+            forks.fill_from(&st);
+        }
+        match attempt {
             Ok(mut result) => {
-                result.recovery = trace;
+                result.recovery = state.trace;
+                result.shared = shared;
                 if let Some(m) = &metrics {
-                    m.runs.incr();
-                    m.seconds.add(run_start.elapsed().as_secs_f64());
-                    m.accepted_steps.add(result.accepted_steps as u64);
-                    m.newton_iterations.add(result.newton_iterations as u64);
-                    m.recoveries.add(result.recovery.total() as u64);
-                    m.recovery_seconds.add(result.recovery.total_seconds());
-                    m.assemble_seconds.add(result.assemble_seconds);
-                    m.lu_seconds.add(result.lu_seconds);
-                    m.recovery_depth.observe(result.recovery.total() as f64);
-                    m.lu_static_solves.add(arena.ws.static_solves);
-                    m.lu_static_fallbacks.add(arena.ws.static_fallbacks);
+                    m.book(
+                        &result,
+                        run_start.elapsed().as_secs_f64(),
+                        (arena.ws.static_solves, arena.ws.static_fallbacks),
+                    );
                 }
                 if span.is_active() {
                     span.add_arg("steps", result.accepted_steps);
@@ -529,27 +1002,31 @@ fn tran_in_arena(
             // Singular are terminal. The rung's recorded cost is the whole
             // failed attempt being thrown away.
             Err(AnalysisError::NoConvergence { .. })
-                if trace.restarts < policy.max_restarts as usize =>
+                if state.trace.restarts < options.recovery.max_restarts as usize =>
             {
-                attempt_opts.dt_init = (attempt_opts.dt_init * 0.5).max(attempt_opts.dt_min);
-                attempt_opts.dv_max *= 0.5;
-                trace.record(
+                state.options.dt_init = (state.options.dt_init * 0.5).max(state.options.dt_min);
+                state.options.dv_max *= 0.5;
+                state.trace.record(
                     RecoveryStage::RunRestart,
                     0.0,
-                    attempt_opts.dt_init,
+                    state.options.dt_init,
                     attempt_start.elapsed().as_secs_f64(),
                     false,
                 );
+                // The restarted attempt integrates from t = 0 like any.
+                if let Some(s) = &mut shared {
+                    *s = SharedPrefix::default();
+                }
                 let _ = obs::event("spice.recover")
                     .arg("stage", RecoveryStage::RunRestart)
-                    .arg("restarts", trace.restarts);
+                    .arg("restarts", state.trace.restarts);
             }
             Err(mut e) => {
                 // A deadline that expired while the ladder was climbing
                 // reports where the time went: the accumulated trace of this
                 // run (all attempts so far) rides along on the error.
                 if let AnalysisError::DeadlineExceeded { recovery, .. } = &mut e {
-                    **recovery = std::mem::take(&mut trace);
+                    **recovery = std::mem::take(&mut state.trace);
                 }
                 if span.is_active() {
                     span.add_arg("error", &e);
@@ -564,15 +1041,16 @@ fn tran_in_arena(
 fn tran_attempt(
     ckt: &Circuit,
     sys: &System<'_>,
-    options: &TranOptions,
-    policy: &RecoveryPolicy,
-    trace: &mut RecoveryTrace,
-    faults: &mut FaultStream,
-    solves: &mut usize,
+    run: &mut RunState,
     metrics: &Option<TranMetrics>,
     cancel: &CancelToken,
     arena: &mut TranArena,
+    st: &mut StepState,
+    resume: Option<AttemptState>,
+    forks: &mut Forks,
 ) -> Result<TranResult, AnalysisError> {
+    let options = run.options;
+    let policy = options.recovery;
     let opts = NewtonOptions::default();
     // Disjoint borrows of the arena's pieces for the rest of the attempt.
     let TranArena {
@@ -584,64 +1062,86 @@ fn tran_attempt(
         samples_hint,
         branch_hint,
     } = arena;
-    // Initial condition: DC operating point with sources at t = 0.
-    let op = crate::op::dc_solve_with(ckt, sys, 0.0, None, cancel, ws)?;
-    let mut x = op.x;
-
-    // Per-element capacitor history (v_prev across the cap, i_prev through
-    // it). Entries for non-capacitor elements are unused.
-    hist.clear();
-    hist.extend(ckt.elements.iter().map(|e| match e {
-        Element::Capacitor { a, b, .. } => (sys.v(&x, *a) - sys.v(&x, *b), 0.0),
-        _ => (0.0, 0.0),
-    }));
-
-    // Breakpoints: the PWL corners of all sources inside (0, t_stop).
-    breakpoints.clear();
-    breakpoints.extend(
-        ckt.source_breakpoints()
-            .into_iter()
-            .filter(|&t| t > 0.0 && t < options.t_stop),
-    );
-    breakpoints.push(options.t_stop);
-
+    breakpoints_into(ckt, options.t_stop, breakpoints);
     let node_count = ckt.node_count();
     let branch_count = sys.n - sys.nv;
-    // Flat sample storage: appending a step is two extends into contiguous
-    // buffers, no per-step allocation once capacity has grown. These move
-    // out into the result, so the arena can only contribute high-water
-    // capacity hints from earlier runs.
-    let mut times = Vec::with_capacity(*times_hint);
-    let mut samples: Vec<f64> = Vec::with_capacity(*samples_hint);
-    let mut branch_samples: Vec<f64> = Vec::with_capacity(*branch_hint);
-    let record = |t: f64, x: &[f64], times: &mut Vec<f64>, s: &mut Vec<f64>, b: &mut Vec<f64>| {
-        times.push(t);
-        s.push(0.0); // ground
-        s.extend_from_slice(&x[..sys.nv]);
-        b.extend_from_slice(&x[sys.nv..]);
+
+    *st = match resume {
+        Some(AttemptState {
+            hist: h,
+            crossings: [near, far],
+            step,
+            recorded,
+        }) => {
+            debug_assert!(recorded.is_none(), "a fork resumes with its samples");
+            *hist = h;
+            *near_crossings = near;
+            *far_crossings = far;
+            step
+        }
+        None => {
+            forks.restart();
+            // Initial condition: DC operating point with sources at t = 0.
+            let op = crate::op::dc_solve_with(ckt, sys, 0.0, None, cancel, ws)?;
+            // Per-element capacitor history (v_prev across the cap, i_prev
+            // through it). Entries for non-capacitor elements are unused.
+            hist.clear();
+            hist.extend(ckt.elements.iter().map(|e| match e {
+                Element::Capacitor { a, b, .. } => (sys.v(&op.x, *a) - sys.v(&op.x, *b), 0.0),
+                _ => (0.0, 0.0),
+            }));
+            near_crossings.clear();
+            far_crossings.clear();
+            let v_watch = options.stop.map_or(0.0, |rule| sys.v(&op.x, rule.node));
+            // Flat sample storage: appending a step is two extends into
+            // contiguous buffers, no per-step allocation once capacity has
+            // grown. These move out into the result, so the arena can only
+            // contribute high-water capacity hints from earlier runs.
+            let mut st = StepState {
+                x: op.x,
+                t: 0.0,
+                h: options.dt_init.min(options.dt_max),
+                bp_idx: 0,
+                v_watch,
+                newton_iterations: 0,
+                accepted_steps: 0,
+                times: Vec::with_capacity(*times_hint),
+                samples: Vec::with_capacity(*samples_hint),
+                branch_samples: Vec::with_capacity(*branch_hint),
+            };
+            st.record(sys.nv);
+            st
+        }
     };
-    record(0.0, &x, &mut times, &mut samples, &mut branch_samples);
-    near_crossings.clear();
-    far_crossings.clear();
-    let mut v_watch = options.stop.map_or(0.0, |rule| sys.v(&x, rule.node));
 
-    let mut t = 0.0;
-    let mut h = options.dt_init.min(options.dt_max);
-    let mut newton_iterations = 0usize;
-    let mut accepted_steps = 0usize;
-    let mut bp_idx = 0usize;
-
-    while t < options.t_stop - options.dt_min * 0.5 {
+    while st.t < options.t_stop - options.dt_min * 0.5 {
         // Step boundary: a cancellation point even when every solve is
         // converging on the first try.
         cancel.check("transient")?;
-        while bp_idx < breakpoints.len() && breakpoints[bp_idx] <= t + options.dt_min * 0.5 {
-            bp_idx += 1;
+        while st.bp_idx < breakpoints.len() && breakpoints[st.bp_idx] <= st.t + options.dt_min * 0.5
+        {
+            st.bp_idx += 1;
         }
-        let next_bp = breakpoints.get(bp_idx).copied().unwrap_or(options.t_stop);
-        let h_eff = h.min(options.dt_max).min(next_bp - t).max(options.dt_min);
-        let t_new = (t + h_eff).min(options.t_stop);
-        let h_eff = t_new - t;
+        let next_bp = breakpoints
+            .get(st.bp_idx)
+            .copied()
+            .unwrap_or(options.t_stop);
+        let h_eff =
+            st.h.min(options.dt_max)
+                .min(next_bp - st.t)
+                .max(options.dt_min);
+        let t_new = (st.t + h_eff).min(options.t_stop);
+        let h_eff = t_new - st.t;
+        // Family members that cannot share this step fork here.
+        forks.take_due(st, t_new, &options, || Snapshot {
+            run: run.clone(),
+            attempt: AttemptState {
+                hist: hist.clone(),
+                crossings: [near_crossings.clone(), far_crossings.clone()],
+                step: st.without_samples(),
+                recorded: Some(st.times.len()),
+            },
+        });
 
         let (geq_per_farad, trap_coeff) = match options.integrator {
             Integrator::Trapezoidal => (2.0 / h_eff, -1.0),
@@ -652,12 +1152,13 @@ fn tran_attempt(
             trap_coeff,
             hist,
         };
+        let (x, faults, solves, trace) = (&st.x, &mut run.faults, &mut run.solves, &mut run.trace);
 
         let solved = match checked_solve(
-            sys, &x, t_new, GMIN, caps, &opts, ws, policy, faults, solves, metrics, cancel,
+            sys, x, t_new, GMIN, caps, &opts, ws, &policy, faults, solves, metrics, cancel,
         )? {
             NewtonOutcome::Converged(iters) => {
-                newton_iterations += iters;
+                st.newton_iterations += iters;
                 true
             }
             NewtonOutcome::Failed => {
@@ -672,10 +1173,10 @@ fn tran_attempt(
                         ..opts
                     };
                     if let NewtonOutcome::Converged(iters) = checked_solve(
-                        sys, &x, t_new, GMIN, caps, &dopts, ws, policy, faults, solves, metrics,
+                        sys, x, t_new, GMIN, caps, &dopts, ws, &policy, faults, solves, metrics,
                         cancel,
                     )? {
-                        newton_iterations += iters;
+                        st.newton_iterations += iters;
                         rescued = true;
                     }
                     trace.record(
@@ -699,11 +1200,11 @@ fn tran_attempt(
                     let mut ok = true;
                     for &g in &[1e-6, 1e-8, 1e-10, GMIN] {
                         match checked_solve(
-                            sys, &warm, t_new, g, caps, &opts, ws, policy, faults, solves, metrics,
-                            cancel,
+                            sys, &warm, t_new, g, caps, &opts, ws, &policy, faults, solves,
+                            metrics, cancel,
                         )? {
                             NewtonOutcome::Converged(iters) => {
-                                newton_iterations += iters;
+                                st.newton_iterations += iters;
                                 warm.copy_from_slice(&ws.x);
                             }
                             NewtonOutcome::Failed => {
@@ -740,29 +1241,31 @@ fn tran_attempt(
                     detail: format!("at t = {t_new:.4e} s with minimum step"),
                 });
             }
-            trace.record(RecoveryStage::StepCut, t_new, h_eff, 0.0, false);
-            h = (h_eff * 0.25).max(options.dt_min);
+            run.trace
+                .record(RecoveryStage::StepCut, t_new, h_eff, 0.0, false);
+            st.h = (h_eff * 0.25).max(options.dt_min);
             continue;
         }
 
         // Converged: the candidate solution is in ws.x.
-        let max_dv = x
-            .iter()
-            .zip(&ws.x)
-            .take(sys.nv)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
+        let max_dv =
+            st.x.iter()
+                .zip(&ws.x)
+                .take(sys.nv)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
         if max_dv > options.dv_max && h_eff > options.dt_min * 1.01 {
             // Too coarse: retry with a smaller step sized to hit the
             // voltage-change target.
-            h = (h_eff * (0.8 * options.dv_max / max_dv).max(0.1)).max(options.dt_min);
+            st.h = (h_eff * (0.8 * options.dv_max / max_dv).max(0.1)).max(options.dt_min);
             continue;
         }
-        if faults.accept() && h_eff > options.dt_min * 1.01 {
+        if run.faults.accept() && h_eff > options.dt_min * 1.01 {
             // Injected rejection of an otherwise-acceptable step; behaves
             // like a step cut (and is recorded as one).
-            trace.record(RecoveryStage::StepCut, t_new, h_eff, 0.0, false);
-            h = (h_eff * 0.25).max(options.dt_min);
+            run.trace
+                .record(RecoveryStage::StepCut, t_new, h_eff, 0.0, false);
+            st.h = (h_eff * 0.25).max(options.dt_min);
             continue;
         }
         // Accept. Update capacitor history with companion currents.
@@ -776,26 +1279,26 @@ fn tran_attempt(
         }
         // The old iterate becomes the workspace's scratch buffer for the
         // next step — no allocation on accept.
-        std::mem::swap(&mut x, &mut ws.x);
-        let t_prev = t;
-        t = t_new;
-        accepted_steps += 1;
-        record(t, &x, &mut times, &mut samples, &mut branch_samples);
+        std::mem::swap(&mut st.x, &mut ws.x);
+        let t_prev = st.t;
+        st.t = t_new;
+        st.accepted_steps += 1;
+        st.record(sys.nv);
         if let Some(rule) = &options.stop {
             // Only a later segment's crossing at exactly `t` can still drop
             // an entry, so entries before `t` are already final; waiting
             // until both crossings lie before `t_prev` keeps one accepted
             // step of margin.
-            let v = sys.v(&x, rule.node);
-            push_crossing(near_crossings, rule.near, (t_prev, v_watch), (t, v));
-            push_crossing(far_crossings, rule.far, (t_prev, v_watch), (t, v));
-            v_watch = v;
+            let v = sys.v(&st.x, rule.node);
+            push_crossing(near_crossings, rule.near, (t_prev, st.v_watch), (st.t, v));
+            push_crossing(far_crossings, rule.far, (t_prev, st.v_watch), (st.t, v));
+            st.v_watch = v;
             if rule.met(near_crossings, far_crossings, t_prev) {
                 break;
             }
         }
         // Grow the step when comfortably inside the accuracy target.
-        h = if max_dv < 0.5 * options.dv_max {
+        st.h = if max_dv < 0.5 * options.dv_max {
             h_eff * 1.6
         } else {
             h_eff
@@ -804,21 +1307,22 @@ fn tran_attempt(
 
     // Remember how big the sample buffers got so the next run on this
     // thread pre-sizes instead of growing.
-    *times_hint = (*times_hint).max(times.len());
-    *samples_hint = (*samples_hint).max(samples.len());
-    *branch_hint = (*branch_hint).max(branch_samples.len());
+    *times_hint = (*times_hint).max(st.times.len());
+    *samples_hint = (*samples_hint).max(st.samples.len());
+    *branch_hint = (*branch_hint).max(st.branch_samples.len());
 
     Ok(TranResult {
-        times,
+        times: std::mem::take(&mut st.times),
         node_count,
         branch_count,
-        samples,
-        branch_samples,
-        newton_iterations,
-        accepted_steps,
+        samples: std::mem::take(&mut st.samples),
+        branch_samples: std::mem::take(&mut st.branch_samples),
+        newton_iterations: st.newton_iterations,
+        accepted_steps: st.accepted_steps,
         assemble_seconds: ws.assemble_seconds,
         lu_seconds: ws.lu_seconds,
         recovery: RecoveryTrace::default(),
+        shared: None,
     })
 }
 

@@ -419,10 +419,10 @@ fn seed_1996_recipe_degrades_the_recorded_slices() {
         .iter()
         .map(|d| format!("{:?}/{}/{:?}", d.kind, d.pin, d.edge))
         .collect();
-    assert_eq!(ids, ["Dual/0/Rising", "Dual/1/Rising", "Dual/1/Falling"]);
+    assert_eq!(ids, ["Dual/1/Rising"]);
     assert_eq!(
         proxim_model::persist::fnv1a_64(model.to_json().unwrap().as_bytes()),
-        0x9b47_1376_35dd_a7fe
+        0x2bf1_6eb2_9a3f_2481
     );
 }
 
@@ -453,7 +453,7 @@ fn daemon_demo_model_is_characterized_under_the_armed_plan() {
         .iter()
         .map(|d| format!("{:?}/{}/{:?}", d.kind, d.pin, d.edge))
         .collect();
-    assert_eq!(ids, ["Dual/0/Rising", "Dual/1/Rising", "Dual/1/Falling"]);
+    assert_eq!(ids, ["Dual/1/Rising"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
