@@ -9,11 +9,11 @@
 //! at which the extremum still reaches `V_il` is the gate's inertial delay.
 
 use crate::env::ExperimentEnv;
-use proxim_model::measure::{InputEvent, Scenario};
+use proxim_model::characterize::{Reading, Simulator};
+use proxim_model::measure::InputEvent;
 use proxim_model::ModelError;
 use proxim_numeric::grid::linspace;
 use proxim_numeric::pwl::Edge;
-use proxim_spice::tran::TranOptions;
 
 /// One sweep series.
 #[derive(Debug, Clone)]
@@ -28,33 +28,6 @@ pub struct Series {
     pub min_separation_model: Option<f64>,
 }
 
-/// Simulates one causer/blocker pair and returns the output minimum.
-fn simulate_pair(env: &ExperimentEnv, e_b: InputEvent, e_a: InputEvent) -> Result<f64, ModelError> {
-    // Stable pin c at its sensitizing level for the causer; a starts high.
-    let scenario = Scenario::resolve(&env.cell, &[e_b])?;
-    let mut net = env.cell.netlist(&env.tech, env.model.reference_load());
-    for (pin, lv) in scenario.stable_levels.iter().enumerate() {
-        if pin == e_a.pin {
-            continue;
-        }
-        if let Some(h) = lv {
-            net.set_level(pin, *h);
-        }
-    }
-    let shift = 0.3e-9 - e_b.ramp.t_start.min(e_a.ramp.t_start).min(0.0);
-    let e_b = e_b.delayed(shift);
-    let e_a = e_a.delayed(shift);
-    net.set_waveform(e_b.pin, e_b.ramp.waveform(env.tech.vdd));
-    net.set_waveform(e_a.pin, e_a.ramp.waveform(env.tech.vdd));
-    let t_end = (e_b.ramp.t_start + e_b.ramp.transition_time)
-        .max(e_a.ramp.t_start + e_a.ramp.transition_time)
-        + 4e-9;
-    let r = net
-        .circuit
-        .tran(&TranOptions::to(t_end).with_dv_max(0.03))?;
-    Ok(r.waveform(net.out).min().1)
-}
-
 /// Regenerates the figure.
 ///
 /// # Errors
@@ -65,6 +38,8 @@ pub fn run(env: &ExperimentEnv, points: usize) -> Result<Vec<Series>, ModelError
     let tau_a = 500e-12;
     let glitch = env.model.glitch_model(Edge::Rising);
     let c_load = env.model.reference_load();
+    // The characterization path, at a tighter step bound than the model's.
+    let sim = Simulator::new(&env.cell, &env.tech, th, c_load, 0.03);
 
     let mut out = Vec::new();
     for &tau_b in &[100e-12, 500e-12, 1000e-12] {
@@ -80,7 +55,7 @@ pub fn run(env: &ExperimentEnv, points: usize) -> Result<Vec<Series>, ModelError
             let arrival_b = e_b.arrival(&th);
             let frac_a = InputEvent::new(0, Edge::Falling, 0.0, tau_a).arrival(&th);
             let e_a = InputEvent::new(0, Edge::Falling, arrival_b + s - frac_a, tau_a);
-            let v_sim = simulate_pair(env, e_b, e_a)?;
+            let v_sim = sim.simulate_for(&[e_b, e_a], Reading::Peak)?.peak();
             let v_model = match (glitch, d1) {
                 (Some(g), Some(d1)) => Some(g.peak_voltage(tau_b, tau_a, s, d1)),
                 _ => None,

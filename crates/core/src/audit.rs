@@ -1227,7 +1227,6 @@ impl ProximityModel {
                     return Ok(None);
                 }
                 let all = GlitchModel::enumerate(
-                    &self.cell,
                     &self.thresholds,
                     self.c_ref,
                     single,
@@ -1235,7 +1234,7 @@ impl ProximityModel {
                     &char_opts.glitch_u_grid,
                     &char_opts.glitch_v_grid,
                     &char_opts.glitch_w_grid,
-                )?;
+                );
                 (all, indices.to_vec())
             }
             SliceKind::Correction => (Vec::new(), Vec::new()),

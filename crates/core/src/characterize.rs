@@ -3,10 +3,11 @@
 //! The paper builds its macromodels from HSPICE runs; [`Simulator`] plays
 //! that role here on top of [`proxim_spice`]. It elaborates the cell once
 //! per scenario, applies controlled PWL ramps, picks a settling horizon from
-//! the drive strength, and returns the measured output waveform — ended as
-//! soon as the threshold crossings a measurement reads are fixed (see
-//! [`proxim_spice::StopRule`]). Stimuli that share their leading ramp can be
-//! simulated as one family ([`Simulator::simulate_family`]), which
+//! the drive strength, and returns the output waveform for what it is read
+//! for ([`Reading`]): an edge run ends as soon as the threshold crossings
+//! its measurement reads are fixed (see [`proxim_spice::StopRule`]), a peak
+//! run goes to the settling horizon. Stimuli that share their leading ramp
+//! can be simulated as one family ([`Simulator::simulate_family`]), which
 //! integrates the shared part of their transients once.
 
 use crate::error::ModelError;
@@ -170,6 +171,20 @@ impl CharacterizeOptions {
     }
 }
 
+/// What a characterization transient's output is read for, and so how far
+/// it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reading {
+    /// The delay from `events[0]` and the `V_il`–`V_ih` transition time.
+    Edge,
+    /// [`Reading::Edge`] plus the 5–95 %-of-swing edge time.
+    WideEdge,
+    /// The output extremum (§6): `events[0]` is the causer, and the stable
+    /// pins are sensitized for it alone, so the other events (blockers)
+    /// switch against the transition it would cause.
+    Peak,
+}
+
 /// The measured response of one simulated scenario.
 #[derive(Debug, Clone)]
 pub struct SimResponse {
@@ -177,13 +192,14 @@ pub struct SimResponse {
     /// 0.2 ns (or that much after its own start, when every event starts
     /// after `t = 0`) and every other event keeps its offset from it.
     pub events: Vec<InputEvent>,
-    /// The simulated output waveform. It ends one accepted solver step
-    /// after the step in which the output first crossed the far
-    /// measurement threshold (`V_ih` rising, `V_il` falling; the 95 %/5 %
-    /// bound for [`Simulator::simulate_wide`]) after the near one — or at
-    /// the settling horizon if the output never gets that far. Every first crossing of the thresholds between the two is the
-    /// same as on the full-horizon waveform, but the settled tail is not
-    /// there: read extrema or final values from a transient of your own.
+    /// The simulated output waveform. An edge reading's ends one accepted
+    /// solver step after the step in which the output first crossed the
+    /// far measurement threshold (`V_ih` rising, `V_il` falling; the
+    /// 95 %/5 % bound for [`Reading::WideEdge`]) after the near one — or at
+    /// the settling horizon if the output never gets that far. Every first
+    /// crossing of the thresholds between the two is the same as on the
+    /// full-horizon waveform, but the settled tail is not there. A
+    /// [`Reading::Peak`] waveform runs to the settling horizon.
     pub output: Pwl,
     /// The output transition direction.
     pub output_edge: Edge,
@@ -221,6 +237,39 @@ impl SimResponse {
     pub fn transition_time(&self, th: &Thresholds) -> Result<f64, ModelError> {
         crate::measure::measure_transition(&self.output, th, self.output_edge)
     }
+
+    /// The output extremum in the output edge's direction (the minimum of
+    /// a falling output, the maximum of a rising one): the glitch peak of
+    /// a [`Reading::Peak`] response.
+    pub fn peak(&self) -> f64 {
+        match self.output_edge {
+            Edge::Falling => self.output.min().1,
+            Edge::Rising => self.output.max().1,
+        }
+    }
+}
+
+/// The events as a transient applies them, and the index of the leading
+/// one (the earliest start, the first among equals): all move together so
+/// that the leading ramp starts at exactly 0.2 ns, or 0.2 ns after its own
+/// start when that is after `t = 0`. The DC initial condition then reflects
+/// the initial rails, and every other event keeps its offset from the
+/// leading one.
+pub(crate) fn applied_events(events: &[InputEvent]) -> (Vec<InputEvent>, Option<usize>) {
+    let lead = (0..events.len())
+        .min_by(|&a, &b| events[a].ramp.t_start.total_cmp(&events[b].ramp.t_start));
+    let base = lead.map_or(0.0, |k| events[k].ramp.t_start.min(0.0));
+    let applied = events
+        .iter()
+        .map(|e| InputEvent {
+            ramp: InputRamp {
+                t_start: 0.2e-9 + (e.ramp.t_start - base),
+                ..e.ramp
+            },
+            ..*e
+        })
+        .collect();
+    (applied, lead)
 }
 
 /// A characterization simulator bound to one cell, technology and load.
@@ -328,33 +377,36 @@ impl<'a> Simulator<'a> {
     /// Returns [`ModelError`] if the scenario is unsensitizable or the
     /// simulation fails.
     pub fn simulate(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
-        self.simulate_until(events, false)
+        self.simulate_for(events, Reading::Edge)
     }
 
-    /// [`Simulator::simulate`] for a response that is also read for its
-    /// 5–95 %-of-swing edge: the transient runs on until the output has
-    /// crossed the farther of that bound and the §2 threshold.
+    /// Simulates a switching scenario for `reading` (see [`Reading`]): a
+    /// [`Reading::WideEdge`] transient runs on until the output has crossed
+    /// the farther of the 5–95 %-of-swing bound and the §2 threshold, a
+    /// [`Reading::Peak`] one to the settling horizon.
     ///
     /// # Errors
     ///
     /// As [`Simulator::simulate`].
-    pub fn simulate_wide(&self, events: &[InputEvent]) -> Result<SimResponse, ModelError> {
-        self.simulate_until(events, true)
-    }
-
-    fn simulate_until(&self, events: &[InputEvent], wide: bool) -> Result<SimResponse, ModelError> {
+    pub fn simulate_for(
+        &self,
+        events: &[InputEvent],
+        reading: Reading,
+    ) -> Result<SimResponse, ModelError> {
         let mut response = None;
-        self.simulate_family(&[(events, wide)], |_, r| response = Some(r));
+        self.simulate_family(&[(events, reading)], |_, r| response = Some(r));
         response.unwrap_or_else(|| unreachable!("a family of one has one response"))
     }
 
-    /// Simulates a family of stimuli — `(events, wide)` each, as
-    /// [`Simulator::simulate`] (`wide == false`) or
-    /// [`Simulator::simulate_wide`] would — and hands each stimulus's
+    /// Simulates a family of stimuli — `(events, reading)` each, as
+    /// [`Simulator::simulate_for`] would — and hands each stimulus's
     /// response to `each` with its index, as soon as it is done (not in
     /// stimulus order). Each response is bit-identical to simulating the
     /// stimulus alone.
     ///
+    /// Every stimulus runs towards `t_stop`, the end of its last ramp plus
+    /// [`Simulator::settle_margin`]; an edge reading ends early under its
+    /// stop rule.
     /// Stimuli that share their leading ramp (pin, edge, transition time
     /// and start) drive transients that agree until a later input starts
     /// to move, so [`tran_family`] integrates that shared prefix once and
@@ -364,14 +416,14 @@ impl<'a> Simulator<'a> {
     /// agree too.
     pub fn simulate_family(
         &self,
-        stimuli: &[(&[InputEvent], bool)],
+        stimuli: &[(&[InputEvent], Reading)],
         mut each: impl FnMut(usize, Result<SimResponse, ModelError>),
     ) {
         // Members clone one elaborated cell, sharing its names.
         let cell = self.cell.netlist(self.tech, self.c_load);
         let mut prepared = Vec::with_capacity(stimuli.len());
-        for (i, &(events, wide)) in stimuli.iter().enumerate() {
-            match self.prepare(&cell, events, wide) {
+        for (i, &(events, reading)) in stimuli.iter().enumerate() {
+            match self.prepare(&cell, events, reading) {
                 Ok(p) => prepared.push((i, p)),
                 Err(e) => each(i, Err(e)),
             }
@@ -399,26 +451,14 @@ impl<'a> Simulator<'a> {
         &self,
         cell: &CellNetlist,
         events: &[InputEvent],
-        wide: bool,
+        reading: Reading,
     ) -> Result<Prepared, ModelError> {
-        let scenario = Scenario::resolve(self.cell, events)?;
-
-        // Place the earliest ramp at exactly 0.2 ns (the DC initial
-        // condition then reflects the initial rails) and keep every other
-        // event's offset from it.
-        let lead = (0..events.len())
-            .min_by(|&a, &b| events[a].ramp.t_start.total_cmp(&events[b].ramp.t_start));
-        let base = lead.map_or(0.0, |k| events[k].ramp.t_start.min(0.0));
-        let events: Vec<InputEvent> = events
-            .iter()
-            .map(|e| InputEvent {
-                ramp: InputRamp {
-                    t_start: 0.2e-9 + (e.ramp.t_start - base),
-                    ..e.ramp
-                },
-                ..*e
-            })
-            .collect();
+        let sensitized = match reading {
+            Reading::Peak => &events[..events.len().min(1)],
+            Reading::Edge | Reading::WideEdge => events,
+        };
+        let scenario = Scenario::resolve(self.cell, sensitized)?;
+        let (events, lead) = applied_events(events);
 
         let ramp_end = |e: &InputEvent| e.ramp.t_start + e.ramp.transition_time;
         let t_ramps_end = events.iter().map(ramp_end).fold(0.0f64, f64::max);
@@ -440,25 +480,27 @@ impl<'a> Simulator<'a> {
         let th = &self.thresholds;
         let edge = scenario.output_edge;
         let vdd = self.tech.vdd;
-        let far = match (edge, wide) {
-            (Edge::Rising, false) => th.v_ih,
-            (Edge::Falling, false) => th.v_il,
-            (Edge::Rising, true) => th.v_ih.max(0.95 * vdd),
-            (Edge::Falling, true) => th.v_il.min(0.05 * vdd),
+        let far = match (edge, reading) {
+            (Edge::Rising, Reading::WideEdge) => th.v_ih.max(0.95 * vdd),
+            (Edge::Falling, Reading::WideEdge) => th.v_il.min(0.05 * vdd),
+            (Edge::Rising, _) => th.v_ih,
+            (Edge::Falling, _) => th.v_il,
         };
-        let options = TranOptions {
-            t_stop,
-            ..TranOptions::to(horizon)
-        }
-        .with_dv_max(self.dv_max)
-        .with_tolerance_scale(self.tol_scale)
-        .with_faults(self.faults)
-        .with_stop(StopRule {
+        // A peak is read over the whole waveform, so it has no stop rule.
+        let stop = (reading != Reading::Peak).then_some(StopRule {
             node: net.out,
             edge,
             near: th.threshold_for(edge),
             far,
         });
+        let options = TranOptions {
+            t_stop,
+            stop,
+            ..TranOptions::to(horizon)
+        }
+        .with_dv_max(self.dv_max)
+        .with_tolerance_scale(self.tol_scale)
+        .with_faults(self.faults);
         Ok(Prepared {
             events,
             net,

@@ -109,7 +109,7 @@ impl RunControl {
 /// so a resume only replays an outcome onto the *same* job (same phase,
 /// same index, same stimulus) it was recorded for.
 pub(crate) fn stimulus_hash(job: &SimJob) -> u64 {
-    fnv1a_64(format!("{:?}", job.stimulus).as_bytes())
+    fnv1a_64(format!("{job:?}").as_bytes())
 }
 
 /// An entry key within the journal: `(phase, job index within phase)`.

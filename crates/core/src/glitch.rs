@@ -11,7 +11,7 @@
 use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
-use crate::measure::{InputEvent, Scenario};
+use crate::measure::InputEvent;
 use crate::single::SingleInputModel;
 use crate::thresholds::Thresholds;
 use proxim_numeric::pwl::Edge;
@@ -63,7 +63,6 @@ impl GlitchModel {
         w_grid: &[f64],
     ) -> Result<Self, ModelError> {
         let jobs = Self::enumerate(
-            sim.cell,
             &sim.thresholds,
             sim.c_load,
             single,
@@ -71,7 +70,7 @@ impl GlitchModel {
             u_grid,
             v_grid,
             w_grid,
-        )?;
+        );
         let batch = execute_jobs(sim, &jobs, 1);
         Self::assemble(
             sim.tech.vdd,
@@ -85,18 +84,13 @@ impl GlitchModel {
     }
 
     /// Enumerates the `(u₁, v, w)` glitch grid as independent simulation
-    /// jobs in row-major order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the causer scenario cannot be sensitized.
+    /// jobs in row-major order. The blocker starts from its sensitizing
+    /// (non-blocking) level for the causer and ramps to the opposite.
     ///
     /// # Panics
     ///
     /// Panics if `blocker == single.pin`.
-    #[allow(clippy::too_many_arguments)]
     pub fn enumerate(
-        cell: &proxim_cells::Cell,
         th: &Thresholds,
         c_load: f64,
         single: &SingleInputModel,
@@ -104,16 +98,11 @@ impl GlitchModel {
         u_grid: &[f64],
         v_grid: &[f64],
         w_grid: &[f64],
-    ) -> Result<Vec<SimJob>, ModelError> {
+    ) -> Vec<SimJob> {
         let causer = single.pin;
         assert_ne!(causer, blocker, "blocker must differ from the causer");
         let causer_edge = single.input_edge;
         let blocker_edge = causer_edge.opposite();
-
-        // The blocker starts from its sensitizing (non-blocking) level and
-        // ramps to the opposite.
-        let causer_scenario =
-            Scenario::resolve(cell, &[InputEvent::new(causer, causer_edge, 0.0, 1e-10)])?;
 
         let mut jobs = Vec::with_capacity(u_grid.len() * v_grid.len() * w_grid.len());
         for &u1 in u_grid {
@@ -127,11 +116,11 @@ impl GlitchModel {
                     let s = w * d1;
                     let frac_b = InputEvent::new(blocker, blocker_edge, 0.0, tau_b).arrival(th);
                     let e_b = InputEvent::new(blocker, blocker_edge, arrival_c + s - frac_b, tau_b);
-                    jobs.push(SimJob::glitch(causer_scenario.clone(), e_c, e_b));
+                    jobs.push(SimJob::glitch(e_c, e_b));
                 }
             }
         }
-        Ok(jobs)
+        jobs
     }
 
     /// Builds the model from executed job outcomes in enumeration order.
@@ -234,63 +223,11 @@ impl GlitchModel {
     }
 }
 
-/// Simulates one causer/blocker pair and returns the output extremum plus
-/// the transient's recovery-ladder trace.
-pub(crate) fn simulate_glitch(
-    sim: &Simulator<'_>,
-    causer_scenario: &Scenario,
-    e_c: InputEvent,
-    e_b: InputEvent,
-    output_edge: Edge,
-) -> Result<(f64, proxim_spice::RecoveryTrace, proxim_spice::TranWork), ModelError> {
-    // Shift both events positive, mirroring Simulator::simulate.
-    let t_min = e_c.ramp.t_start.min(e_b.ramp.t_start);
-    let shift = 0.2e-9 - t_min.min(0.0);
-    let e_c = e_c.delayed(shift);
-    let e_b = e_b.delayed(shift);
-
-    let mut net = sim.cell.netlist(sim.tech, sim.c_load);
-    for (pin, lv) in causer_scenario.stable_levels.iter().enumerate() {
-        if pin == e_b.pin {
-            continue;
-        }
-        if let Some(high) = lv {
-            net.set_level(pin, *high);
-        }
-    }
-    net.set_waveform(e_c.pin, e_c.ramp.waveform(sim.tech.vdd));
-    net.set_waveform(e_b.pin, e_b.ramp.waveform(sim.tech.vdd));
-
-    let t_ramps_end = (e_c.ramp.t_start + e_c.ramp.transition_time)
-        .max(e_b.ramp.t_start + e_b.ramp.transition_time);
-    let t_stop = t_ramps_end + 3.0 * settle(sim);
-    let options = proxim_spice::tran::TranOptions::to(t_stop)
-        .with_dv_max(sim.dv_max)
-        .with_tolerance_scale(sim.tol_scale)
-        .with_faults(sim.faults);
-    // No stop rule: the peak is read over the whole waveform.
-    let result = net.circuit.tran_cancellable(&options, &sim.cancel)?;
-    let out = result.waveform(net.out);
-    let peak = match output_edge {
-        Edge::Falling => out.min().1,
-        Edge::Rising => out.max().1,
-    };
-    let work = result.work();
-    Ok((peak, result.recovery, work))
-}
-
-fn settle(sim: &Simulator<'_>) -> f64 {
-    let vdd = sim.tech.vdd;
-    let k = sim.tech.k_n(sim.cell.wn()).min(sim.tech.k_p(sim.cell.wp()));
-    let vt = sim.tech.nmos.vt0.max(sim.tech.pmos.vt0);
-    let i = k * (vdd - vt) * (vdd - vt) / sim.cell.input_count() as f64;
-    (4.0 * sim.c_load * vdd / i).max(1e-9)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::characterize::Reading;
     use crate::thresholds::Thresholds;
     use proxim_cells::{Cell, Technology};
 
@@ -342,8 +279,7 @@ mod tests {
         let sim = Simulator::new(&cell, &tech, th, 100e-15, 0.1).with_cancel(cancel);
         let e_c = InputEvent::new(1, Edge::Rising, 0.0, 300e-12);
         let e_b = InputEvent::new(0, Edge::Falling, 200e-12, 300e-12);
-        let scenario = Scenario::resolve(&cell, &[e_c]).unwrap();
-        let err = simulate_glitch(&sim, &scenario, e_c, e_b, scenario.output_edge).unwrap_err();
+        let err = sim.simulate_for(&[e_c, e_b], Reading::Peak).unwrap_err();
         assert!(err.is_cancellation(), "got {err:?}");
     }
 

@@ -3,15 +3,16 @@
 //! Characterization cost is dominated by thousands of *independent*
 //! transient analyses. Rather than interleaving simulation with table
 //! construction, each model layer first **enumerates** its grid as plain
-//! [`SimJob`] values, the whole batch is **executed** — sequentially or by a
-//! pool of scoped worker threads pulling from an atomic work queue — and the
-//! tables are then **assembled** from the outcomes in job order.
+//! [`SimJob`] values (events, load and [`Reading`]: one shape for edge and
+//! glitch-peak jobs alike), the whole batch is **executed** — sequentially
+//! or by a pool of scoped worker threads pulling from an atomic work queue —
+//! and the tables are then **assembled** from the outcomes in job order.
 //!
-//! Jobs whose stimuli share their leading input ramp form a *family*
-//! ([`families`]): their transients agree until a later input starts to
-//! move, so a family is one unit of work on one worker, simulated through
-//! [`Simulator::simulate_family`], which integrates the shared prefix once.
-//! Every outcome is still the job's own, bit for bit.
+//! Jobs whose stimuli share their leading input ramp, load and reading form
+//! a *family* ([`families`]): their transients agree until a later input
+//! starts to move, so a family is one unit of work on one worker, simulated
+//! through [`Simulator::simulate_family`], which integrates the shared
+//! prefix once. Every outcome is still the job's own, bit for bit.
 //!
 //! Because assembly consumes outcomes strictly by job index, the resulting
 //! model is byte-identical regardless of worker count or scheduling: thread
@@ -22,10 +23,10 @@
 //! poison the pool, and assembly surfaces the first failed job in index
 //! order.
 
-use crate::characterize::{SimResponse, Simulator};
+use crate::characterize::{applied_events, Reading, SimResponse, Simulator};
 use crate::checkpoint::{stimulus_hash, CheckpointJournal};
 use crate::error::ModelError;
-use crate::measure::{InputEvent, Scenario};
+use crate::measure::InputEvent;
 use proxim_numeric::pwl::Edge;
 use proxim_obs as obs;
 use proxim_spice::{AnalysisError, RecoveryTrace, TranWork};
@@ -97,86 +98,56 @@ pub mod metric {
     pub const TRAN_SHARED_STEPS: &str = "spice.tran.shared_steps";
 
     /// Bucket bounds of [`JOB_SECONDS`]: characterization transients range
-    /// from sub-millisecond single-input rows to second-scale glitch runs.
+    /// from sub-millisecond rows to second-scale ones.
     pub const JOB_SECONDS_BOUNDS: &[f64] = &[0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0];
 }
 
-/// The stimulus of one independent characterization transient.
-#[derive(Debug, Clone)]
-pub enum Stimulus {
-    /// A same-direction switching scenario measured through
-    /// [`Simulator::simulate`]: delay referenced to `events[0]`, the
-    /// `V_il`–`V_ih` output transition time, and (for single-input table
-    /// rows) the wide 5–95 % edge time feeding the tail factor.
-    Events {
-        /// The switching inputs; the delay is measured from `events[0]`.
-        events: Vec<InputEvent>,
-        /// Output load override; `None` runs at the simulator's reference
-        /// load (the NLDM surface sweeps this axis).
-        c_load: Option<f64>,
-        /// Whether to also measure the 5–95 % edge time.
-        measure_wide: bool,
-    },
-    /// A causer/blocker glitch scenario measuring the output extremum (§6).
-    Glitch {
-        /// The causer's resolved sensitization (stable levels, output edge).
-        scenario: Scenario,
-        /// The causer event (drives the output transition).
-        causer: InputEvent,
-        /// The blocker event (switches the opposite way).
-        blocker: InputEvent,
-    },
-}
-
-/// One independent simulation scenario, ready to execute on any worker.
+/// One independent characterization transient, ready to execute on any
+/// worker: the switching inputs, the load, and what the output is read for.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// What to simulate and measure.
-    pub stimulus: Stimulus,
+    /// The switching inputs; delays are measured from, and a peak is caused
+    /// by, `events[0]`.
+    pub events: Vec<InputEvent>,
+    /// Output load override; `None` runs at the simulator's reference load
+    /// (the NLDM surface sweeps this axis).
+    pub c_load: Option<f64>,
+    /// What the output is read for.
+    pub reading: Reading,
 }
 
 impl SimJob {
-    /// A same-direction events job at the reference load.
+    /// An edge job at the reference load.
     pub fn events(events: Vec<InputEvent>) -> Self {
         Self {
-            stimulus: Stimulus::Events {
-                events,
-                c_load: None,
-                measure_wide: false,
-            },
+            events,
+            c_load: None,
+            reading: Reading::Edge,
         }
     }
 
-    /// An events job that also measures the wide edge time.
+    /// An edge job that also measures the wide edge time.
     pub fn events_wide(events: Vec<InputEvent>) -> Self {
         Self {
-            stimulus: Stimulus::Events {
-                events,
-                c_load: None,
-                measure_wide: true,
-            },
+            reading: Reading::WideEdge,
+            ..Self::events(events)
         }
     }
 
-    /// An events job at an explicit output load.
+    /// An edge job at an explicit output load.
     pub fn events_at_load(events: Vec<InputEvent>, c_load: f64) -> Self {
         Self {
-            stimulus: Stimulus::Events {
-                events,
-                c_load: Some(c_load),
-                measure_wide: false,
-            },
+            c_load: Some(c_load),
+            ..Self::events(events)
         }
     }
 
-    /// A glitch job.
-    pub fn glitch(scenario: Scenario, causer: InputEvent, blocker: InputEvent) -> Self {
+    /// A glitch job: the output extremum under `causer`, with `blocker`
+    /// switching the opposite way.
+    pub fn glitch(causer: InputEvent, blocker: InputEvent) -> Self {
         Self {
-            stimulus: Stimulus::Glitch {
-                scenario,
-                causer,
-                blocker,
-            },
+            reading: Reading::Peak,
+            ..Self::events(vec![causer, blocker])
         }
     }
 }
@@ -184,7 +155,7 @@ impl SimJob {
 /// The measured result of one executed [`SimJob`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
-    /// Measurements of an [`Stimulus::Events`] job.
+    /// Measurements of an edge job ([`Reading::Edge`], [`Reading::WideEdge`]).
     Response {
         /// The output transition direction.
         output_edge: Edge,
@@ -195,7 +166,7 @@ pub enum JobOutcome {
         /// The 5–95 % edge time, when requested and measurable.
         wide: Option<f64>,
     },
-    /// The output-voltage extremum of a [`Stimulus::Glitch`] job, in volts.
+    /// The output-voltage extremum of a [`Reading::Peak`] job, in volts.
     Peak(f64),
     /// The job did not produce a measurement: the simulation errored, or
     /// the worker supervising it caught a panic. The batch survives — the
@@ -253,29 +224,29 @@ impl JobOutcome {
 /// What a job measured, with its transient's recovery trace and work.
 type Measured = (JobOutcome, RecoveryTrace, TranWork);
 
-/// Measures one events response: the delay from `events[0]`, the
-/// transition time, and (for `wide`) the 5–95 % edge time.
-fn measure(s: &Simulator<'_>, r: SimResponse, wide: bool) -> Result<Measured, ModelError> {
-    let th = s.thresholds;
-    let delay = r.delay_from(0, &th)?;
-    let trans = r.transition_time(&th)?;
-    let vdd = s.tech.vdd;
-    let wide = if wide {
-        r.output
-            .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
+/// Reads one response: the output extremum of a peak, or the delay from
+/// `events[0]`, the transition time and (for a wide edge) the 5–95 % edge
+/// time.
+fn measure(s: &Simulator<'_>, r: SimResponse, reading: Reading) -> Result<Measured, ModelError> {
+    let outcome = if reading == Reading::Peak {
+        JobOutcome::Peak(r.peak())
     } else {
-        None
-    };
-    Ok((
+        let th = s.thresholds;
+        let vdd = s.tech.vdd;
+        let wide = if reading == Reading::WideEdge {
+            r.output
+                .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
+        } else {
+            None
+        };
         JobOutcome::Response {
             output_edge: r.output_edge,
-            delay,
-            trans,
+            delay: r.delay_from(0, &th)?,
+            trans: r.transition_time(&th)?,
             wide,
-        },
-        r.recovery,
-        r.work,
-    ))
+        }
+    };
+    Ok((outcome, r.recovery, r.work))
 }
 
 /// Executes one family of jobs (see [`families`]) against the simulator,
@@ -288,117 +259,65 @@ fn run_family(
     let Some(&first) = family.first() else {
         return Vec::new();
     };
-    match &jobs[first].stimulus {
-        Stimulus::Events {
-            c_load,
-            measure_wide,
-            ..
-        } => {
-            // One family shares the load and the wide flag (they are part
-            // of its key).
-            let pass;
-            let s = match c_load {
-                Some(c) => {
-                    pass = Simulator {
-                        c_load: *c,
-                        ..sim.clone()
-                    };
-                    &pass
-                }
-                None => sim,
+    // One family shares the load (it is part of its key).
+    let pass;
+    let s = match jobs[first].c_load {
+        Some(c_load) => {
+            pass = Simulator {
+                c_load,
+                ..sim.clone()
             };
-            let stimuli: Vec<(&[InputEvent], bool)> = family
-                .iter()
-                .map(|&i| match &jobs[i].stimulus {
-                    Stimulus::Events { events, .. } => (events.as_slice(), *measure_wide),
-                    Stimulus::Glitch { .. } => unreachable!("a glitch job is a family of its own"),
-                })
-                .collect();
-            // Each response is measured, and its waveform dropped, as soon
-            // as it is done.
-            let mut measured = vec![None; family.len()];
-            s.simulate_family(&stimuli, |k, r| {
-                measured[k] = Some(r.and_then(|r| measure(s, r, *measure_wide)));
-            });
-            measured.into_iter().flatten().collect()
+            &pass
         }
-        Stimulus::Glitch {
-            scenario,
-            causer,
-            blocker,
-        } => {
-            let run = crate::glitch::simulate_glitch(
-                sim,
-                scenario,
-                *causer,
-                *blocker,
-                scenario.output_edge,
-            )
-            .map(|(v, recovery, work)| (JobOutcome::Peak(v), recovery, work));
-            vec![run]
-        }
+        None => sim,
+    };
+    let stimuli: Vec<(&[InputEvent], Reading)> = family
+        .iter()
+        .map(|&i| (jobs[i].events.as_slice(), jobs[i].reading))
+        .collect();
+    // Each response is measured, and its waveform dropped, as soon as it
+    // is done.
+    let mut measured = vec![None; family.len()];
+    s.simulate_family(&stimuli, |k, r| {
+        measured[k] = Some(r.and_then(|r| measure(s, r, stimuli[k].1)));
+    });
+    measured.into_iter().flatten().collect()
+}
+
+/// The key of a job's family (see [`families`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct FamilyKey {
+    lead: Option<(usize, Edge, u64, u64)>,
+    c_load: Option<u64>,
+    reading: Reading,
+}
+
+fn family_key(job: &SimJob) -> FamilyKey {
+    let (applied, lead) = applied_events(&job.events);
+    FamilyKey {
+        lead: lead.map(|k| {
+            let e = &applied[k];
+            let (tau, start) = (e.transition_time(), e.ramp.t_start);
+            (e.pin, e.edge(), tau.to_bits(), start.to_bits())
+        }),
+        c_load: job.c_load.map(f64::to_bits),
+        reading: job.reading,
     }
 }
 
-/// The key of a job's family (see [`families`]); glitch jobs have none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FamilyKey {
-    pin: usize,
-    edge: Edge,
-    tau: u64,
-    start: u64,
-    c_load: Option<u64>,
-    wide: bool,
-}
-
-fn family_key(job: &SimJob) -> Option<FamilyKey> {
-    let Stimulus::Events {
-        events,
-        c_load,
-        measure_wide,
-    } = &job.stimulus
-    else {
-        return None;
-    };
-    let lead = events
-        .iter()
-        .min_by(|a, b| a.ramp.t_start.total_cmp(&b.ramp.t_start))?;
-    // `Simulator::simulate` places a lead starting at or before t = 0 at
-    // 0.2 ns, and a later one 0.2 ns after its start.
-    let start = if lead.ramp.t_start <= 0.0 {
-        0.0
-    } else {
-        lead.ramp.t_start
-    };
-    Some(FamilyKey {
-        pin: lead.pin,
-        edge: lead.edge(),
-        tau: lead.transition_time().to_bits(),
-        start: start.to_bits(),
-        c_load: c_load.map(f64::to_bits),
-        wide: *measure_wide,
-    })
-}
-
-/// Partitions a batch into families: the jobs whose leading (earliest,
-/// first among equals) input event has the same pin, edge, transition time
-/// and applied start, at the same load override and wide flag, in job
-/// order, listed by their first job. A glitch job is a family of its own.
-/// Each family is one unit of work.
+/// Partitions a batch into families: the jobs whose applied leading ramp
+/// (the earliest, first among equals: pin, edge, transition time and
+/// start), load override and reading agree, in job order, listed by their
+/// first job. Each family is one unit of work.
 pub fn families(jobs: &[SimJob]) -> Vec<Vec<usize>> {
     let mut families: Vec<Vec<usize>> = Vec::new();
     let mut by_key: HashMap<FamilyKey, usize> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
-        match family_key(job) {
-            Some(key) => {
-                let slot = *by_key.entry(key).or_insert_with(|| {
-                    families.push(Vec::new());
-                    families.len() - 1
-                });
-                families[slot].push(i);
-            }
-            None => families.push(vec![i]),
-        }
+        let slot = *by_key.entry(family_key(job)).or_insert_with(|| {
+            families.push(Vec::new());
+            families.len() - 1
+        });
+        families[slot].push(i);
     }
     families
 }
@@ -437,9 +356,10 @@ fn run_supervised(sim: &Simulator<'_>, jobs: &[SimJob], family: &[usize]) -> Vec
     let Some(&first) = family.first() else {
         return Vec::new();
     };
-    let kind = match &jobs[first].stimulus {
-        Stimulus::Events { .. } => "events",
-        Stimulus::Glitch { .. } => "glitch",
+    let kind = match jobs[first].reading {
+        Reading::Edge => "edge",
+        Reading::WideEdge => "wide",
+        Reading::Peak => "peak",
     };
     let span = obs::span("char.job")
         .arg("job", first)
@@ -610,7 +530,7 @@ impl JobBatch {
 ///
 /// The batch is split into [`families`], and workers pull families from a
 /// shared atomic counter, so load balances dynamically across work of very
-/// different cost (a glitch transient can run 10× longer than a fast
+/// different cost (a family of dozens of forked rows against a lone
 /// single-input row). Results are written back by job index, making the
 /// output independent of scheduling.
 ///

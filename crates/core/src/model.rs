@@ -322,8 +322,7 @@ impl ProximityModel {
 
         // Phase 3: everything whose grid depends only on the singles —
         // dual-input proximity tables, NLDM load-slew surfaces, and glitch
-        // extremum tables — fans out as one combined batch, so the slow
-        // glitch transients overlap the cheap dual rows.
+        // extremum tables — fans out as one combined batch.
         cancel.check("characterization")?;
         let t0 = Instant::now();
         let phase_span = obs::span("char.phase.pairs");
@@ -404,7 +403,6 @@ impl ProximityModel {
                     continue;
                 };
                 let js = GlitchModel::enumerate(
-                    cell,
                     &thresholds,
                     opts.c_load,
                     single,
@@ -412,7 +410,7 @@ impl ProximityModel {
                     &opts.glitch_u_grid,
                     &opts.glitch_v_grid,
                     &opts.glitch_w_grid,
-                )?;
+                );
                 spans.push((jobs.len(), js.len()));
                 jobs.extend(js);
                 specs.push(PairSpec::Glitch {

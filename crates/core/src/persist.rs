@@ -109,14 +109,17 @@ impl ProximityModel {
     }
 }
 
-/// On-disk model format version, part of every cache key. Bump whenever
-/// [`ProximityModel`]'s serialized shape changes so stale entries from an
-/// older build miss (and re-characterize) instead of failing to parse.
+/// Model format version, part of every cache key and so of every
+/// checkpoint journal's header. Bump whenever a characterized model's bytes
+/// change, so stale entries and journals from an older build miss (and
+/// re-characterize) instead of serving or replaying the old numbers.
 /// v2: models carry the `degraded` slice provenance list.
 /// v3: cache entries are checksummed and written atomically (tmp + fsync +
 /// rename), so torn entries are detectable. They have since become
 /// [`ModelStore`] entries with the same guarantees; the key did not move.
-const MODEL_FORMAT_VERSION: u32 = 3;
+/// v4: dual rows fork from a shared leading ramp, and glitch rows run on
+/// the same transient path as every other job.
+pub const MODEL_FORMAT_VERSION: u32 = 4;
 
 /// Upper bound on accepted model-JSON size. A characterized model is a few
 /// hundred kilobytes; anything near this limit is not one of ours, and

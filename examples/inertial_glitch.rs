@@ -6,12 +6,11 @@
 //! Run with `cargo run --release --example inertial_glitch`.
 
 use proxim::cells::{Cell, Technology};
-use proxim::model::characterize::CharacterizeOptions;
-use proxim::model::measure::{InputEvent, Scenario};
+use proxim::model::characterize::{CharacterizeOptions, Reading, Simulator};
+use proxim::model::measure::InputEvent;
 use proxim::model::ProximityModel;
 use proxim::numeric::grid::linspace;
 use proxim::numeric::pwl::Edge;
-use proxim::spice::tran::TranOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::demo_5v();
@@ -35,6 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .single_model(1, Edge::Rising)
         .expect("single model characterized");
     let d1 = single_b.delay(tau_b, model.reference_load());
+    // Simulate each pair the way characterization does, at a tighter step
+    // bound: the causer first, its stable pins sensitized for it alone.
+    let sim = Simulator::new(&cell, &tech, th, model.reference_load(), 0.03);
 
     println!(
         "\n{:>8} {:>12} {:>12}  glitch depth",
@@ -45,26 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let arrival_b = e_b.arrival(&th);
         let frac_a = InputEvent::new(0, Edge::Falling, 0.0, tau_a).arrival(&th);
         let e_a = InputEvent::new(0, Edge::Falling, arrival_b + s - frac_a, tau_a);
-
-        // Simulate the pair directly.
-        let scenario = Scenario::resolve(&cell, &[e_b])?;
-        let mut net = cell.netlist(&tech, model.reference_load());
-        for (pin, lv) in scenario.stable_levels.iter().enumerate() {
-            if pin != e_a.pin {
-                if let Some(h) = lv {
-                    net.set_level(pin, *h);
-                }
-            }
-        }
-        let shift = 0.3e-9 - e_a.ramp.t_start.min(0.0);
-        let (e_b2, e_a2) = (e_b.delayed(shift), e_a.delayed(shift));
-        net.set_waveform(1, e_b2.ramp.waveform(tech.vdd));
-        net.set_waveform(0, e_a2.ramp.waveform(tech.vdd));
-        let t_end = (e_a2.ramp.t_start + tau_a).max(e_b2.ramp.t_start + tau_b) + 4e-9;
-        let r = net
-            .circuit
-            .tran(&TranOptions::to(t_end).with_dv_max(0.03))?;
-        let v_sim = r.waveform(net.out).min().1;
+        let v_sim = sim.simulate_for(&[e_b, e_a], Reading::Peak)?.peak();
         let v_model = glitch.peak_voltage(tau_b, tau_a, s, d1);
 
         let depth = ((tech.vdd - v_sim) / tech.vdd * 30.0) as usize;

@@ -7,13 +7,15 @@
 //! its own, bit for bit: on seeded pair stimuli over NAND2, NAND3 and NOR2,
 //! both edges, with and without a stop rule; under an armed fault plan
 //! whose runs restart after they fork; with members that cannot fork; and
-//! one level up, where every characterization job's outcome must equal
-//! that job run as a batch of one, and where a checkpoint journal cut in
-//! the middle of a family resumes to the same outcomes.
+//! one level up, where every characterization job's outcome (glitch peaks
+//! included) must equal that job run as a batch of one, and where a
+//! checkpoint journal cut in the middle of a dual or a glitch family
+//! resumes to the same outcomes.
 
 use proxim::cells::{Cell, Technology};
-use proxim::model::characterize::{CharacterizeOptions, Simulator};
+use proxim::model::characterize::{CharacterizeOptions, Reading, Simulator};
 use proxim::model::dual::DualInputModel;
+use proxim::model::glitch::GlitchModel;
 use proxim::model::jobs::{execute_jobs, execute_jobs_controlled, families, SimJob};
 use proxim::model::measure::{InputEvent, Scenario};
 use proxim::model::ProximityModel;
@@ -333,7 +335,8 @@ fn members_that_cannot_fork_run_alone() {
 }
 
 /// Every job of a characterization batch, run in its family, has the
-/// outcome it has as a batch of one.
+/// outcome it has as a batch of one: dual rows, and glitch rows with each
+/// pin as the causer and its neighbour as the blocker.
 #[test]
 fn every_job_outcome_equals_its_one_job_batch() {
     for cell in [Cell::nand(2), Cell::nand(3)] {
@@ -348,14 +351,24 @@ fn every_job_outcome_equals_its_one_job_batch() {
                 let Some(single) = model.single_model(pin, edge) else {
                     continue;
                 };
+                let partner = (pin + 1) % cell.input_count();
                 jobs.extend(DualInputModel::enumerate(
                     &th,
                     opts.c_load,
                     single,
-                    (pin + 1) % cell.input_count(),
+                    partner,
                     &opts.dual_u_grid[..2],
                     &opts.dual_v_grid[..2],
                     &opts.dual_w_grid,
+                ));
+                jobs.extend(GlitchModel::enumerate(
+                    &th,
+                    opts.c_load,
+                    single,
+                    partner,
+                    &opts.glitch_u_grid,
+                    &opts.glitch_v_grid,
+                    &opts.glitch_w_grid,
                 ));
             }
         }
@@ -365,10 +378,14 @@ fn every_job_outcome_equals_its_one_job_batch() {
             0.0,
             300e-12,
         )]));
-        assert!(
-            families(&jobs).iter().any(|f| f.len() > 1),
-            "the batch has no family to fork"
-        );
+        for reading in [Reading::Edge, Reading::Peak] {
+            assert!(
+                families(&jobs)
+                    .iter()
+                    .any(|f| f.len() > 1 && jobs[f[0]].reading == reading),
+                "the batch has no {reading:?} family to fork"
+            );
+        }
         let batch = execute_jobs(&sim, &jobs, 2);
         assert!(batch.work.forked_runs > 0 && batch.work.shared_steps > 0);
         for (i, job) in jobs.iter().enumerate() {
@@ -404,33 +421,14 @@ fn a_member_forks_where_its_sources_part_from_the_leaders() {
     assert!(forked.is_some_and(|s| s.accepted_steps > 0), "{forked:?}");
 }
 
-#[test]
-fn a_journal_cut_mid_family_resumes_to_the_same_outcomes() {
-    let (cell, tech, opts) = (
-        Cell::nand(2),
-        Technology::demo_5v(),
-        CharacterizeOptions::fast(),
-    );
-    let model = ProximityModel::characterize(&cell, &tech, &opts).expect("characterizes");
-    let th = *model.thresholds();
-    let sim = Simulator::new(&cell, &tech, th, opts.c_load, opts.dv_max);
-    let single = model
-        .single_model(0, Edge::Falling)
-        .expect("single-input model");
-    let jobs = DualInputModel::enumerate(
-        &th,
-        opts.c_load,
-        single,
-        1,
-        &opts.dual_u_grid,
-        &opts.dual_v_grid,
-        &opts.dual_w_grid,
-    );
-    let dir = std::env::temp_dir().join(format!("proxim_fork_resume_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// Runs `jobs` under a checkpoint journal, cuts the journal in the middle
+/// of the batch's largest family, and resumes: the outcomes must be the
+/// uninterrupted run's.
+fn assert_cut_mid_family_resumes(sim: &Simulator<'_>, jobs: &[SimJob], dir: &std::path::Path) {
+    std::fs::remove_dir_all(dir).ok();
     let config = CheckpointConfig::every_job(dir.join("pairs.journal"));
     let journal = CheckpointJournal::open(&config, 7).expect("journal opens");
-    let full = execute_jobs_controlled(&sim, &jobs, 1, Some((&journal, "pairs")));
+    let full = execute_jobs_controlled(sim, jobs, 1, Some((&journal, "pairs")));
     assert_eq!(full.failed_jobs, 0);
     journal.flush();
     drop(journal);
@@ -438,7 +436,7 @@ fn a_journal_cut_mid_family_resumes_to_the_same_outcomes() {
     // On one worker the families run in order of their first job, and each
     // journals its jobs together once it finishes: keep the header and the
     // entries up to the middle of the largest family.
-    let fams = families(&jobs);
+    let fams = families(jobs);
     let (big, fam) = fams
         .iter()
         .enumerate()
@@ -472,10 +470,47 @@ fn a_journal_cut_mid_family_resumes_to_the_same_outcomes() {
 
     let journal = CheckpointJournal::open(&config, 7).expect("journal reopens");
     assert_eq!(journal.resumed_entries(), keep);
-    let resumed = execute_jobs_controlled(&sim, &jobs, 1, Some((&journal, "pairs")));
+    let resumed = execute_jobs_controlled(sim, jobs, 1, Some((&journal, "pairs")));
     assert_eq!(resumed.skipped, keep);
     assert_eq!(resumed.outcomes, full.outcomes);
     // The rest of the cut family ran as a smaller family.
     assert!(resumed.work.forked_runs > 0);
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_journal_cut_mid_family_resumes_to_the_same_outcomes() {
+    let (cell, tech, opts) = (
+        Cell::nand(2),
+        Technology::demo_5v(),
+        CharacterizeOptions::fast(),
+    );
+    let model = ProximityModel::characterize(&cell, &tech, &opts).expect("characterizes");
+    let th = *model.thresholds();
+    let sim = Simulator::new(&cell, &tech, th, opts.c_load, opts.dv_max);
+    let dir = std::env::temp_dir().join(format!("proxim_fork_resume_{}", std::process::id()));
+    let dual = DualInputModel::enumerate(
+        &th,
+        opts.c_load,
+        model
+            .single_model(0, Edge::Falling)
+            .expect("single-input model"),
+        1,
+        &opts.dual_u_grid,
+        &opts.dual_v_grid,
+        &opts.dual_w_grid,
+    );
+    assert_cut_mid_family_resumes(&sim, &dual, &dir);
+    let glitch = GlitchModel::enumerate(
+        &th,
+        opts.c_load,
+        model
+            .single_model(1, Edge::Rising)
+            .expect("single-input model"),
+        0,
+        &opts.glitch_u_grid,
+        &opts.glitch_v_grid,
+        &opts.glitch_w_grid,
+    );
+    assert_cut_mid_family_resumes(&sim, &glitch, &dir);
 }

@@ -9,9 +9,9 @@
 //! pinned by hash).
 
 use proxim::cells::{Cell, Technology};
-use proxim::model::characterize::{CharacterizeOptions, Simulator};
+use proxim::model::characterize::{CharacterizeOptions, Reading, Simulator};
 use proxim::model::measure::{measure_delay, measure_transition, InputEvent, Scenario};
-use proxim::model::persist::fnv1a_64;
+use proxim::model::persist::{fnv1a_64, MODEL_FORMAT_VERSION};
 use proxim::model::{ProximityModel, Thresholds};
 use proxim::numeric::pwl::{Edge, Pwl};
 use proxim::spice::circuit::{Circuit, Waveform};
@@ -202,12 +202,14 @@ fn full_horizon_output(sim: &Simulator<'_>, applied: &[InputEvent]) -> Pwl {
 /// for bit, errors included. Returns the output edge.
 fn check_stimulus(sim: &Simulator<'_>, events: &[InputEvent], wide: bool) -> Edge {
     let th = &sim.thresholds;
-    let r = if wide {
-        sim.simulate_wide(events)
+    let reading = if wide {
+        Reading::WideEdge
     } else {
-        sim.simulate(events)
-    }
-    .expect("simulation succeeds");
+        Reading::Edge
+    };
+    let r = sim
+        .simulate_for(events, reading)
+        .expect("simulation succeeds");
     let full = full_horizon_output(sim, &r.events);
     let n = r.output.points().len();
     assert_eq!(r.output.points(), &full.points()[..n], "not a prefix");
@@ -303,12 +305,30 @@ fn an_unreachable_far_threshold_runs_to_the_settling_horizon() {
     assert!(measure_transition(&full, &th, Edge::Rising).is_err());
 }
 
+/// The golden model hashes live beside the model format version they were
+/// recorded under: re-recording a hash means a model's bytes changed, and
+/// so the version must move with it (stale cache entries and checkpoint
+/// journals are keyed by it).
 #[test]
 fn fast_model_bytes_are_unchanged() {
+    assert_eq!(
+        MODEL_FORMAT_VERSION, 4,
+        "re-record the hashes below with it"
+    );
+    let glitch = ProximityModel::characterize(
+        &Cell::nand(2),
+        &Technology::demo_5v(),
+        &CharacterizeOptions {
+            glitch: true,
+            ..CharacterizeOptions::fast()
+        },
+    )
+    .expect("characterization succeeds");
     for (name, model, want) in [
         ("nand2", &*NAND2, 0x8f1d_e7a4_aba1_fa54_u64),
         ("nand3", &*NAND3, 0xc733_02a6_2a0f_dd98),
         ("nor2", &*NOR2, 0x3807_1713_4a1c_c428),
+        ("nand2 with glitch tables", &glitch, 0x81ed_bcef_e109_bd5a),
     ] {
         let json = model.to_json().expect("model serializes");
         assert_eq!(

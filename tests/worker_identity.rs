@@ -1,6 +1,7 @@
 //! Worker-count identity suite: the characterization worker pool must be
 //! invisible in the output. Characterization is pinned byte-identical
-//! across `jobs ∈ {1, 2, 4}`, with and without fault pressure:
+//! across `jobs ∈ {1, 2, 4}`, with and without fault pressure, glitch
+//! tables included:
 //!
 //! 1. Healthy pipeline: every worker count serializes to the same model
 //!    JSON.
@@ -24,6 +25,7 @@ fn characterize_json(jobs: usize, faults: FaultPlan) -> (String, CharStats) {
     let opts = CharacterizeOptions {
         jobs,
         faults,
+        glitch: true,
         ..CharacterizeOptions::fast()
     };
     let (model, stats) = ProximityModel::characterize_with_stats(&cell, &tech, &opts)
