@@ -61,6 +61,11 @@
 //!   Every run section also carries the characterization's own `tran` work
 //!   counters ([`CharStats::tran`]): integrated steps and Newton iterations,
 //!   forked runs and the steps they inherited;
+//! - beside `cpu_us_per_sim` it reports, ungated, the process CPU of a
+//!   frozen reference kernel run interleaved with the same eight runs
+//!   (`ref_cpu_us_per_pass`, one pass per transient the run before it
+//!   ran), and their ratio, `cpu_per_sim_in_ref_passes`: a transient's cost
+//!   in units of the host's own speed at that moment;
 //! - and it splits one transient's wall time by layer, per run:
 //!   `assemble_us_per_sim` (device evaluation and stamping) and
 //!   `lu_us_per_sim` (factor + solve), both scaled up from the solver's
@@ -81,6 +86,7 @@ use proxim_model::persist::ModelCache;
 use proxim_model::ProximityModel;
 use proxim_numeric::grid::logspace;
 use proxim_obs as obs;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -167,16 +173,120 @@ impl Layers {
 /// Sequential runs whose process CPU makes up `cpu_us_per_sim`.
 const CPU_RUNS: usize = 8;
 
+/// Order of the reference kernel's linear system.
+const REF_N: usize = 24;
+
+/// One pass of the reference kernel: Gaussian elimination with partial
+/// pivoting of a fixed, seeded, diagonally dominant `REF_N × REF_N` system,
+/// sixteen times over. The kernel is frozen and owned by this bench (it calls
+/// no workspace code), so its CPU time moves with the host only; a pass
+/// costs about as much CPU as one `fast` transient on the machine the
+/// report was recorded on. Returns a checksum that keeps the work alive.
+fn reference_pass() -> f64 {
+    let mut seed = black_box(0x9E37_79B9_7F4A_7C15u64);
+    let mut next = || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    let a0: Vec<f64> = (0..REF_N * REF_N)
+        .map(|k| {
+            next()
+                + if k % (REF_N + 1) == 0 {
+                    REF_N as f64
+                } else {
+                    0.0
+                }
+        })
+        .collect();
+    let b0: Vec<f64> = (0..REF_N).map(|_| next()).collect();
+    let mut sum = 0.0;
+    for _ in 0..16 {
+        let mut a = black_box(a0.clone());
+        let mut b = black_box(b0.clone());
+        for col in 0..REF_N {
+            let pivot = (col..REF_N)
+                .max_by(|&i, &j| {
+                    a[i * REF_N + col]
+                        .abs()
+                        .total_cmp(&a[j * REF_N + col].abs())
+                })
+                .unwrap_or(col);
+            if pivot != col {
+                for k in 0..REF_N {
+                    a.swap(col * REF_N + k, pivot * REF_N + k);
+                }
+                b.swap(col, pivot);
+            }
+            for row in col + 1..REF_N {
+                let f = a[row * REF_N + col] / a[col * REF_N + col];
+                for k in col..REF_N {
+                    a[row * REF_N + k] -= f * a[col * REF_N + k];
+                }
+                b[row] -= f * b[col];
+            }
+        }
+        for row in (0..REF_N).rev() {
+            let tail: f64 = (row + 1..REF_N).map(|k| a[row * REF_N + k] * b[k]).sum();
+            b[row] = (b[row] - tail) / a[row * REF_N + row];
+        }
+        sum += black_box(&b).iter().sum::<f64>();
+    }
+    sum
+}
+
+/// Process CPU seconds of `passes` reference passes.
+fn reference_cpu_s(passes: usize) -> f64 {
+    let cpu0 = process_cpu_s();
+    let mut sum = 0.0;
+    for _ in 0..passes {
+        sum += reference_pass();
+    }
+    black_box(sum);
+    process_cpu_s() - cpu0
+}
+
+/// The process CPU of the sequential runs (`cpu_s` over `sims` transients
+/// in [`CPU_RUNS`] runs) and of the reference passes interleaved with them
+/// (`ref_cpu_s` over one pass per transient).
+#[derive(Debug, Clone, Copy)]
+struct Cpu {
+    cpu_s: f64,
+    ref_cpu_s: f64,
+    sims: usize,
+}
+
+impl Cpu {
+    fn us_per_sim(&self) -> f64 {
+        cpu_us_per_sim(self.cpu_s, self.sims)
+    }
+
+    fn ref_us_per_pass(&self) -> f64 {
+        cpu_us_per_sim(self.ref_cpu_s, self.sims)
+    }
+
+    /// A transient's CPU in reference passes; 0 when either is unmeasured.
+    fn per_sim_in_ref_passes(&self) -> f64 {
+        if self.ref_cpu_s > 0.0 {
+            self.cpu_s / self.ref_cpu_s
+        } else {
+            0.0
+        }
+    }
+}
+
 /// The sequential section's extra fields: solver work, the per-layer split
-/// of transient time, and process CPU (`cpu_s` over `sims` transients in
-/// [`CPU_RUNS`] runs).
-fn sequential_fields(work: Work, layers: Layers, cpu_s: f64, sims: usize) -> String {
+/// of transient time, and process CPU with its reference.
+fn sequential_fields(work: Work, layers: Layers, cpu: Cpu) -> String {
     format!(
         concat!(
             "\"steps_per_sim\": {:.3}, \"newton_iters_per_sim\": {:.3}, ",
             "\"tran_us_per_sim\": {:.2}, \"assemble_us_per_sim\": {:.2}, ",
             "\"lu_us_per_sim\": {:.2}, \"step_control_us_per_sim\": {:.2}, ",
-            "\"cpu_runs\": {}, \"cpu_s\": {:.2}, \"cpu_us_per_sim\": {:.2}, "
+            "\"cpu_runs\": {}, \"cpu_s\": {:.2}, \"cpu_us_per_sim\": {:.2}, ",
+            "\"ref_cpu_s\": {:.2}, \"ref_cpu_us_per_pass\": {:.2}, ",
+            "\"cpu_per_sim_in_ref_passes\": {:.3}, "
         ),
         work.steps_per_sim,
         work.newton_iters_per_sim,
@@ -185,8 +295,11 @@ fn sequential_fields(work: Work, layers: Layers, cpu_s: f64, sims: usize) -> Str
         layers.lu_us_per_sim,
         layers.step_control_us_per_sim(),
         CPU_RUNS,
-        cpu_s,
-        cpu_us_per_sim(cpu_s, sims),
+        cpu.cpu_s,
+        cpu.us_per_sim(),
+        cpu.ref_cpu_s,
+        cpu.ref_us_per_pass(),
+        cpu.per_sim_in_ref_passes(),
     )
 }
 
@@ -497,24 +610,30 @@ fn main() -> ExitCode {
 
     eprintln!("sequential baseline (jobs = 1)...");
     let before = obs::Registry::global().snapshot();
-    let (json_seq, seq, wall_seq, mut cpu_seq) = run(&cell, &tech, 1);
+    let (json_seq, seq, wall_seq, cpu_first) = run(&cell, &tech, 1);
     let after = obs::Registry::global().snapshot();
     let work_seq = Work::between(&before, &after);
     let layers_seq = Layers::between(&before, &after);
     // One run is about ten 10 ms ticks of /proc/self/stat, so one tick
     // would swing CPU per sim by more than the gate's tolerance; the gated
-    // figure is taken over CPU_RUNS identical sequential runs instead.
-    let mut cpu_sims = seq.sims_run;
+    // figure is taken over CPU_RUNS identical sequential runs instead, each
+    // followed by one reference pass per transient it ran.
+    let mut cpu = Cpu {
+        cpu_s: cpu_first,
+        ref_cpu_s: reference_cpu_s(seq.sims_run),
+        sims: seq.sims_run,
+    };
     for _ in 1..CPU_RUNS {
-        let (json, stats, _, cpu) = run(&cell, &tech, 1);
+        let (json, stats, _, cpu_s) = run(&cell, &tech, 1);
         assert_eq!(
             json_seq, json,
             "repeated sequential output must be byte-identical"
         );
-        cpu_seq += cpu;
-        cpu_sims += stats.sims_run;
+        cpu.cpu_s += cpu_s;
+        cpu.ref_cpu_s += reference_cpu_s(stats.sims_run);
+        cpu.sims += stats.sims_run;
     }
-    let cpu_per_sim = cpu_us_per_sim(cpu_seq, cpu_sims);
+    let cpu_per_sim = cpu.us_per_sim();
     eprintln!(
         "  {} sims in {:.2} s, {:.1} steps and {:.1} Newton iterations per sim; \
          {:.2} s CPU over {CPU_RUNS} runs, {:.1} us/sim",
@@ -522,8 +641,14 @@ fn main() -> ExitCode {
         wall_seq,
         work_seq.steps_per_sim,
         work_seq.newton_iters_per_sim,
-        cpu_seq,
+        cpu.cpu_s,
         cpu_per_sim,
+    );
+    eprintln!(
+        "  reference kernel: {:.1} us/pass interleaved, so a transient costs \
+         {:.3} passes (not gated)",
+        cpu.ref_us_per_pass(),
+        cpu.per_sim_in_ref_passes(),
     );
     eprintln!(
         "  per transient: {:.1} us = assemble {:.1} + factor/solve {:.1} + step control {:.1}",
@@ -675,7 +800,7 @@ fn main() -> ExitCode {
         stats_json(
             &seq,
             wall_seq,
-            &sequential_fields(work_seq, layers_seq, cpu_seq, cpu_sims)
+            &sequential_fields(work_seq, layers_seq, cpu)
         ),
         stats_json(&par, wall_par, ""),
         scaling_json,

@@ -236,9 +236,16 @@ pub struct RepairOutcome {
 /// grid point sitting exactly on the analytic boundary is never checked.
 const WINDOW_MARGIN: f64 = 0.1;
 
+/// Solver noise in a table value, relative to `max(1, |value|)`: entries
+/// that differ by no more than this differ by solver tolerance alone, as
+/// the ratios [`AuditOptions::asymptote_tol`] allows for do. A row flat to
+/// within it has no outliers, however small its span and its median
+/// residual are.
+const SOLVER_NOISE: f64 = 1e-6;
+
 /// Interior residuals against the midpoint of each point's neighbors, and
-/// the indices whose residual is both a robust-z outlier and a substantial
-/// fraction of the row's span.
+/// the indices whose residual is a robust-z outlier, a substantial fraction
+/// of the row's span, and above solver noise.
 fn row_outliers(row: &[f64], opts: &AuditOptions) -> Vec<(usize, f64, f64)> {
     let n = row.len();
     if n < 5 {
@@ -257,7 +264,8 @@ fn row_outliers(row: &[f64], opts: &AuditOptions) -> Vec<(usize, f64, f64)> {
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
             (lo.min(v), hi.max(v))
         });
-    let floor = (opts.outlier_min_residual * (hi - lo)).max(1e-9);
+    let noise = SOLVER_NOISE * hi.abs().max(lo.abs()).max(1.0);
+    let floor = (opts.outlier_min_residual * (hi - lo)).max(noise);
     resid
         .iter()
         .enumerate()

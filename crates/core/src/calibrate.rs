@@ -17,7 +17,7 @@ use crate::characterize::Simulator;
 use crate::error::ModelError;
 use crate::measure::{InputEvent, Scenario};
 use crate::single::SingleInputModel;
-use proxim_numeric::pwl::Edge;
+use proxim_numeric::pwl::{Edge, TrapezoidalCubic};
 use proxim_numeric::rootfind::brent;
 use proxim_spice::circuit::{Circuit, Waveform};
 use proxim_spice::tran::{StopRule, TranOptions};
@@ -103,7 +103,7 @@ fn simulate_chain(
         });
     let r = ckt.tran_cancellable(&options, &sim.cancel)?;
     let w = r.waveform(out);
-    let t2_sim = w
+    let t2_sim = TrapezoidalCubic::new(&w)
         .first_crossing(near, b_out_edge)
         .ok_or_else(|| ModelError::MissingCrossing {
             what: "calibrating the two-stage chain".into(),

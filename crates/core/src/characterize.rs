@@ -15,7 +15,7 @@ use crate::measure::{InputEvent, Scenario};
 use crate::thresholds::Thresholds;
 use proxim_cells::{Cell, CellNetlist, InputRamp, Technology};
 use proxim_numeric::grid::{linspace, logspace};
-use proxim_numeric::pwl::{Edge, Pwl};
+use proxim_numeric::pwl::{Edge, Pwl, TrapezoidalCubic};
 use proxim_spice::tran::{tran_family, StopRule, TranOptions, TranWork};
 use proxim_spice::{CancelToken, Circuit, FaultPlan, RecoveryTrace};
 
@@ -238,14 +238,22 @@ impl SimResponse {
         crate::measure::measure_transition(&self.output, th, self.output_edge)
     }
 
+    /// The output's 5–95 %-of-`vdd` edge time on its [`TrapezoidalCubic`],
+    /// if it gets that far.
+    pub fn wide_edge_time(&self, vdd: f64) -> Option<f64> {
+        TrapezoidalCubic::new(&self.output).transition_time(
+            0.05 * vdd,
+            0.95 * vdd,
+            self.output_edge,
+        )
+    }
+
     /// The output extremum in the output edge's direction (the minimum of
-    /// a falling output, the maximum of a rising one): the glitch peak of
-    /// a [`Reading::Peak`] response.
+    /// a falling output, the maximum of a rising one), read on the output's
+    /// [`TrapezoidalCubic`] as the delay and transition time are: the
+    /// glitch peak of a [`Reading::Peak`] response.
     pub fn peak(&self) -> f64 {
-        match self.output_edge {
-            Edge::Falling => self.output.min().1,
-            Edge::Rising => self.output.max().1,
-        }
+        TrapezoidalCubic::new(&self.output).extremum(self.output_edge)
     }
 }
 

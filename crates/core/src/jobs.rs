@@ -234,8 +234,7 @@ fn measure(s: &Simulator<'_>, r: SimResponse, reading: Reading) -> Result<Measur
         let th = s.thresholds;
         let vdd = s.tech.vdd;
         let wide = if reading == Reading::WideEdge {
-            r.output
-                .transition_time(0.05 * vdd, 0.95 * vdd, r.output_edge)
+            r.wide_edge_time(vdd)
         } else {
             None
         };

@@ -5,11 +5,16 @@
 //! *output* crosses its own first threshold; output transition time is
 //! measured between `V_il` and `V_ih`. Separation between two inputs is the
 //! difference of their input-threshold crossing times (§3).
+//!
+//! Inputs are exact piecewise-linear ramps and are read linearly. Outputs
+//! are sampled transients and are read on the integrator's own interpolant
+//! ([`TrapezoidalCubic`]), which stays accurate between samples as the
+//! solver's steps lengthen.
 
 use crate::error::ModelError;
 use crate::thresholds::Thresholds;
 use proxim_cells::{Cell, InputRamp};
-use proxim_numeric::pwl::{Edge, Pwl};
+use proxim_numeric::pwl::{Edge, Pwl, TrapezoidalCubic};
 
 /// One switching input: a pin index plus its controlled ramp.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -271,7 +276,8 @@ pub struct CausingEvent {
     pub event_index: usize,
 }
 
-/// Measures the propagation delay from `reference` to the output waveform.
+/// Measures the propagation delay from `reference` to the output waveform,
+/// a sampled transient read on its [`TrapezoidalCubic`].
 ///
 /// # Errors
 ///
@@ -284,7 +290,7 @@ pub fn measure_delay(
     output_edge: Edge,
 ) -> Result<f64, ModelError> {
     let t_in = reference.arrival(th);
-    let t_out = output
+    let t_out = TrapezoidalCubic::new(output)
         .first_crossing(th.threshold_for(output_edge), output_edge)
         .ok_or_else(|| ModelError::MissingCrossing {
             what: format!("measuring {output_edge} output delay"),
@@ -292,7 +298,8 @@ pub fn measure_delay(
     Ok(t_out - t_in)
 }
 
-/// Measures the output transition time between `V_il` and `V_ih`.
+/// Measures the output transition time between `V_il` and `V_ih` on the
+/// output's [`TrapezoidalCubic`].
 ///
 /// # Errors
 ///
@@ -303,7 +310,7 @@ pub fn measure_transition(
     th: &Thresholds,
     output_edge: Edge,
 ) -> Result<f64, ModelError> {
-    output
+    TrapezoidalCubic::new(output)
         .transition_time(th.v_il, th.v_ih, output_edge)
         .ok_or_else(|| ModelError::MissingCrossing {
             what: format!("measuring {output_edge} output transition time"),
@@ -395,27 +402,48 @@ mod tests {
         assert!(Scenario::resolve(&cell, &events).is_err());
     }
 
+    /// Samples of a parabola leaving `v0` at rest at `t0` and reaching
+    /// `v1` at `t0 + span`: the trapezoidal rule's slopes are exact for it,
+    /// and so is the cubic read between samples.
+    fn parabola(t0: f64, span: f64, v0: f64, v1: f64) -> Pwl {
+        let knots = [0.0, 0.17, 0.4, 0.55, 0.8, 1.0, 1.3]
+            .map(|x: f64| (t0 + x * span, v0 + (v1 - v0) * x * x));
+        Pwl::new(knots.to_vec()).unwrap()
+    }
+
+    /// When the parabola of [`parabola`] is at `v`.
+    fn parabola_time(t0: f64, span: f64, v0: f64, v1: f64, v: f64) -> f64 {
+        t0 + span * ((v - v0) / (v1 - v0)).sqrt()
+    }
+
     #[test]
     fn measure_delay_on_synthetic_output() {
         let th = th();
         let input = InputEvent::new(0, Edge::Rising, 0.0, 1e-9);
-        // Output falls from 5 V to 0 V between 1 ns and 2 ns.
-        let out = Pwl::ramp(1e-9, 1e-9, 5.0, 0.0);
+        // Output falls from 5 V at rest at 1 ns, reaching 0 V at 2 ns.
+        let out = parabola(1e-9, 1e-9, 5.0, 0.0);
         let d = measure_delay(&input, &out, &th, Edge::Falling).unwrap();
-        // t_in = 0.25 ns; t_out(V_ih = 3.37, falling) = 1 + (5-3.37)/5 ns.
-        let expect = (1.0 + (5.0 - 3.37) / 5.0) * 1e-9 - 0.25e-9;
-        assert!((d - expect).abs() < 1e-15);
+        // t_in = 0.25 ns; t_out is where the parabola reaches V_ih = 3.37.
+        let expect = parabola_time(1e-9, 1e-9, 5.0, 0.0, 3.37) - 0.25e-9;
+        assert!((d - expect).abs() < 1e-15, "{d} vs {expect}");
+        // The linear read between the same samples is off by picoseconds.
+        let linear = out.first_crossing(3.37, Edge::Falling).unwrap() - 0.25e-9;
+        assert!((linear - expect).abs() > 1e-12);
     }
 
     #[test]
     fn measure_transition_both_edges() {
         let th = th();
-        let rise = Pwl::ramp(0.0, 1e-9, 0.0, 5.0);
+        let between = |t0, span, v0, v1| {
+            let at = |v| parabola_time(t0, span, v0, v1, v);
+            (at(3.37) - at(1.25)).abs()
+        };
+        let rise = parabola(0.0, 1e-9, 0.0, 5.0);
         let t = measure_transition(&rise, &th, Edge::Rising).unwrap();
-        assert!((t - (3.37 - 1.25) / 5.0 * 1e-9).abs() < 1e-15);
-        let fall = Pwl::ramp(0.0, 2e-9, 5.0, 0.0);
+        assert!((t - between(0.0, 1e-9, 0.0, 5.0)).abs() < 1e-15);
+        let fall = parabola(0.0, 2e-9, 5.0, 0.0);
         let t = measure_transition(&fall, &th, Edge::Falling).unwrap();
-        assert!((t - (3.37 - 1.25) / 5.0 * 2e-9).abs() < 1e-15);
+        assert!((t - between(0.0, 2e-9, 5.0, 0.0)).abs() < 1e-15);
     }
 
     #[test]

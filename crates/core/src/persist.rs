@@ -119,7 +119,9 @@ impl ProximityModel {
 /// [`ModelStore`] entries with the same guarantees; the key did not move.
 /// v4: dual rows fork from a shared leading ramp, and glitch rows run on
 /// the same transient path as every other job.
-pub const MODEL_FORMAT_VERSION: u32 = 4;
+/// v5: Newton starts from a predictor, steps are sized to the `dv_max`
+/// cap, and outputs are read on the integrator's cubic.
+pub const MODEL_FORMAT_VERSION: u32 = 5;
 
 /// Upper bound on accepted model-JSON size. A characterized model is a few
 /// hundred kilobytes; anything near this limit is not one of ours, and

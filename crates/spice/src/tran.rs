@@ -1,10 +1,11 @@
 //! Transient analysis.
 //!
 //! Time integration uses the trapezoidal rule by default (backward Euler is
-//! available for ablation), with a Newton solve at every step. The step size
-//! adapts to limit the largest node-voltage change per step, and steps land
-//! exactly on every PWL-source breakpoint so ramp corners are never
-//! straddled.
+//! available for ablation), with a Newton solve at every step, started from
+//! a polynomial predictor through the last accepted points. The step size
+//! adapts to keep the largest node-voltage change per step under `dv_max`,
+//! and steps land exactly on every PWL-source breakpoint so ramp corners
+//! are never straddled.
 //!
 //! A failed Newton solve does not immediately fail the run: the bounded
 //! recovery ladder of [`crate::recover`] first retries the step with heavier
@@ -31,7 +32,7 @@ use crate::recover::{RecoveryPolicy, RecoveryStage, RecoveryTrace};
 use crate::solver::{
     newton_solve, AnalysisError, CapMode, NewtonOptions, NewtonOutcome, NewtonWorkspace, System,
 };
-use proxim_numeric::pwl::{push_crossing, Edge, Pwl};
+use proxim_numeric::pwl::{push_cubic_crossing, trapezoidal_slope, Edge, Pwl};
 use proxim_obs as obs;
 use std::time::Instant;
 
@@ -129,6 +130,8 @@ impl TranMetrics {
 /// arena makes every run after the first allocation-free on the solver path.
 struct TranArena {
     ws: NewtonWorkspace,
+    /// Newton's starting point for the step being solved.
+    pred: Vec<f64>,
     hist: Vec<(f64, f64)>,
     breakpoints: Vec<f64>,
     /// Crossing lists of a [`StopRule`]'s near and far thresholds.
@@ -142,6 +145,7 @@ impl TranArena {
     fn new() -> Self {
         Self {
             ws: NewtonWorkspace::new(),
+            pred: Vec::new(),
             hist: Vec::new(),
             breakpoints: Vec::new(),
             crossings: [Vec::new(), Vec::new()],
@@ -213,14 +217,17 @@ pub struct TranOptions {
 /// A measurement-driven end for a transient run.
 ///
 /// The run watches `node` for its first `edge`-direction crossing of `near`
-/// and, at or after it, the first `edge`-direction crossing of `far`, with
-/// the crossing semantics of [`Pwl::crossings`]. After each accepted step it
-/// ends if both crossings lie strictly before the *previous* time point: in
-/// the usual case that is one accepted step after the step that crossed
-/// `far`. Later samples cannot change a crossing that old (the touching-knot
-/// rule reaches back only to the last knot), so every first crossing the
-/// caller reads off the shortened waveform equals the full run's. If `far`
-/// is never crossed the run goes to `t_stop` as without a rule.
+/// and, at or after it, the first `edge`-direction crossing of `far`, read
+/// as [`TrapezoidalCubic::crossings`](proxim_numeric::pwl::TrapezoidalCubic)
+/// reads them off the node's waveform. After each accepted step it ends if
+/// both crossings lie strictly before the *previous* time point: in the
+/// usual case that is one accepted step after the step that crossed `far`.
+/// Later samples cannot change a crossing that old (a segment's cubic
+/// depends on no later sample, and the touching-knot rule reaches back only
+/// to the last knot), so every first crossing the caller reads off the
+/// shortened waveform, on the cubic or the linear interpolant, equals the
+/// full run's. If `far` is never crossed the run goes to `t_stop` as
+/// without a rule.
 ///
 /// Nothing else moves: `t_stop` (the final breakpoint), the step bounds
 /// and the fault stream keep their values, so the shortened run's samples
@@ -818,8 +825,19 @@ struct StepState {
     /// The next step to try.
     h: f64,
     bp_idx: usize,
-    /// The stop rule's node voltage at `t`.
+    /// The predictor's history: the accepted points one and two steps
+    /// before `t`, the steps that led from them, and how many steps have
+    /// been accepted since the last breakpoint (only those points lie on
+    /// the smooth piece of the solution that `t` is on).
+    x_prev: Vec<f64>,
+    x_prev2: Vec<f64>,
+    h_prev: f64,
+    h_prev2: f64,
+    since_bp: usize,
+    /// The stop rule's node voltage at `t`, and its trapezoidal slope
+    /// there ([`trapezoidal_slope`]).
     v_watch: f64,
+    m_watch: f64,
     newton_iterations: usize,
     accepted_steps: usize,
     times: Vec<f64>,
@@ -832,11 +850,54 @@ impl StepState {
     fn without_samples(&self) -> Self {
         Self {
             x: self.x.clone(),
+            x_prev: self.x_prev.clone(),
+            x_prev2: self.x_prev2.clone(),
             times: Vec::new(),
             samples: Vec::new(),
             branch_samples: Vec::new(),
             ..*self
         }
+    }
+
+    /// Newton's starting point for a step of `h` from `t`, into `out`: the
+    /// quadratic through the last three accepted points since the last
+    /// breakpoint, the line through two, or the current point alone right
+    /// after a breakpoint, extrapolated to `t + h`.
+    fn predict(&self, h: f64, out: &mut Vec<f64>) {
+        out.clear();
+        let (x, p1, p2) = (&self.x, &self.x_prev, &self.x_prev2);
+        match self.since_bp {
+            0 => out.extend_from_slice(x),
+            1 => {
+                let r = h / self.h_prev;
+                out.extend(x.iter().zip(p1).map(|(&a, &b)| a + r * (a - b)));
+            }
+            _ => {
+                // Lagrange weights of the points at t, t − h1, t − h1 − h2.
+                let (h1, h2) = (self.h_prev, self.h_prev2);
+                let l0 = (h + h1) * (h + h1 + h2) / (h1 * (h1 + h2));
+                let l1 = -h * (h + h1 + h2) / (h1 * h2);
+                let l2 = h * (h + h1) / ((h1 + h2) * h2);
+                out.extend(
+                    x.iter()
+                        .zip(p1)
+                        .zip(p2)
+                        .map(|((&a, &b), &c)| l0 * a + l1 * b + l2 * c),
+                );
+            }
+        }
+    }
+
+    /// Accepts the solution `x_new` (left holding a spare buffer) after a
+    /// step of `h`: it becomes the current point, and the predictor's
+    /// history moves back one step, with no allocation.
+    fn advance(&mut self, x_new: &mut Vec<f64>, h: f64) {
+        std::mem::swap(&mut self.x_prev2, &mut self.x_prev);
+        std::mem::swap(&mut self.x_prev, &mut self.x);
+        std::mem::swap(&mut self.x, x_new);
+        self.h_prev2 = self.h_prev;
+        self.h_prev = h;
+        self.since_bp += 1;
     }
 
     /// Appends the sample at `t`: every node voltage (ground first) and
@@ -1055,6 +1116,7 @@ fn tran_attempt(
     // Disjoint borrows of the arena's pieces for the rest of the attempt.
     let TranArena {
         ws,
+        pred,
         hist,
         breakpoints,
         crossings: [near_crossings, far_crossings],
@@ -1098,11 +1160,17 @@ fn tran_attempt(
             // grown. These move out into the result, so the arena can only
             // contribute high-water capacity hints from earlier runs.
             let mut st = StepState {
+                x_prev: op.x.clone(),
+                x_prev2: op.x.clone(),
                 x: op.x,
                 t: 0.0,
                 h: options.dt_init.min(options.dt_max),
                 bp_idx: 0,
+                h_prev: 0.0,
+                h_prev2: 0.0,
+                since_bp: 0,
                 v_watch,
+                m_watch: 0.0,
                 newton_iterations: 0,
                 accepted_steps: 0,
                 times: Vec::with_capacity(*times_hint),
@@ -1118,6 +1186,7 @@ fn tran_attempt(
         // Step boundary: a cancellation point even when every solve is
         // converging on the first try.
         cancel.check("transient")?;
+        let bp_from = st.bp_idx;
         while st.bp_idx < breakpoints.len() && breakpoints[st.bp_idx] <= st.t + options.dt_min * 0.5
         {
             st.bp_idx += 1;
@@ -1142,6 +1211,13 @@ fn tran_attempt(
                 recorded: Some(st.times.len()),
             },
         });
+        // The step starts on a breakpoint of this run's own: the points
+        // before it lie on another piece of the solution. (Forks above took
+        // the history as it stood, and test their own breakpoints.)
+        if st.bp_idx != bp_from {
+            st.since_bp = 0;
+        }
+        st.predict(h_eff, pred);
 
         let (geq_per_farad, trap_coeff) = match options.integrator {
             Integrator::Trapezoidal => (2.0 / h_eff, -1.0),
@@ -1155,13 +1231,15 @@ fn tran_attempt(
         let (x, faults, solves, trace) = (&st.x, &mut run.faults, &mut run.solves, &mut run.trace);
 
         let solved = match checked_solve(
-            sys, x, t_new, GMIN, caps, &opts, ws, &policy, faults, solves, metrics, cancel,
+            sys, pred, t_new, GMIN, caps, &opts, ws, &policy, faults, solves, metrics, cancel,
         )? {
             NewtonOutcome::Converged(iters) => {
                 st.newton_iterations += iters;
                 true
             }
             NewtonOutcome::Failed => {
+                // The rungs start from the last accepted point, in case
+                // the predictor's extrapolation was what failed.
                 // Rung 1: re-solve the same step with a tight update clamp
                 // and a much larger iteration budget.
                 let mut rescued = false;
@@ -1277,9 +1355,9 @@ fn tran_attempt(
                 hist[ei] = (dv, i_new);
             }
         }
-        // The old iterate becomes the workspace's scratch buffer for the
-        // next step — no allocation on accept.
-        std::mem::swap(&mut st.x, &mut ws.x);
+        // The oldest history buffer becomes the workspace's scratch buffer
+        // for the next step — no allocation on accept.
+        st.advance(&mut ws.x, h_eff);
         let t_prev = st.t;
         st.t = t_new;
         st.accepted_steps += 1;
@@ -1290,19 +1368,18 @@ fn tran_attempt(
             // until both crossings lie before `t_prev` keeps one accepted
             // step of margin.
             let v = sys.v(&st.x, rule.node);
-            push_crossing(near_crossings, rule.near, (t_prev, st.v_watch), (st.t, v));
-            push_crossing(far_crossings, rule.far, (t_prev, st.v_watch), (st.t, v));
-            st.v_watch = v;
+            let m = trapezoidal_slope((t_prev, st.v_watch), st.m_watch, (st.t, v));
+            let (a, b) = ((t_prev, st.v_watch, st.m_watch), (st.t, v, m));
+            push_cubic_crossing(near_crossings, rule.near, a, b);
+            push_cubic_crossing(far_crossings, rule.far, a, b);
+            (st.v_watch, st.m_watch) = (v, m);
             if rule.met(near_crossings, far_crossings, t_prev) {
                 break;
             }
         }
-        // Grow the step when comfortably inside the accuracy target.
-        st.h = if max_dv < 0.5 * options.dv_max {
-            h_eff * 1.6
-        } else {
-            h_eff
-        };
+        // Size the next step to land at 90 % of the voltage-change target,
+        // at most doubling it.
+        st.h = h_eff * (0.9 * options.dv_max / max_dv).min(2.0);
     }
 
     // Remember how big the sample buffers got so the next run on this

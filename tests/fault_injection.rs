@@ -244,12 +244,15 @@ fn deadline_expiry_mid_recovery_reports_deadline_with_trace() {
     use proxim_spice::{AnalysisError, CancelToken};
     use std::time::Duration;
 
-    // Half the Newton solves fail: the recovery ladder is climbing for
-    // essentially the whole run, and no attempt can string together enough
-    // converged solves to finish before the deadline.
+    // Three Newton solves in five fail: the recovery ladder is climbing
+    // for essentially the whole run, and no attempt can string together
+    // enough converged solves to finish. (At one in two, a run of the
+    // predictor-started solver gets through in about a millisecond; at
+    // three in five, none of seeds 1–5 and 11 finishes within its solve
+    // budget, which takes it most of a second to exhaust.)
     let faults = FaultPlan {
         seed: 11,
-        newton: 0.5,
+        newton: 0.6,
         ..FaultPlan::DISARMED
     };
     let tech = Technology::demo_5v();
@@ -419,10 +422,10 @@ fn seed_1996_recipe_degrades_the_recorded_slices() {
         .iter()
         .map(|d| format!("{:?}/{}/{:?}", d.kind, d.pin, d.edge))
         .collect();
-    assert_eq!(ids, ["Dual/1/Rising"]);
+    assert_eq!(ids, ["Dual/1/Falling"]);
     assert_eq!(
         proxim_model::persist::fnv1a_64(model.to_json().unwrap().as_bytes()),
-        0x2bf1_6eb2_9a3f_2481
+        0xaa3b_32fe_140d_0277
     );
 }
 
@@ -453,7 +456,7 @@ fn daemon_demo_model_is_characterized_under_the_armed_plan() {
         .iter()
         .map(|d| format!("{:?}/{}/{:?}", d.kind, d.pin, d.edge))
         .collect();
-    assert_eq!(ids, ["Dual/1/Rising"]);
+    assert_eq!(ids, ["Dual/1/Falling"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
