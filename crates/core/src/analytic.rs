@@ -257,7 +257,7 @@ mod tests {
     fn dual_fit_reproduces_surface_reasonably() {
         let (single, tech, cell) = single_table();
         let sim = Simulator::new(&cell, &tech, Thresholds::new(1.2, 3.4, 5.0), 100e-15, 0.1);
-        let table = DualInputModel::characterize(
+        let table = crate::dual::tests::characterize(
             &sim,
             &single,
             1,

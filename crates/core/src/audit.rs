@@ -31,21 +31,24 @@
 //! late partner legitimately gates the output and the raw ratio exceeds
 //! one (see [`DualInputModel::delay_ratio_raw`]).
 
-use crate::algorithm::CorrectionTerm;
 use crate::characterize::{CharacterizeOptions, Simulator};
 use crate::checkpoint::{CheckpointJournal, RunControl};
 use crate::dual::DualInputModel;
 use crate::error::ModelError;
 use crate::glitch::GlitchModel;
-use crate::jobs::{execute_jobs_controlled, metric, JobOutcome, SimJob};
+use crate::jobs::{execute_jobs_controlled, metric, SimJob};
 use crate::measure::{causing_rank, InputEvent, Scenario};
-use crate::model::{eidx, DegradedSlice, ProximityModel, SliceKind};
+use crate::model::{DegradedSlice, ProximityModel, SliceKind, EDGES};
 use crate::nldm::LoadSlewModel;
+use crate::persist::{fnv1a_64, ModelCache};
 use crate::single::SingleInputModel;
+use crate::slice::{self, Slice, SliceId};
 use proxim_numeric::pwl::Edge;
 use proxim_obs as obs;
 use std::collections::BTreeMap;
 use std::fmt;
+
+pub use crate::slice::TableRole;
 
 /// Tolerances and budgets for the audit battery and the repair pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,17 +132,6 @@ impl fmt::Display for AuditCheck {
     }
 }
 
-/// Which table of a slice a finding points into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableRole {
-    /// The delay (or delay-ratio) table of the slice.
-    Delay,
-    /// The transition-time (or transition-ratio) table of the slice.
-    Transition,
-    /// The normalized glitch-peak table.
-    Peak,
-}
-
 /// One audit violation, with enough provenance to re-enqueue exactly the
 /// suspect grid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +160,18 @@ pub struct AuditFinding {
     pub value: f64,
     /// The violated bound, rendered.
     pub expected: String,
+}
+
+impl AuditFinding {
+    /// The name of the slice the finding is in.
+    pub fn slice_id(&self) -> SliceId {
+        SliceId {
+            kind: self.slice,
+            pin: self.pin,
+            edge: self.edge,
+            partner: self.partner,
+        }
+    }
 }
 
 impl fmt::Display for AuditFinding {
@@ -294,15 +298,19 @@ fn dual_or_like(model: &ProximityModel, d: &DualInputModel) -> Option<bool> {
     Some(causing.rank == 1)
 }
 
-struct FindingSink<'a> {
-    slice: SliceKind,
-    pin: usize,
-    edge: Edge,
-    partner: Option<usize>,
-    out: &'a mut Vec<AuditFinding>,
+struct FindingSink {
+    id: SliceId,
+    out: Vec<AuditFinding>,
 }
 
-impl FindingSink<'_> {
+impl FindingSink {
+    fn new(id: SliceId) -> Self {
+        Self {
+            id,
+            out: Vec::new(),
+        }
+    }
+
     fn push(
         &mut self,
         check: AuditCheck,
@@ -314,10 +322,10 @@ impl FindingSink<'_> {
     ) {
         self.out.push(AuditFinding {
             check,
-            slice: self.slice,
-            pin: self.pin,
-            edge: self.edge,
-            partner: self.partner,
+            slice: self.id.kind,
+            pin: self.id.pin,
+            edge: self.id.edge,
+            partner: self.id.partner,
             table,
             index,
             stimulus,
@@ -334,15 +342,8 @@ impl FindingSink<'_> {
 /// mis-thresholded constructions (a wrong `V_il`/`V_ih` policy produces
 /// negative table delays, which this check must flag).
 pub fn check_single(m: &SingleInputModel, _opts: &AuditOptions) -> Vec<AuditFinding> {
-    let mut out = Vec::new();
-    let mut sink = FindingSink {
-        slice: SliceKind::Single,
-        pin: m.pin,
-        edge: m.input_edge,
-        partner: None,
-        out: &mut out,
-    };
-    let (delay, trans) = m.tables();
+    let mut sink = FindingSink::new(Slice::Single(m).id());
+    let (delay, trans) = (&m.delay_table, &m.trans_table);
     for (role, table) in [(TableRole::Delay, delay), (TableRole::Transition, trans)] {
         for (i, (&u, &y)) in table.xs().iter().zip(table.ys()).enumerate() {
             if !y.is_finite() {
@@ -359,7 +360,7 @@ pub fn check_single(m: &SingleInputModel, _opts: &AuditOptions) -> Vec<AuditFind
             }
         }
     }
-    out
+    sink.out
 }
 
 /// Audits one dual-input proximity slice in the context of its model.
@@ -368,15 +369,8 @@ fn check_dual(
     d: &DualInputModel,
     opts: &AuditOptions,
 ) -> Vec<AuditFinding> {
-    let mut out = Vec::new();
-    let mut sink = FindingSink {
-        slice: SliceKind::Dual,
-        pin: d.pin,
-        edge: d.input_edge,
-        partner: Some(d.partner),
-        out: &mut out,
-    };
-    let (delay, trans) = d.tables();
+    let mut sink = FindingSink::new(Slice::Dual(d).id());
+    let (delay, trans) = (&d.delay_ratio, &d.trans_ratio);
     let (nu, nv, nw) = (delay.ax().len(), delay.ay().len(), delay.az().len());
     let u_grid: Vec<f64> = delay.ax().iter().map(|lu| lu.exp()).collect();
     let v_grid: Vec<f64> = delay.ay().iter().map(|lv| lv.exp()).collect();
@@ -384,10 +378,7 @@ fn check_dual(
 
     let or_like = dual_or_like(model, d);
     let frac = arrival_fraction(model, d.input_edge);
-    let single = model
-        .singles
-        .get(d.pin)
-        .and_then(|s| s[eidx(d.input_edge)].as_ref());
+    let single = model.single_model(d.pin, d.input_edge);
     // τ_i⁽¹⁾ / Δ_i⁽¹⁾ per u row — the §3 transition-window width in w units.
     let t1_over_d1: Vec<Option<f64>> = u_grid
         .iter()
@@ -526,21 +517,14 @@ fn check_dual(
             }
         }
     }
-    out
+    sink.out
 }
 
 /// Audits one NLDM load–slew surface: positivity, finiteness, and delay
 /// monotone in load.
 fn check_nldm(m: &LoadSlewModel, opts: &AuditOptions) -> Vec<AuditFinding> {
-    let mut out = Vec::new();
-    let mut sink = FindingSink {
-        slice: SliceKind::LoadSlew,
-        pin: m.pin,
-        edge: m.input_edge,
-        partner: None,
-        out: &mut out,
-    };
-    let (delay, trans) = m.tables();
+    let mut sink = FindingSink::new(Slice::LoadSlew(m).id());
+    let (delay, trans) = (&m.delay, &m.trans);
     let (nt, nl) = (delay.ax().len(), delay.ay().len());
     let taus: Vec<f64> = delay.ax().iter().map(|l| l.exp()).collect();
     let loads: Vec<f64> = delay.ay().iter().map(|l| l.exp()).collect();
@@ -576,21 +560,14 @@ fn check_nldm(m: &LoadSlewModel, opts: &AuditOptions) -> Vec<AuditFinding> {
             }
         }
     }
-    out
+    sink.out
 }
 
 /// Audits one glitch-peak slice: finite, rail-bounded, and the extremum
 /// moves monotonically with blocker arrival.
 fn check_glitch(g: &GlitchModel, opts: &AuditOptions) -> Vec<AuditFinding> {
-    let mut out = Vec::new();
-    let mut sink = FindingSink {
-        slice: SliceKind::Glitch,
-        pin: g.causer,
-        edge: g.causer_edge,
-        partner: Some(g.blocker),
-        out: &mut out,
-    };
-    let peak = g.peak_table();
+    let mut sink = FindingSink::new(Slice::Glitch(g).id());
+    let peak = &g.peak;
     let (nu, nv, nw) = (peak.ax().len(), peak.ay().len(), peak.az().len());
     let u_grid: Vec<f64> = peak.ax().iter().map(|l| l.exp()).collect();
     let v_grid: Vec<f64> = peak.ay().iter().map(|l| l.exp()).collect();
@@ -659,40 +636,34 @@ fn check_glitch(g: &GlitchModel, opts: &AuditOptions) -> Vec<AuditFinding> {
             }
         }
     }
-    out
+    sink.out
+}
+
+/// Audits one slice with the checks of its kind.
+fn check_slice(model: &ProximityModel, slice: Slice<'_>, opts: &AuditOptions) -> Vec<AuditFinding> {
+    match slice {
+        Slice::Single(s) => check_single(s, opts),
+        Slice::Dual(d) => check_dual(model, d, opts),
+        Slice::LoadSlew(m) => check_nldm(m, opts),
+        Slice::Glitch(g) => check_glitch(g, opts),
+    }
 }
 
 /// Structural findings: table shape/axis/finiteness violations and
 /// non-finite model scalars. This is the (cheap) subset run at the
 /// deserialization boundary.
 fn structural_findings(model: &ProximityModel) -> Vec<AuditFinding> {
-    let mut out = Vec::new();
-    let mut push = |slice: SliceKind,
-                    pin: usize,
-                    edge: Edge,
-                    partner: Option<usize>,
-                    table: TableRole,
-                    detail: String| {
-        out.push(AuditFinding {
-            check: AuditCheck::Structure,
-            slice,
-            pin,
-            edge,
-            partner,
-            table,
-            index: None,
-            stimulus: Vec::new(),
-            value: f64::NAN,
-            expected: detail,
-        });
+    let correction = |e: usize| SliceId::new(SliceKind::Correction, 0, EDGES[e]);
+    let mut sink = FindingSink::new(correction(0));
+    let mut push = |id: SliceId, table: TableRole, detail: String| {
+        sink.id = id;
+        let nan = f64::NAN;
+        sink.push(AuditCheck::Structure, table, None, Vec::new(), nan, detail);
     };
     for (i, &scalar) in [model.c_ref, model.dv_max].iter().enumerate() {
         if !(scalar.is_finite() && scalar > 0.0) {
             push(
-                SliceKind::Correction,
-                0,
-                Edge::Rising,
-                None,
+                correction(0),
                 TableRole::Delay,
                 format!("model scalar #{i} must be positive and finite, got {scalar:e}"),
             );
@@ -701,23 +672,16 @@ fn structural_findings(model: &ProximityModel) -> Vec<AuditFinding> {
     for (e, &rs) in model.ramp_stretch.iter().enumerate() {
         if !(rs.is_finite() && rs > 0.0) {
             push(
-                SliceKind::Correction,
-                0,
-                if e == 0 { Edge::Rising } else { Edge::Falling },
-                None,
+                correction(e),
                 TableRole::Transition,
                 format!("ramp-stretch factor must be positive and finite, got {rs:e}"),
             );
         }
     }
     for (e, c) in model.corrections.iter().enumerate() {
-        let edge = if e == 0 { Edge::Rising } else { Edge::Falling };
         if !(c.delay.is_finite() && c.trans.is_finite()) {
             push(
-                SliceKind::Correction,
-                0,
-                edge,
-                None,
+                correction(e),
                 TableRole::Delay,
                 format!(
                     "correction term must be finite, got ({:e}, {:e})",
@@ -726,80 +690,14 @@ fn structural_findings(model: &ProximityModel) -> Vec<AuditFinding> {
             );
         }
     }
-    for slots in &model.singles {
-        for s in slots.iter().flatten() {
-            let (d, t) = s.tables();
-            for (role, r) in [
-                (TableRole::Delay, d.validate()),
-                (TableRole::Transition, t.validate()),
-            ] {
-                if let Err(e) = r {
-                    push(
-                        SliceKind::Single,
-                        s.pin,
-                        s.input_edge,
-                        None,
-                        role,
-                        e.to_string(),
-                    );
-                }
+    for slice in model.slices() {
+        for (role, table) in slice.tables() {
+            if let Err(e) = table.validate() {
+                push(slice.id(), role, e.to_string());
             }
         }
     }
-    for d in model
-        .duals
-        .iter()
-        .flat_map(|s| s.iter().flatten())
-        .chain(&model.extra_duals)
-    {
-        let (dr, tr) = d.tables();
-        for (role, r) in [
-            (TableRole::Delay, dr.validate()),
-            (TableRole::Transition, tr.validate()),
-        ] {
-            if let Err(e) = r {
-                push(
-                    SliceKind::Dual,
-                    d.pin,
-                    d.input_edge,
-                    Some(d.partner),
-                    role,
-                    e.to_string(),
-                );
-            }
-        }
-    }
-    for m in model.nldm.iter().flat_map(|s| s.iter().flatten()) {
-        let (dl, tr) = m.tables();
-        for (role, r) in [
-            (TableRole::Delay, dl.validate()),
-            (TableRole::Transition, tr.validate()),
-        ] {
-            if let Err(e) = r {
-                push(
-                    SliceKind::LoadSlew,
-                    m.pin,
-                    m.input_edge,
-                    None,
-                    role,
-                    e.to_string(),
-                );
-            }
-        }
-    }
-    for g in &model.glitches {
-        if let Err(e) = g.peak_table().validate() {
-            push(
-                SliceKind::Glitch,
-                g.causer,
-                g.causer_edge,
-                Some(g.blocker),
-                TableRole::Peak,
-                e.to_string(),
-            );
-        }
-    }
-    out
+    sink.out
 }
 
 // ---------------------------------------------------------------------------
@@ -813,24 +711,8 @@ impl ProximityModel {
     pub fn audit(&self, opts: &AuditOptions) -> AuditReport {
         let span = obs::span("char.audit").arg("cell_pins", self.cell.input_count());
         let mut findings = structural_findings(self);
-        for slots in &self.singles {
-            for s in slots.iter().flatten() {
-                findings.extend(check_single(s, opts));
-            }
-        }
-        for d in self
-            .duals
-            .iter()
-            .flat_map(|s| s.iter().flatten())
-            .chain(&self.extra_duals)
-        {
-            findings.extend(check_dual(self, d, opts));
-        }
-        for m in self.nldm.iter().flat_map(|s| s.iter().flatten()) {
-            findings.extend(check_nldm(m, opts));
-        }
-        for g in &self.glitches {
-            findings.extend(check_glitch(g, opts));
+        for slice in self.slices() {
+            findings.extend(check_slice(self, slice, opts));
         }
         if obs::metrics_enabled() {
             obs::Registry::global()
@@ -870,51 +752,6 @@ impl ProximityModel {
 // Repair
 // ---------------------------------------------------------------------------
 
-/// Identity of one repairable slice, ordered for deterministic repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct SliceId {
-    kind_rank: u8,
-    pin: usize,
-    edge_idx: usize,
-    partner: usize,
-}
-
-impl SliceId {
-    fn new(f: &AuditFinding) -> Self {
-        let kind_rank = match f.slice {
-            SliceKind::Single => 0,
-            SliceKind::Dual => 1,
-            SliceKind::LoadSlew => 2,
-            SliceKind::Glitch => 3,
-            SliceKind::Correction => 4,
-        };
-        Self {
-            kind_rank,
-            pin: f.pin,
-            edge_idx: eidx(f.edge),
-            partner: f.partner.unwrap_or(usize::MAX),
-        }
-    }
-
-    fn kind(&self) -> SliceKind {
-        match self.kind_rank {
-            0 => SliceKind::Single,
-            1 => SliceKind::Dual,
-            2 => SliceKind::LoadSlew,
-            3 => SliceKind::Glitch,
-            _ => SliceKind::Correction,
-        }
-    }
-
-    fn edge(&self) -> Edge {
-        if self.edge_idx == 0 {
-            Edge::Rising
-        } else {
-            Edge::Falling
-        }
-    }
-}
-
 /// What happened to one slice inside the repair loop.
 enum SliceRepair {
     Repaired {
@@ -943,7 +780,11 @@ impl ProximityModel {
     /// the repair re-enumerates the slice grids from it, and demotes a
     /// slice whose tables do not match the grids instead of guessing.
     /// `control` carries the cancellation token (polled at every job
-    /// boundary) and the optional checkpoint journal.
+    /// boundary) and the optional checkpoint journal. The journal is bound
+    /// to the model's cell, technology and `char_opts` (its
+    /// [`ModelCache::key`]), and each slice's re-simulations are journaled
+    /// under a phase named after the slice and the tolerance rung, so a
+    /// resumed repair replays exactly the outcomes it recorded.
     ///
     /// Returns the pre-repair audit report and the repair counters.
     ///
@@ -969,7 +810,7 @@ impl ProximityModel {
         // (index None) have no stimulus to re-run and demote the slice.
         let mut groups: BTreeMap<SliceId, (Vec<usize>, bool)> = BTreeMap::new();
         for f in &report.findings {
-            let entry = groups.entry(SliceId::new(f)).or_default();
+            let entry = groups.entry(f.slice_id()).or_default();
             match f.index {
                 Some(i) if !entry.0.contains(&i) => entry.0.push(i),
                 Some(_) => {}
@@ -979,9 +820,8 @@ impl ProximityModel {
 
         let journal = match &control.checkpoint {
             Some(cfg) => {
-                let key = crate::persist::fnv1a_64(
-                    format!("audit-repair;{}", char_opts.cache_key_string()).as_bytes(),
-                );
+                let run = ModelCache::key(&self.cell, &self.tech, char_opts)?;
+                let key = fnv1a_64(format!("audit-repair;{run:016x}").as_bytes());
                 Some(CheckpointJournal::open(cfg, key)?)
             }
             None => None,
@@ -1010,7 +850,7 @@ impl ProximityModel {
                     sims: 0,
                 }
             } else {
-                self.repair_slice(&base_sim, &id, &indices, char_opts, opts, journal.as_ref())?
+                self.repair_slice(&base_sim, id, &indices, char_opts, opts, journal.as_ref())?
             };
             match result {
                 SliceRepair::Repaired {
@@ -1024,7 +864,7 @@ impl ProximityModel {
                 }
                 SliceRepair::Demote { reason, sims } => {
                     outcome.sims_run += sims;
-                    outcome.demoted_slices += self.demote_slice(&id, &reason);
+                    outcome.demoted_slices += self.demote_slice(id, &reason);
                 }
             }
         }
@@ -1055,7 +895,7 @@ impl ProximityModel {
     fn repair_slice(
         &mut self,
         base_sim: &Simulator<'_>,
-        id: &SliceId,
+        id: SliceId,
         indices: &[usize],
         char_opts: &CharacterizeOptions,
         opts: &AuditOptions,
@@ -1065,13 +905,13 @@ impl ProximityModel {
         let mut escalated = 0usize;
         for (rung, scale) in [(0usize, 1.0), (1, opts.repair_tolerance_scale)] {
             let phase = if rung == 0 {
-                "audit.repair"
+                format!("audit.repair.{id}")
             } else {
-                "audit.repair.tight"
+                format!("audit.repair.tight.{id}")
             };
             let sim = base_sim.clone().with_tolerance_scale(scale);
-            let ran =
-                self.resimulate_points(&sim, id, indices, char_opts, journal.map(|j| (j, phase)))?;
+            let checkpoint = journal.map(|j| (j, phase.as_str()));
+            let ran = self.resimulate_points(&sim, id, indices, char_opts, checkpoint)?;
             let Some(ran) = ran else {
                 return Ok(SliceRepair::Demote {
                     reason: "audit: characterization options do not match the model tables".into(),
@@ -1085,7 +925,10 @@ impl ProximityModel {
             if ran.failed > 0 {
                 continue; // escalate (or fall through to demotion below)
             }
-            if self.slice_findings(id, opts).is_empty() {
+            let clean = self
+                .slice(id)
+                .is_none_or(|s| check_slice(self, s, opts).is_empty());
+            if clean {
                 return Ok(SliceRepair::Repaired {
                     points: indices.len(),
                     escalated,
@@ -1102,161 +945,31 @@ impl ProximityModel {
         })
     }
 
-    /// Re-runs the audit checks for just the slice `id` refers to.
-    fn slice_findings(&self, id: &SliceId, opts: &AuditOptions) -> Vec<AuditFinding> {
-        let (pin, e) = (id.pin, id.edge_idx);
-        match id.kind() {
-            SliceKind::Single => self.singles[pin][e]
-                .as_ref()
-                .map(|s| check_single(s, opts))
-                .unwrap_or_default(),
-            SliceKind::Dual => self
-                .dual_by_id(id)
-                .map(|d| check_dual(self, d, opts))
-                .unwrap_or_default(),
-            SliceKind::LoadSlew => self.nldm[pin][e]
-                .as_ref()
-                .map(|m| check_nldm(m, opts))
-                .unwrap_or_default(),
-            SliceKind::Glitch => self
-                .glitches
-                .iter()
-                .find(|g| g.causer == pin && eidx(g.causer_edge) == e && g.blocker == id.partner)
-                .map(|g| check_glitch(g, opts))
-                .unwrap_or_default(),
-            SliceKind::Correction => Vec::new(),
-        }
-    }
-
-    fn dual_by_id(&self, id: &SliceId) -> Option<&DualInputModel> {
-        let probe = |d: &&DualInputModel| {
-            d.pin == id.pin && eidx(d.input_edge) == id.edge_idx && d.partner == id.partner
-        };
-        self.duals
-            .iter()
-            .flat_map(|s| s.iter().flatten())
-            .find(|d| probe(d))
-            .or_else(|| self.extra_duals.iter().find(|d| probe(d)))
-    }
-
     /// Re-simulates `indices` of the slice's grid and patches the tables.
     /// Returns `None` when the characterization options cannot reproduce
     /// the slice's stimuli (grid mismatch).
     fn resimulate_points(
         &mut self,
         sim: &Simulator<'_>,
-        id: &SliceId,
+        id: SliceId,
         indices: &[usize],
         char_opts: &CharacterizeOptions,
         checkpoint: Option<(&CheckpointJournal, &str)>,
     ) -> Result<Option<PatchStats>, ModelError> {
-        let (pin, e) = (id.pin, id.edge_idx);
-        let edge = id.edge();
-
         // Enumerate the slice's full job grid exactly as characterization
         // did, then select the suspect subset by index.
-        let (jobs, job_of_index): (Vec<SimJob>, Vec<usize>) = match id.kind() {
-            SliceKind::Single => {
-                let Some(single) = self.singles[pin][e].as_ref() else {
-                    return Ok(Some(PatchStats::default()));
-                };
-                let all = SingleInputModel::enumerate(pin, edge, &char_opts.tau_grid)?;
-                // The table axis is u-sorted and deduplicated; map each
-                // table index back to the tau-grid job producing exactly
-                // that u (bit-equal by construction).
-                let xs = single.tables().0.xs().to_vec();
-                let u_of_tau: Vec<u64> = char_opts
-                    .tau_grid
-                    .iter()
-                    .map(|&tau| (self.c_ref / (single.k * single.vdd * tau)).to_bits())
-                    .collect();
-                let mut job_of = Vec::with_capacity(indices.len());
-                for &i in indices {
-                    let Some(&u) = xs.get(i) else { return Ok(None) };
-                    match u_of_tau.iter().position(|&b| b == u.to_bits()) {
-                        Some(j) => job_of.push(j),
-                        None => return Ok(None),
-                    }
-                }
-                (all, job_of)
-            }
-            SliceKind::Dual => {
-                let Some(d) = self.dual_by_id(id) else {
-                    return Ok(Some(PatchStats::default()));
-                };
-                let Some(single) = self.singles[pin][e].as_ref() else {
-                    return Ok(None);
-                };
-                if !axes_match(d.tables().0.ax(), &char_opts.dual_u_grid, true)
-                    || !axes_match(d.tables().0.ay(), &char_opts.dual_v_grid, true)
-                    || !axes_match(d.tables().0.az(), &char_opts.dual_w_grid, false)
-                {
-                    return Ok(None);
-                }
-                let all = DualInputModel::enumerate(
-                    &self.thresholds,
-                    self.c_ref,
-                    single,
-                    d.partner,
-                    &char_opts.dual_u_grid,
-                    &char_opts.dual_v_grid,
-                    &char_opts.dual_w_grid,
-                );
-                (all, indices.to_vec())
-            }
-            SliceKind::LoadSlew => {
-                let Some(m) = self.nldm[pin][e].as_ref() else {
-                    return Ok(Some(PatchStats::default()));
-                };
-                let Some(load_grid) = &char_opts.load_grid else {
-                    return Ok(None);
-                };
-                if !axes_match(m.tables().0.ax(), &char_opts.tau_grid, true)
-                    || !axes_match(m.tables().0.ay(), load_grid, true)
-                {
-                    return Ok(None);
-                }
-                let all = LoadSlewModel::enumerate(pin, edge, &char_opts.tau_grid, load_grid)?;
-                (all, indices.to_vec())
-            }
-            SliceKind::Glitch => {
-                let Some(g) = self.glitches.iter().find(|g| {
-                    g.causer == pin && eidx(g.causer_edge) == e && g.blocker == id.partner
-                }) else {
-                    return Ok(Some(PatchStats::default()));
-                };
-                let Some(single) = self.singles[pin][e].as_ref() else {
-                    return Ok(None);
-                };
-                if !axes_match(g.peak_table().ax(), &char_opts.glitch_u_grid, true)
-                    || !axes_match(g.peak_table().ay(), &char_opts.glitch_v_grid, true)
-                    || !axes_match(g.peak_table().az(), &char_opts.glitch_w_grid, false)
-                {
-                    return Ok(None);
-                }
-                let all = GlitchModel::enumerate(
-                    &self.thresholds,
-                    self.c_ref,
-                    single,
-                    g.blocker,
-                    &char_opts.glitch_u_grid,
-                    &char_opts.glitch_v_grid,
-                    &char_opts.glitch_w_grid,
-                );
-                (all, indices.to_vec())
-            }
-            SliceKind::Correction => (Vec::new(), Vec::new()),
+        let Some(job_of) = self.job_indices(id, char_opts, indices) else {
+            return Ok(None);
         };
-
-        let subset: Vec<SimJob> = {
-            let mut s = Vec::with_capacity(job_of_index.len());
-            for &j in &job_of_index {
-                match jobs.get(j) {
-                    Some(job) => s.push(job.clone()),
-                    None => return Ok(None),
-                }
-            }
-            s
+        let ctx = slice::SliceCtx {
+            sim,
+            opts: char_opts,
+            singles: &self.singles,
+        };
+        let all = slice::jobs(id, &ctx)?;
+        let subset: Option<Vec<SimJob>> = job_of.iter().map(|&j| all.get(j).cloned()).collect();
+        let Some(subset) = subset else {
+            return Ok(None);
         };
         if subset.is_empty() {
             return Ok(Some(PatchStats::default()));
@@ -1268,7 +981,7 @@ impl ProximityModel {
             sims: batch.outcomes.len() - batch.skipped,
             ..PatchStats::default()
         };
-        for (&table_idx, outcome) in indices.iter().zip(&batch.outcomes) {
+        for ((&idx, &job), outcome) in indices.iter().zip(&job_of).zip(&batch.outcomes) {
             if let Some(e) = outcome.failure() {
                 if e.is_cancellation() || !e.is_slice_degradable() {
                     return Err(e.clone());
@@ -1276,97 +989,10 @@ impl ProximityModel {
                 stats.failed += 1;
                 continue;
             }
-            self.patch_point(id, table_idx, outcome, char_opts)?;
+            self.patch(id, idx, job, outcome, char_opts)?;
             stats.patched += 1;
         }
         Ok(Some(stats))
-    }
-
-    /// Writes one re-simulated measurement into the slice's tables using
-    /// the same arithmetic the assembler used, so a clean re-simulation
-    /// reproduces the clean-run bytes exactly.
-    fn patch_point(
-        &mut self,
-        id: &SliceId,
-        idx: usize,
-        outcome: &JobOutcome,
-        char_opts: &CharacterizeOptions,
-    ) -> Result<(), ModelError> {
-        let (pin, e) = (id.pin, id.edge_idx);
-        let audit_err = |e: proxim_numeric::interp::BuildTableError| ModelError::Audit {
-            detail: format!("repair patch rejected: {e}"),
-        };
-        match id.kind() {
-            SliceKind::Single => {
-                let Some(single) = self.singles[pin][e].as_mut() else {
-                    return Ok(());
-                };
-                let (k, vdd, c_ref) = (single.k, single.vdd, self.c_ref);
-                let u = single.tables().0.xs()[idx];
-                let tau = char_opts
-                    .tau_grid
-                    .iter()
-                    .copied()
-                    .find(|&tau| (c_ref / (k * vdd * tau)).to_bits() == u.to_bits())
-                    .ok_or(ModelError::Audit {
-                        detail: "repair patch lost its tau stimulus".into(),
-                    })?;
-                let (delay, trans) = outcome.response()?;
-                let (dt, tt) = single.tables_mut();
-                dt.set_value(idx, delay / tau).map_err(audit_err)?;
-                tt.set_value(idx, trans / tau).map_err(audit_err)?;
-            }
-            SliceKind::Dual => {
-                let Some(single) = self.singles[pin][e].as_ref() else {
-                    return Ok(());
-                };
-                let (nv, nw) = (char_opts.dual_v_grid.len(), char_opts.dual_w_grid.len());
-                let u1 = char_opts.dual_u_grid[idx / (nv * nw)];
-                let tau_i = single.tau_for_ratio(u1, self.c_ref);
-                let d1 = single.delay(tau_i, self.c_ref);
-                let t1 = single.transition(tau_i, self.c_ref);
-                let (d2, t2) = outcome.response()?;
-                let Some(d) = self.dual_by_id_mut(id) else {
-                    return Ok(());
-                };
-                let (dr, tr) = d.tables_mut();
-                dr.set_value(idx, d2 / d1).map_err(audit_err)?;
-                tr.set_value(idx, t2 / t1).map_err(audit_err)?;
-            }
-            SliceKind::LoadSlew => {
-                let (delay, trans) = outcome.response()?;
-                let Some(m) = self.nldm[pin][e].as_mut() else {
-                    return Ok(());
-                };
-                let (dt, tt) = m.tables_mut();
-                dt.set_value(idx, delay).map_err(audit_err)?;
-                tt.set_value(idx, trans).map_err(audit_err)?;
-            }
-            SliceKind::Glitch => {
-                let peak = outcome.peak()?;
-                let Some(g) = self.glitches.iter_mut().find(|g| {
-                    g.causer == pin && eidx(g.causer_edge) == e && g.blocker == id.partner
-                }) else {
-                    return Ok(());
-                };
-                let vdd = g.vdd;
-                g.peak_table_mut()
-                    .set_value(idx, peak / vdd)
-                    .map_err(audit_err)?;
-            }
-            SliceKind::Correction => {}
-        }
-        Ok(())
-    }
-
-    fn dual_by_id_mut(&mut self, id: &SliceId) -> Option<&mut DualInputModel> {
-        let (pin, e, partner) = (id.pin, id.edge_idx, id.partner);
-        let probe =
-            |d: &DualInputModel| d.pin == pin && eidx(d.input_edge) == e && d.partner == partner;
-        if self.duals[pin][e].as_ref().is_some_and(&probe) {
-            return self.duals[pin][e].as_mut();
-        }
-        self.extra_duals.iter_mut().find(|d| probe(d))
     }
 
     /// Demotes one slice to [`DegradedSlice`] provenance, removing the
@@ -1374,95 +1000,36 @@ impl ProximityModel {
     /// characterization-time degradation. Demoting a single-input slice
     /// cascades to the slices that normalize against it. Returns how many
     /// slices were demoted.
-    fn demote_slice(&mut self, id: &SliceId, reason: &str) -> usize {
-        let (pin, e) = (id.pin, id.edge_idx);
-        let edge = id.edge();
+    fn demote_slice(&mut self, id: SliceId, reason: &str) -> usize {
+        let mut victims = vec![(id, reason.to_string())];
+        if id.kind == SliceKind::Single {
+            // Everything normalized against this single is now
+            // unverifiable; demote the dependents too.
+            let dep = format!("audit: dominant single-input slice demoted ({reason})");
+            victims.extend(
+                self.slices()
+                    .map(|s| s.id())
+                    .filter(|s| s.kind != SliceKind::Single && (s.pin, s.edge) == (id.pin, id.edge))
+                    .map(|s| (s, dep.clone())),
+            );
+        }
         let mut demoted = 0usize;
-        let note = |this: &mut Self, kind: SliceKind, pin: usize, edge: Edge, reason: String| {
-            this.degraded.push(DegradedSlice {
-                kind,
-                pin,
-                edge,
+        for (victim, reason) in victims {
+            if !self.remove(victim) {
+                continue;
+            }
+            let _ = obs::event("char.slice.degraded")
+                .arg("kind", format_args!("{:?}", victim.kind))
+                .arg("pin", victim.pin)
+                .arg("edge", format_args!("{:?}", victim.edge))
+                .arg("source", "audit");
+            self.degraded.push(DegradedSlice {
+                kind: victim.kind,
+                pin: victim.pin,
+                edge: victim.edge,
                 reason,
             });
-            let _ = obs::event("char.slice.degraded")
-                .arg("kind", format_args!("{kind:?}"))
-                .arg("pin", pin)
-                .arg("edge", format_args!("{edge:?}"))
-                .arg("source", "audit");
-        };
-        match id.kind() {
-            SliceKind::Single => {
-                if self.singles[pin][e].take().is_some() {
-                    note(self, SliceKind::Single, pin, edge, reason.to_string());
-                    demoted += 1;
-                }
-                // Everything normalized against this single is now
-                // unverifiable; demote the dependents too.
-                let dep = format!("audit: dominant single-input slice demoted ({reason})");
-                if self.duals[pin][e].take().is_some() {
-                    note(self, SliceKind::Dual, pin, edge, dep.clone());
-                    demoted += 1;
-                }
-                let before = self.extra_duals.len();
-                self.extra_duals
-                    .retain(|d| !(d.pin == pin && eidx(d.input_edge) == e));
-                for _ in 0..before - self.extra_duals.len() {
-                    note(self, SliceKind::Dual, pin, edge, dep.clone());
-                    demoted += 1;
-                }
-                if self.nldm[pin][e].take().is_some() {
-                    note(self, SliceKind::LoadSlew, pin, edge, dep.clone());
-                    demoted += 1;
-                }
-                let before = self.glitches.len();
-                self.glitches
-                    .retain(|g| !(g.causer == pin && eidx(g.causer_edge) == e));
-                for _ in 0..before - self.glitches.len() {
-                    note(self, SliceKind::Glitch, pin, edge, dep.clone());
-                    demoted += 1;
-                }
-            }
-            SliceKind::Dual => {
-                let removed = if self.duals[pin][e]
-                    .as_ref()
-                    .is_some_and(|d| d.partner == id.partner)
-                {
-                    self.duals[pin][e] = None;
-                    true
-                } else {
-                    let before = self.extra_duals.len();
-                    self.extra_duals.retain(|d| {
-                        !(d.pin == pin && eidx(d.input_edge) == e && d.partner == id.partner)
-                    });
-                    self.extra_duals.len() != before
-                };
-                if removed {
-                    note(self, SliceKind::Dual, pin, edge, reason.to_string());
-                    demoted += 1;
-                }
-            }
-            SliceKind::LoadSlew => {
-                if self.nldm[pin][e].take().is_some() {
-                    note(self, SliceKind::LoadSlew, pin, edge, reason.to_string());
-                    demoted += 1;
-                }
-            }
-            SliceKind::Glitch => {
-                let before = self.glitches.len();
-                self.glitches.retain(|g| {
-                    !(g.causer == pin && eidx(g.causer_edge) == e && g.blocker == id.partner)
-                });
-                if self.glitches.len() != before {
-                    note(self, SliceKind::Glitch, pin, edge, reason.to_string());
-                    demoted += 1;
-                }
-            }
-            SliceKind::Correction => {
-                self.corrections[e] = CorrectionTerm::default();
-                note(self, SliceKind::Correction, pin, edge, reason.to_string());
-                demoted += 1;
-            }
+            demoted += 1;
         }
         demoted
     }
@@ -1475,30 +1042,21 @@ struct PatchStats {
     sims: usize,
 }
 
-/// Whether a stored table axis matches a characterization grid, bit-exact
-/// (optionally through the same `ln` mapping the assemblers applied).
-fn axes_match(axis: &[f64], grid: &[f64], ln: bool) -> bool {
-    axis.len() == grid.len()
-        && axis.iter().zip(grid).all(|(&a, &g)| {
-            let g = if ln { g.ln() } else { g };
-            a.to_bits() == g.to_bits()
-        })
-}
-
 // ---------------------------------------------------------------------------
 // Test-only tamper hook
 // ---------------------------------------------------------------------------
 
 impl ProximityModel {
-    /// Test-only corruption hook: overwrites one stored table entry so
-    /// audit/repair suites can inject the silent corruption the audit is
-    /// built to catch. Returns the previous value.
+    /// Test-only corruption hook: overwrites one stored table entry of the
+    /// first slice of kind `slice` on `(pin, edge)` so audit/repair suites
+    /// can inject the silent corruption the audit is built to catch.
+    /// Returns the previous value.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuery`] when the slice does not exist
-    /// and [`ModelError::Audit`] when the index is out of range or the
-    /// value non-finite.
+    /// Returns [`ModelError::InvalidQuery`] when the slice or the table
+    /// does not exist and [`ModelError::Audit`] when the index is out of
+    /// range or the value non-finite.
     #[doc(hidden)]
     pub fn tamper_table_value(
         &mut self,
@@ -1510,68 +1068,22 @@ impl ProximityModel {
         value: f64,
     ) -> Result<f64, ModelError> {
         let missing = || ModelError::InvalidQuery {
-            detail: format!("no {slice:?} slice for pin {pin} {edge:?}"),
+            detail: format!("no {slice:?} slice with a {table:?} table for pin {pin} {edge:?}"),
         };
-        let audit_err = |e: proxim_numeric::interp::BuildTableError| ModelError::Audit {
+        let id = self
+            .slices()
+            .map(|s| s.id())
+            .find(|id| (id.kind, id.pin, id.edge) == (slice, pin, edge))
+            .ok_or_else(missing)?;
+        let mut handle = self.slice_mut(id).ok_or_else(missing)?;
+        let tab = handle.table_mut(table).ok_or_else(missing)?;
+        let old = *tab.values().get(index).ok_or_else(|| ModelError::Audit {
+            detail: format!("tamper index {index} out of range"),
+        })?;
+        tab.set_value(index, value).map_err(|e| ModelError::Audit {
             detail: e.to_string(),
-        };
-        let e = eidx(edge);
-        match (slice, table) {
-            (SliceKind::Single, role) => {
-                let s = self.singles[pin][e].as_mut().ok_or_else(missing)?;
-                let (d, t) = s.tables_mut();
-                let tab = if role == TableRole::Transition { t } else { d };
-                let old = *tab.ys().get(index).ok_or_else(|| ModelError::Audit {
-                    detail: format!("tamper index {index} out of range"),
-                })?;
-                tab.set_value(index, value).map_err(audit_err)?;
-                Ok(old)
-            }
-            (SliceKind::Dual, role) => {
-                let d = self.duals[pin][e].as_mut().ok_or_else(missing)?;
-                let (dr, tr) = d.tables_mut();
-                let tab = if role == TableRole::Transition {
-                    tr
-                } else {
-                    dr
-                };
-                let old = *tab.values().get(index).ok_or_else(|| ModelError::Audit {
-                    detail: format!("tamper index {index} out of range"),
-                })?;
-                tab.set_value(index, value).map_err(audit_err)?;
-                Ok(old)
-            }
-            (SliceKind::LoadSlew, role) => {
-                let m = self.nldm[pin][e].as_mut().ok_or_else(missing)?;
-                let (dl, tr) = m.tables_mut();
-                let tab = if role == TableRole::Transition {
-                    tr
-                } else {
-                    dl
-                };
-                let old = *tab.values().get(index).ok_or_else(|| ModelError::Audit {
-                    detail: format!("tamper index {index} out of range"),
-                })?;
-                tab.set_value(index, value).map_err(audit_err)?;
-                Ok(old)
-            }
-            (SliceKind::Glitch, _) => {
-                let g = self
-                    .glitches
-                    .iter_mut()
-                    .find(|g| g.causer == pin && g.causer_edge == edge)
-                    .ok_or_else(missing)?;
-                let tab = g.peak_table_mut();
-                let old = *tab.values().get(index).ok_or_else(|| ModelError::Audit {
-                    detail: format!("tamper index {index} out of range"),
-                })?;
-                tab.set_value(index, value).map_err(audit_err)?;
-                Ok(old)
-            }
-            (SliceKind::Correction, _) => Err(ModelError::InvalidQuery {
-                detail: "correction terms have no table to tamper".into(),
-            }),
-        }
+        })?;
+        Ok(old)
     }
 }
 
@@ -1619,17 +1131,5 @@ mod tests {
         for needle in ["positivity", "Dual", "pin 1", "partner 0", "[37]", "> 0"] {
             assert!(s.contains(needle), "missing {needle:?} in {s}");
         }
-    }
-
-    #[test]
-    fn axes_match_is_bit_exact() {
-        let grid = [0.15f64, 1.1, 9.0];
-        let ln_axis: Vec<f64> = grid.iter().map(|g| g.ln()).collect();
-        assert!(axes_match(&ln_axis, &grid, true));
-        assert!(axes_match(&grid, &grid, false));
-        let mut off = ln_axis;
-        off[1] += 1e-16;
-        assert!(!axes_match(&off, &grid, true));
-        assert!(!axes_match(&grid[..2], &grid, false));
     }
 }

@@ -21,9 +21,8 @@
 //! characterizer inverts the single-input model for the `τ_i` that lands on
 //! it, then sets `τ_j = v·Δ⁽¹⁾` and `s = w·Δ⁽¹⁾`.
 
-use crate::characterize::Simulator;
 use crate::error::ModelError;
-use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
+use crate::jobs::{JobOutcome, SimJob};
 use crate::measure::InputEvent;
 use crate::single::SingleInputModel;
 use crate::thresholds::Thresholds;
@@ -45,54 +44,12 @@ pub struct DualInputModel {
     /// Input transition direction (both inputs switch the same way).
     pub input_edge: Edge,
     /// `D⁽²⁾` ratio table over `(u₁, v, w)`.
-    delay_ratio: Table3d,
+    pub(crate) delay_ratio: Table3d,
     /// `T⁽²⁾` ratio table over `(u₁, v, w)`.
-    trans_ratio: Table3d,
+    pub(crate) trans_ratio: Table3d,
 }
 
 impl DualInputModel {
-    /// Characterizes the model against the simulator.
-    ///
-    /// `single` must be the dominant pin's [`SingleInputModel`] for the same
-    /// input edge; its table defines the `Δ⁽¹⁾` used for normalization, so
-    /// model evaluation composes exactly at the grid points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] on simulation failure or degenerate grids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `single` belongs to a different pin or edge.
-    pub fn characterize(
-        sim: &Simulator<'_>,
-        single: &SingleInputModel,
-        partner: usize,
-        u_grid: &[f64],
-        v_grid: &[f64],
-        w_grid: &[f64],
-    ) -> Result<Self, ModelError> {
-        let jobs = Self::enumerate(
-            &sim.thresholds,
-            sim.c_load,
-            single,
-            partner,
-            u_grid,
-            v_grid,
-            w_grid,
-        );
-        let batch = execute_jobs(sim, &jobs, 1);
-        Self::assemble(
-            sim.c_load,
-            single,
-            partner,
-            u_grid,
-            v_grid,
-            w_grid,
-            &first_error(&batch.outcomes)?,
-        )
-    }
-
     /// Enumerates the `(u₁, v, w)` grid as independent simulation jobs in
     /// row-major order (`u` outermost, `w` innermost).
     ///
@@ -162,18 +119,16 @@ impl DualInputModel {
         let mut trans_vals = Vec::with_capacity(expected);
         let mut it = outcomes.iter();
         for &u1 in u_grid {
-            let tau_i = single.tau_for_ratio(u1, c_load);
-            let d1 = single.delay(tau_i, c_load);
-            let t1 = single.transition(tau_i, c_load);
+            let scale = Self::row_scale(single, c_load, u1);
             for _ in 0..v_grid.len() * w_grid.len() {
                 let Some(outcome) = it.next() else {
                     return Err(ModelError::Table(
                         "dual-input outcome count mismatch".into(),
                     ));
                 };
-                let (d2, t2) = outcome.response()?;
-                delay_vals.push(d2 / d1);
-                trans_vals.push(t2 / t1);
+                let (dr, tr) = Self::point(scale, outcome)?;
+                delay_vals.push(dr);
+                trans_vals.push(tr);
             }
         }
 
@@ -189,6 +144,32 @@ impl DualInputModel {
             delay_ratio: Table3d::new(ln_u.clone(), ln_v.clone(), w_grid.to_vec(), delay_vals)?,
             trans_ratio: Table3d::new(ln_u, ln_v, w_grid.to_vec(), trans_vals)?,
         })
+    }
+
+    /// The dominant input's `(Δ⁽¹⁾, τ⁽¹⁾)` on the table row `u₁`: what every
+    /// entry of that row is normalized by.
+    pub(crate) fn row_scale(single: &SingleInputModel, c_load: f64, u1: f64) -> (f64, f64) {
+        let tau_i = single.tau_for_ratio(u1, c_load);
+        (
+            single.delay(tau_i, c_load),
+            single.transition(tau_i, c_load),
+        )
+    }
+
+    /// The `(Δ⁽²⁾/Δ⁽¹⁾, τ⁽²⁾/τ⁽¹⁾)` table entries of one outcome on a row
+    /// with [`Self::row_scale`] `(d1, t1)`: the arithmetic both assembly and
+    /// audit repair write with.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces a failed outcome's reason, or a glitch peak where an events
+    /// response was expected.
+    pub(crate) fn point(
+        (d1, t1): (f64, f64),
+        outcome: &JobOutcome,
+    ) -> Result<(f64, f64), ModelError> {
+        let (d2, t2) = outcome.response()?;
+        Ok((d2 / d1, t2 / t1))
     }
 
     /// Evaluates `D⁽²⁾(u₁, v, w)`.
@@ -227,26 +208,32 @@ impl DualInputModel {
     pub fn w_axis(&self) -> &[f64] {
         self.delay_ratio.az()
     }
-
-    /// Audit access: the `(delay-ratio, trans-ratio)` tables.
-    pub(crate) fn tables(&self) -> (&Table3d, &Table3d) {
-        (&self.delay_ratio, &self.trans_ratio)
-    }
-
-    /// Audit repair access: the `(delay-ratio, trans-ratio)` tables,
-    /// mutably — entries are patched through the tables' validated setters.
-    pub(crate) fn tables_mut(&mut self) -> (&mut Table3d, &mut Table3d) {
-        (&mut self.delay_ratio, &mut self.trans_ratio)
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::characterize::Simulator;
+    use crate::jobs::{execute_jobs, first_error};
     use crate::thresholds::Thresholds;
     use proxim_cells::{Cell, Technology};
+
+    /// Characterizes one dual slice on the calling thread.
+    pub(crate) fn characterize(
+        sim: &Simulator<'_>,
+        single: &SingleInputModel,
+        partner: usize,
+        u_grid: &[f64],
+        v_grid: &[f64],
+        w_grid: &[f64],
+    ) -> Result<DualInputModel, ModelError> {
+        let (th, c) = (&sim.thresholds, sim.c_load);
+        let jobs = DualInputModel::enumerate(th, c, single, partner, u_grid, v_grid, w_grid);
+        let outcomes = execute_jobs(sim, &jobs, 1).outcomes;
+        let ok = first_error(&outcomes)?;
+        DualInputModel::assemble(c, single, partner, u_grid, v_grid, w_grid, &ok)
+    }
 
     struct Env {
         cell: Cell,
@@ -273,7 +260,7 @@ mod tests {
     fn small_model(s: &Simulator<'_>, edge: Edge) -> DualInputModel {
         let single =
             SingleInputModel::characterize(s, 0, edge, &[150e-12, 600e-12, 1800e-12]).unwrap();
-        DualInputModel::characterize(
+        characterize(
             s,
             &single,
             1,
@@ -355,7 +342,7 @@ mod tests {
         let single =
             SingleInputModel::characterize(&s, 0, Edge::Rising, &[150e-12, 600e-12, 1800e-12])
                 .unwrap();
-        let m = DualInputModel::characterize(
+        let m = characterize(
             &s,
             &single,
             1,
@@ -390,6 +377,6 @@ mod tests {
         let s = sim(&e);
         let single =
             SingleInputModel::characterize(&s, 0, Edge::Rising, &[150e-12, 600e-12]).unwrap();
-        let _ = DualInputModel::characterize(&s, &single, 0, &[1.0, 2.0], &[1.0, 2.0], &[0.0, 1.0]);
+        let _ = characterize(&s, &single, 0, &[1.0, 2.0], &[1.0, 2.0], &[0.0, 1.0]);
     }
 }

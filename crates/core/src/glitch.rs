@@ -8,9 +8,8 @@
 //! the gate's inertial delay as the minimum separation for which the
 //! extremum still crosses the measurement threshold (a "valid output").
 
-use crate::characterize::Simulator;
 use crate::error::ModelError;
-use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
+use crate::jobs::{JobOutcome, SimJob};
 use crate::measure::InputEvent;
 use crate::single::SingleInputModel;
 use crate::thresholds::Thresholds;
@@ -38,51 +37,10 @@ pub struct GlitchModel {
     /// Supply voltage.
     pub vdd: f64,
     /// Normalized extremum table.
-    peak: Table3d,
+    pub(crate) peak: Table3d,
 }
 
 impl GlitchModel {
-    /// Characterizes the glitch model.
-    ///
-    /// `single` must be the causer pin's single-input model for
-    /// `causer_edge`; its delay defines the normalization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] on simulation failure or degenerate grids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocker == causer`.
-    pub fn characterize(
-        sim: &Simulator<'_>,
-        single: &SingleInputModel,
-        blocker: usize,
-        u_grid: &[f64],
-        v_grid: &[f64],
-        w_grid: &[f64],
-    ) -> Result<Self, ModelError> {
-        let jobs = Self::enumerate(
-            &sim.thresholds,
-            sim.c_load,
-            single,
-            blocker,
-            u_grid,
-            v_grid,
-            w_grid,
-        );
-        let batch = execute_jobs(sim, &jobs, 1);
-        Self::assemble(
-            sim.tech.vdd,
-            single,
-            blocker,
-            u_grid,
-            v_grid,
-            w_grid,
-            &first_error(&batch.outcomes)?,
-        )
-    }
-
     /// Enumerates the `(u₁, v, w)` glitch grid as independent simulation
     /// jobs in row-major order. The blocker starts from its sensitizing
     /// (non-blocking) level for the causer and ramps to the opposite.
@@ -151,7 +109,7 @@ impl GlitchModel {
 
         let vals: Vec<f64> = outcomes
             .iter()
-            .map(|o| o.peak().map(|p| p / vdd))
+            .map(|o| Self::point(vdd, o))
             .collect::<Result<_, _>>()?;
 
         // Log-domain u/v axes, as in the dual-input tables.
@@ -165,6 +123,17 @@ impl GlitchModel {
             vdd,
             peak: Table3d::new(ln_u, ln_v, w_grid.to_vec(), vals)?,
         })
+    }
+
+    /// The normalized-peak table entry `V_peak / V_dd` of one outcome: the
+    /// arithmetic both assembly and audit repair write with.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces a failed outcome's reason, or an events response where a
+    /// peak was expected.
+    pub(crate) fn point(vdd: f64, outcome: &JobOutcome) -> Result<f64, ModelError> {
+        outcome.peak().map(|p| p / vdd)
     }
 
     /// The predicted output extremum voltage for causer transition time
@@ -211,16 +180,6 @@ impl GlitchModel {
     pub fn table_len(&self) -> usize {
         self.peak.len()
     }
-
-    /// Audit access: the normalized-peak table.
-    pub(crate) fn peak_table(&self) -> &Table3d {
-        &self.peak
-    }
-
-    /// Audit repair access: the normalized-peak table, mutably.
-    pub(crate) fn peak_table_mut(&mut self) -> &mut Table3d {
-        &mut self.peak
-    }
 }
 
 #[cfg(test)]
@@ -228,8 +187,26 @@ impl GlitchModel {
 mod tests {
     use super::*;
     use crate::characterize::Reading;
+    use crate::characterize::Simulator;
+    use crate::jobs::{execute_jobs, first_error};
     use crate::thresholds::Thresholds;
     use proxim_cells::{Cell, Technology};
+
+    /// Characterizes one glitch slice on the calling thread.
+    fn characterize(
+        sim: &Simulator<'_>,
+        single: &SingleInputModel,
+        blocker: usize,
+        u_grid: &[f64],
+        v_grid: &[f64],
+        w_grid: &[f64],
+    ) -> Result<GlitchModel, ModelError> {
+        let (th, c) = (&sim.thresholds, sim.c_load);
+        let jobs = GlitchModel::enumerate(th, c, single, blocker, u_grid, v_grid, w_grid);
+        let outcomes = execute_jobs(sim, &jobs, 1).outcomes;
+        let ok = first_error(&outcomes)?;
+        GlitchModel::assemble(sim.tech.vdd, single, blocker, u_grid, v_grid, w_grid, &ok)
+    }
 
     fn glitch_env() -> (Cell, Technology) {
         (Cell::nand(2), Technology::demo_5v())
@@ -245,7 +222,7 @@ mod tests {
         let single =
             SingleInputModel::characterize(&sim, 1, Edge::Rising, &[150e-12, 600e-12, 1800e-12])
                 .unwrap();
-        let m = GlitchModel::characterize(
+        let m = characterize(
             &sim,
             &single,
             0,
@@ -291,7 +268,7 @@ mod tests {
         let single =
             SingleInputModel::characterize(&sim, 1, Edge::Rising, &[150e-12, 600e-12, 1800e-12])
                 .unwrap();
-        let m = GlitchModel::characterize(
+        let m = characterize(
             &sim,
             &single,
             0,

@@ -38,6 +38,9 @@
 //!   §3 asymptotes, monotonicity, outlier detection) and the bounded
 //!   self-repair pass that re-simulates suspect grid points or demotes
 //!   unrepairable slices to degraded provenance.
+//! - [`mod@slice`]: the one handle ([`slice::SliceId`]) through which
+//!   characterization, the audit, validation and repair name, enumerate,
+//!   assemble, read, patch and remove every table slice of a model.
 //! - [`persist`] and [`store`]: the model's JSON codec, the checksummed
 //!   `.pxm` container every stored model lives in, the crash-consistent
 //!   [`store::atomic_write`], and the content-addressed characterization
@@ -90,6 +93,7 @@ pub mod model;
 pub mod nldm;
 pub mod persist;
 pub mod single;
+pub mod slice;
 pub mod store;
 pub mod thresholds;
 pub mod validate;
@@ -99,4 +103,5 @@ pub use checkpoint::{CheckpointConfig, CheckpointJournal, RunControl};
 pub use error::ModelError;
 pub use measure::InputEvent;
 pub use model::{DegradedReason, DegradedSlice, GateTiming, ProximityModel, SliceKind};
+pub use slice::{Slice, SliceId};
 pub use thresholds::{Thresholds, VtcCurve, VtcFamily};

@@ -14,12 +14,11 @@ use crate::dominance::{rank_for_scenario, RankedEvent};
 use crate::dual::DualInputModel;
 use crate::error::ModelError;
 use crate::glitch::GlitchModel;
-use crate::jobs::{
-    bump, execute_jobs_controlled, first_error, metric, record_batch, CharStats, PhaseTimes, SimJob,
-};
+use crate::jobs::{bump, metric, CharStats, PhaseTimes};
 use crate::measure::{InputEvent, Scenario};
 use crate::nldm::LoadSlewModel;
 use crate::single::SingleInputModel;
+use crate::slice;
 use crate::thresholds::{extract_vtc_family_cancellable, Thresholds, VtcFamily};
 use proxim_cells::{Cell, Technology};
 use proxim_numeric::pwl::Edge;
@@ -63,7 +62,7 @@ pub enum DegradedReason {
 }
 
 /// Which kind of characterization slice a [`DegradedSlice`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson, FromJson)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, ToJson, FromJson)]
 pub enum SliceKind {
     /// A single-input macromodel (§3).
     Single,
@@ -96,6 +95,9 @@ pub struct DegradedSlice {
     pub reason: String,
 }
 
+/// Both edges, in slot order (see [`eidx`]).
+pub(crate) const EDGES: [Edge; 2] = [Edge::Rising, Edge::Falling];
+
 pub(crate) fn eidx(edge: Edge) -> usize {
     match edge {
         Edge::Rising => 0,
@@ -104,7 +106,7 @@ pub(crate) fn eidx(edge: Edge) -> usize {
 }
 
 /// Books one degraded slice: counter (run + global mirror) and trace event.
-fn note_degraded(reg: &obs::Registry, d: &DegradedSlice) {
+pub(crate) fn note_degraded(reg: &obs::Registry, d: &DegradedSlice) {
     bump(reg, metric::DEGRADED_SLICES, 1);
     let _ = obs::event("char.slice.degraded")
         .arg("kind", format_args!("{:?}", d.kind))
@@ -267,56 +269,36 @@ impl ProximityModel {
         drop(phase_span);
         phases.vtc = t0.elapsed().as_secs_f64();
 
+        let mut model = Self {
+            cell: cell.clone(),
+            tech: tech.clone(),
+            thresholds,
+            vtc,
+            c_ref: opts.c_load,
+            dv_max: opts.dv_max,
+            singles: vec![[None, None]; n],
+            duals: vec![[None, None]; n],
+            extra_duals: Vec::new(),
+            corrections: [CorrectionTerm::default(); 2],
+            ramp_stretch: [1.0; 2],
+            nldm: if opts.load_grid.is_some() {
+                vec![[None, None]; n]
+            } else {
+                Vec::new()
+            },
+            glitches: Vec::new(),
+            degraded: Vec::new(),
+        };
+
         // Phase 2: single-input macromodels for every sensitizable
-        // (pin, edge), as one job batch.
+        // (pin, edge), as one job batch. A degraded single also suppresses
+        // every slice that would have been built on top of it.
         cancel.check("characterization")?;
         let t0 = Instant::now();
         let phase_span = obs::span("char.phase.singles");
-        let mut single_specs: Vec<(usize, Edge)> = Vec::new();
-        let mut jobs: Vec<SimJob> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for pin in 0..n {
-            for edge in [Edge::Rising, Edge::Falling] {
-                let probe = [InputEvent::new(pin, edge, 0.0, opts.tau_grid[0])];
-                if Scenario::resolve(cell, &probe).is_ok() {
-                    let js = SingleInputModel::enumerate(pin, edge, &opts.tau_grid)?;
-                    spans.push((jobs.len(), js.len()));
-                    jobs.extend(js);
-                    single_specs.push((pin, edge));
-                }
-            }
-        }
-        let batch = execute_jobs_controlled(&sim, &jobs, threads, journal.map(|j| (j, "singles")));
-        record_batch(&reg, jobs.len(), &batch);
-        let mut degraded: Vec<DegradedSlice> = Vec::new();
-        let mut singles: Vec<[Option<SingleInputModel>; 2]> = vec![[None, None]; n];
-        for (&(pin, edge), &(start, len)) in single_specs.iter().zip(&spans) {
-            match first_error(&batch.outcomes[start..start + len]) {
-                Ok(ok) => {
-                    singles[pin][eidx(edge)] = Some(SingleInputModel::assemble(
-                        &sim,
-                        pin,
-                        edge,
-                        &opts.tau_grid,
-                        &ok,
-                    )?);
-                }
-                // A degraded single also suppresses every slice that would
-                // have been built on top of it: phase 3 skips missing
-                // singles.
-                Err(e) if e.is_slice_degradable() => {
-                    let d = DegradedSlice {
-                        kind: SliceKind::Single,
-                        pin,
-                        edge,
-                        reason: e.to_string(),
-                    };
-                    note_degraded(&reg, &d);
-                    degraded.push(d);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let ids = slice::single_ids(cell, opts);
+        let checkpoint = journal.map(|j| (j, "singles"));
+        model.build_slices(&sim, opts, &ids, threads, checkpoint, &reg)?;
         drop(phase_span);
         phases.singles = t0.elapsed().as_secs_f64();
 
@@ -326,209 +308,11 @@ impl ProximityModel {
         cancel.check("characterization")?;
         let t0 = Instant::now();
         let phase_span = obs::span("char.phase.pairs");
-        enum PairSpec {
-            Dual {
-                pin: usize,
-                edge: Edge,
-                partner: usize,
-            },
-            Nldm {
-                pin: usize,
-                edge: Edge,
-            },
-            Glitch {
-                causer: usize,
-                edge: Edge,
-                blocker: usize,
-            },
-        }
-        let mut specs: Vec<PairSpec> = Vec::new();
-        let mut jobs: Vec<SimJob> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        if n >= 2 {
-            for (pin, pin_singles) in singles.iter().enumerate() {
-                for edge in [Edge::Rising, Edge::Falling] {
-                    let Some(single) = pin_singles[eidx(edge)].as_ref() else {
-                        continue;
-                    };
-                    // One partner per pin (the paper's 2n scheme), optionally
-                    // the full matrix. Enumeration order matches the old
-                    // sequential loop, so the first resolvable partner still
-                    // lands in the primary slot and the rest in extra_duals.
-                    let partners: Vec<usize> = (1..n).map(|k| (pin + k) % n).collect();
-                    for &partner in &partners {
-                        let probe = [
-                            InputEvent::new(pin, edge, 0.0, opts.tau_grid[0]),
-                            InputEvent::new(partner, edge, 0.0, opts.tau_grid[0]),
-                        ];
-                        if Scenario::resolve(cell, &probe).is_err() {
-                            continue;
-                        }
-                        let js = DualInputModel::enumerate(
-                            &thresholds,
-                            opts.c_load,
-                            single,
-                            partner,
-                            &opts.dual_u_grid,
-                            &opts.dual_v_grid,
-                            &opts.dual_w_grid,
-                        );
-                        spans.push((jobs.len(), js.len()));
-                        jobs.extend(js);
-                        specs.push(PairSpec::Dual { pin, edge, partner });
-                        if !opts.full_pair_matrix {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(load_grid) = &opts.load_grid {
-            for (pin, pin_singles) in singles.iter().enumerate() {
-                for edge in [Edge::Rising, Edge::Falling] {
-                    if pin_singles[eidx(edge)].is_none() {
-                        continue;
-                    }
-                    let js = LoadSlewModel::enumerate(pin, edge, &opts.tau_grid, load_grid)?;
-                    spans.push((jobs.len(), js.len()));
-                    jobs.extend(js);
-                    specs.push(PairSpec::Nldm { pin, edge });
-                }
-            }
-        }
-        if opts.glitch && n >= 2 {
-            let (causer, blocker) = (1usize.min(n - 1), 0usize);
-            for edge in [Edge::Rising, Edge::Falling] {
-                let Some(single) = singles[causer][eidx(edge)].as_ref() else {
-                    continue;
-                };
-                let js = GlitchModel::enumerate(
-                    &thresholds,
-                    opts.c_load,
-                    single,
-                    blocker,
-                    &opts.glitch_u_grid,
-                    &opts.glitch_v_grid,
-                    &opts.glitch_w_grid,
-                );
-                spans.push((jobs.len(), js.len()));
-                jobs.extend(js);
-                specs.push(PairSpec::Glitch {
-                    causer,
-                    edge,
-                    blocker,
-                });
-            }
-        }
-        let batch = execute_jobs_controlled(&sim, &jobs, threads, journal.map(|j| (j, "pairs")));
-        record_batch(&reg, jobs.len(), &batch);
-
-        let mut duals: Vec<[Option<DualInputModel>; 2]> = vec![[None, None]; n];
-        let mut extra_duals = Vec::new();
-        let mut nldm: Vec<[Option<LoadSlewModel>; 2]> = if opts.load_grid.is_some() {
-            vec![[None, None]; n]
-        } else {
-            Vec::new()
-        };
-        let mut glitches = Vec::new();
-        for (spec, &(start, len)) in specs.iter().zip(&spans) {
-            let (kind, pin, edge) = match *spec {
-                PairSpec::Dual { pin, edge, .. } => (SliceKind::Dual, pin, edge),
-                PairSpec::Nldm { pin, edge } => (SliceKind::LoadSlew, pin, edge),
-                PairSpec::Glitch { causer, edge, .. } => (SliceKind::Glitch, causer, edge),
-            };
-            let ok = match first_error(&batch.outcomes[start..start + len]) {
-                Ok(ok) => ok,
-                Err(e) if e.is_slice_degradable() => {
-                    let d = DegradedSlice {
-                        kind,
-                        pin,
-                        edge,
-                        reason: e.to_string(),
-                    };
-                    note_degraded(&reg, &d);
-                    degraded.push(d);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match *spec {
-                PairSpec::Dual { pin, edge, partner } => {
-                    let Some(single) = singles[pin][eidx(edge)].as_ref() else {
-                        return Err(ModelError::Table(
-                            "dual assembly lost its single-input model".into(),
-                        ));
-                    };
-                    let m = DualInputModel::assemble(
-                        opts.c_load,
-                        single,
-                        partner,
-                        &opts.dual_u_grid,
-                        &opts.dual_v_grid,
-                        &opts.dual_w_grid,
-                        &ok,
-                    )?;
-                    if duals[pin][eidx(edge)].is_none() {
-                        duals[pin][eidx(edge)] = Some(m);
-                    } else {
-                        extra_duals.push(m);
-                    }
-                }
-                PairSpec::Nldm { pin, edge } => {
-                    let Some(load_grid) = opts.load_grid.as_ref() else {
-                        return Err(ModelError::Table(
-                            "load-slew assembly lost its load grid".into(),
-                        ));
-                    };
-                    nldm[pin][eidx(edge)] = Some(LoadSlewModel::assemble(
-                        pin,
-                        edge,
-                        &opts.tau_grid,
-                        load_grid,
-                        &ok,
-                    )?);
-                }
-                PairSpec::Glitch {
-                    causer,
-                    edge,
-                    blocker,
-                } => {
-                    let Some(single) = singles[causer][eidx(edge)].as_ref() else {
-                        return Err(ModelError::Table(
-                            "glitch assembly lost its single-input model".into(),
-                        ));
-                    };
-                    glitches.push(GlitchModel::assemble(
-                        tech.vdd,
-                        single,
-                        blocker,
-                        &opts.glitch_u_grid,
-                        &opts.glitch_v_grid,
-                        &opts.glitch_w_grid,
-                        &ok,
-                    )?);
-                }
-            }
-        }
+        let ids = slice::pair_ids(cell, opts, &model.singles);
+        let checkpoint = journal.map(|j| (j, "pairs"));
+        model.build_slices(&sim, opts, &ids, threads, checkpoint, &reg)?;
         drop(phase_span);
         phases.pairs = t0.elapsed().as_secs_f64();
-
-        let mut model = Self {
-            cell: cell.clone(),
-            tech: tech.clone(),
-            thresholds,
-            vtc,
-            c_ref: opts.c_load,
-            dv_max: opts.dv_max,
-            singles,
-            duals,
-            extra_duals,
-            corrections: [CorrectionTerm::default(); 2],
-            ramp_stretch: [1.0; 2],
-            nldm,
-            glitches,
-            degraded,
-        };
 
         // Phase 4 (sequential): the two small calibration passes. Each is a
         // handful of sims with data dependencies on the assembled model, so
@@ -939,35 +723,6 @@ impl ProximityModel {
         self.extra_duals
             .iter()
             .find(|m| m.pin == dominant && m.partner == partner && m.input_edge == edge)
-    }
-
-    /// Total stored table entries across all macromodels — the storage cost
-    /// this model actually pays (Fig. 4-2 accounting).
-    pub fn table_entries(&self) -> usize {
-        let s: usize = self
-            .singles
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|m| m.table_len())
-            .sum();
-        let d: usize = self
-            .duals
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|m| m.table_len())
-            .sum();
-        let x: usize = self.extra_duals.iter().map(|m| m.table_len()).sum();
-        let g: usize = self.glitches.iter().map(|m| m.table_len()).sum();
-        let l: usize = self
-            .nldm
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|m| m.table_len())
-            .sum();
-        s + d + x + g + l
     }
 }
 

@@ -10,9 +10,8 @@
 //! characterizes exactly that, on log-spaced axes with bilinear
 //! interpolation in the log domain.
 
-use crate::characterize::Simulator;
 use crate::error::ModelError;
-use crate::jobs::{execute_jobs, first_error, JobOutcome, SimJob};
+use crate::jobs::{JobOutcome, SimJob};
 use crate::measure::InputEvent;
 use proxim_numeric::pwl::Edge;
 use proxim_numeric::Table2d;
@@ -29,9 +28,9 @@ pub struct LoadSlewModel {
     /// The output transition direction it produces.
     pub output_edge: Edge,
     /// Delay surface over `(ln τ, ln C_L)`, in seconds.
-    delay: Table2d,
+    pub(crate) delay: Table2d,
     /// Output-transition-time surface over `(ln τ, ln C_L)`, in seconds.
-    trans: Table2d,
+    pub(crate) trans: Table2d,
     /// Characterized τ bounds.
     tau_range: (f64, f64),
     /// Characterized load bounds.
@@ -39,32 +38,6 @@ pub struct LoadSlewModel {
 }
 
 impl LoadSlewModel {
-    /// Characterizes the surface: one transient per `(τ, load)` grid point.
-    ///
-    /// The simulator's own `c_load` is ignored; each column runs at its
-    /// grid load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] on simulation failure or degenerate grids.
-    pub fn characterize(
-        sim: &Simulator<'_>,
-        pin: usize,
-        input_edge: Edge,
-        tau_grid: &[f64],
-        load_grid: &[f64],
-    ) -> Result<Self, ModelError> {
-        let jobs = Self::enumerate(pin, input_edge, tau_grid, load_grid)?;
-        let batch = execute_jobs(sim, &jobs, 1);
-        Self::assemble(
-            pin,
-            input_edge,
-            tau_grid,
-            load_grid,
-            &first_error(&batch.outcomes)?,
-        )
-    }
-
     /// Enumerates the `(τ, load)` grid as independent simulation jobs in
     /// row-major order (τ outermost), each with its own load override.
     ///
@@ -184,25 +157,31 @@ impl LoadSlewModel {
     pub fn table_len(&self) -> usize {
         self.delay.len() + self.trans.len()
     }
-
-    /// Audit access: the `(delay, transition)` surfaces.
-    pub(crate) fn tables(&self) -> (&Table2d, &Table2d) {
-        (&self.delay, &self.trans)
-    }
-
-    /// Audit repair access: the `(delay, transition)` surfaces, mutably.
-    pub(crate) fn tables_mut(&mut self) -> (&mut Table2d, &mut Table2d) {
-        (&mut self.delay, &mut self.trans)
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::characterize::Simulator;
+    use crate::jobs::{execute_jobs, first_error};
     use crate::thresholds::Thresholds;
     use proxim_cells::{Cell, Technology};
     use proxim_numeric::grid::logspace;
+
+    /// Characterizes one load–slew surface on the calling thread; the
+    /// simulator's own `c_load` is ignored, each column runs at its load.
+    fn characterize(
+        sim: &Simulator<'_>,
+        pin: usize,
+        edge: Edge,
+        tau_grid: &[f64],
+        load_grid: &[f64],
+    ) -> Result<LoadSlewModel, ModelError> {
+        let jobs = LoadSlewModel::enumerate(pin, edge, tau_grid, load_grid)?;
+        let outcomes = execute_jobs(sim, &jobs, 1).outcomes;
+        LoadSlewModel::assemble(pin, edge, tau_grid, load_grid, &first_error(&outcomes)?)
+    }
 
     fn setup() -> (Cell, Technology, Thresholds) {
         (
@@ -218,7 +197,7 @@ mod tests {
         let sim = Simulator::new(&cell, &tech, th, 100e-15, 0.08);
         let tau_grid = logspace(100e-12, 1500e-12, 3);
         let load_grid = logspace(10e-15, 200e-15, 3);
-        let m = LoadSlewModel::characterize(&sim, 0, Edge::Rising, &tau_grid, &load_grid).unwrap();
+        let m = characterize(&sim, 0, Edge::Rising, &tau_grid, &load_grid).unwrap();
         assert_eq!(m.output_edge, Edge::Falling);
         assert_eq!(m.table_len(), 18);
 
@@ -247,7 +226,7 @@ mod tests {
         let sim = Simulator::new(&cell, &tech, th, 100e-15, 0.08);
         let tau_grid = logspace(100e-12, 1500e-12, 4);
         let one_d = SingleInputModel::characterize(&sim, 0, Edge::Rising, &tau_grid).unwrap();
-        let two_d = LoadSlewModel::characterize(
+        let two_d = characterize(
             &sim,
             0,
             Edge::Rising,

@@ -37,9 +37,9 @@ pub struct SingleInputModel {
     /// Supply voltage, in volts.
     pub vdd: f64,
     /// `D⁽¹⁾`: normalized delay vs. `u`.
-    delay_table: Table1d,
+    pub(crate) delay_table: Table1d,
     /// `T⁽¹⁾`: normalized output transition time vs. `u`.
-    trans_table: Table1d,
+    pub(crate) trans_table: Table1d,
     /// The τ range covered during characterization at the reference load.
     tau_range: (f64, f64),
     /// The load the τ grid was characterized at (defines the u coverage).
@@ -127,33 +127,28 @@ impl SingleInputModel {
         // parasitics. Characterize at (and query near) a representative
         // load; netlist flows should pick `c_load` close to their actual
         // fanout loading.
-        let mut rows: Vec<(f64, f64, f64, f64)> = Vec::with_capacity(tau_grid.len());
+        let mut rows: Vec<(f64, (f64, f64))> = Vec::with_capacity(tau_grid.len());
         let mut output_edge = None;
         let mut tail_factors = Vec::with_capacity(tau_grid.len());
 
         for (&tau, outcome) in tau_grid.iter().zip(outcomes) {
-            let JobOutcome::Response {
+            // `point` has checked that the outcome is an events response.
+            rows.push((tau, Self::point(tau, outcome)?));
+            if let JobOutcome::Response {
                 output_edge: oe,
-                delay,
                 trans,
                 wide,
+                ..
             } = outcome
-            else {
-                return Err(match outcome.failure() {
-                    Some(e) => e.clone(),
-                    None => {
-                        ModelError::Table("single-input assembly expects events responses".into())
+            {
+                output_edge = Some(*oe);
+                // The wide (5-95 % of swing) edge time vs. the linear
+                // extrapolation of the threshold-to-threshold time.
+                if let Some(t_wide) = wide {
+                    let t_lin = 0.9 * trans / frac_span;
+                    if t_lin > 0.0 {
+                        tail_factors.push(t_wide / t_lin);
                     }
-                });
-            };
-            output_edge = Some(*oe);
-            rows.push((sim.c_load, tau, *delay, *trans));
-            // The wide (5-95 % of swing) edge time vs. the linear
-            // extrapolation of the threshold-to-threshold time.
-            if let Some(t_wide) = wide {
-                let t_lin = 0.9 * trans / frac_span;
-                if t_lin > 0.0 {
-                    tail_factors.push(t_wide / t_lin);
                 }
             }
         }
@@ -177,7 +172,7 @@ impl SingleInputModel {
         // delay actually has.
         let mut pts: Vec<(f64, f64, f64)> = rows
             .iter()
-            .map(|&(c, tau, d, t)| (c / (k * vdd * tau), d / tau, t / tau))
+            .map(|&(tau, (d, t))| (sim.c_load / (k * vdd * tau), d, t))
             .collect();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
         // The two passes can produce near-identical u values; keep the axis
@@ -202,6 +197,18 @@ impl SingleInputModel {
             c_ref: sim.c_load,
             tail_factor,
         })
+    }
+
+    /// The `(Δ⁽¹⁾/τ, τ_out⁽¹⁾/τ)` table entries of the τ-grid point `tau`:
+    /// the arithmetic both assembly and audit repair write with.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces a failed outcome's reason, or a glitch peak where an events
+    /// response was expected.
+    pub(crate) fn point(tau: f64, outcome: &JobOutcome) -> Result<(f64, f64), ModelError> {
+        let (delay, trans) = outcome.response()?;
+        Ok((delay / tau, trans / tau))
     }
 
     /// The characterized edge tail factor: how much longer the real 5-95 %
@@ -277,17 +284,6 @@ impl SingleInputModel {
             self.delay_table.ys().to_vec(),
             self.trans_table.ys().to_vec(),
         )
-    }
-
-    /// Audit access: the `(delay, transition)` sample tables.
-    pub(crate) fn tables(&self) -> (&Table1d, &Table1d) {
-        (&self.delay_table, &self.trans_table)
-    }
-
-    /// Audit repair access: the `(delay, transition)` sample tables,
-    /// mutably — entries are patched through the tables' validated setters.
-    pub(crate) fn tables_mut(&mut self) -> (&mut Table1d, &mut Table1d) {
-        (&mut self.delay_table, &mut self.trans_table)
     }
 }
 

@@ -31,7 +31,74 @@ impl fmt::Display for BuildTableError {
 
 impl std::error::Error for BuildTableError {}
 
-/// Shared bounds-and-finiteness guard behind the `set_value` methods.
+/// Entry-wise access shared by [`Table1d`], [`Table2d`] and [`Table3d`]:
+/// read the stored samples, patch one in place, re-check the whole table.
+pub trait GridTable {
+    /// The stored samples, row-major (first axis outermost).
+    fn values(&self) -> &[f64];
+
+    /// Overwrites the stored sample at row-major index `idx`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTableError`] if `idx` is out of range or `value` is
+    /// non-finite; the table is left unchanged.
+    fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError>;
+
+    /// Re-runs the construction checks on the current contents. JSON
+    /// decoding fills the fields directly, so a table decoded from
+    /// untrusted bytes must be validated before use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTableError`] describing the first violated invariant.
+    fn validate(&self) -> Result<(), BuildTableError>;
+}
+
+impl GridTable for Table1d {
+    fn values(&self) -> &[f64] {
+        &self.ys
+    }
+
+    fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
+        set_checked(&mut self.ys, idx, value)
+    }
+
+    fn validate(&self) -> Result<(), BuildTableError> {
+        Self::new(self.xs.clone(), self.ys.clone()).map(|_| ())
+    }
+}
+
+impl GridTable for Table2d {
+    fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
+        set_checked(&mut self.values, idx, value)
+    }
+
+    fn validate(&self) -> Result<(), BuildTableError> {
+        Self::new(self.ax.clone(), self.ay.clone(), self.values.clone()).map(|_| ())
+    }
+}
+
+impl GridTable for Table3d {
+    fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
+        set_checked(&mut self.values, idx, value)
+    }
+
+    fn validate(&self) -> Result<(), BuildTableError> {
+        let (ax, ay, az) = (self.ax.clone(), self.ay.clone(), self.az.clone());
+        Self::new(ax, ay, az, self.values.clone()).map(|_| ())
+    }
+}
+
+/// Shared bounds-and-finiteness guard behind [`GridTable::set_value`].
 fn set_checked(values: &mut [f64], idx: usize, value: f64) -> Result<(), BuildTableError> {
     if idx >= values.len() {
         return Err(BuildTableError::new(format!(
@@ -118,27 +185,6 @@ impl Table1d {
         let i = locate(&self.xs, x);
         let w = cell_weight(&self.xs, i, x);
         self.ys[i] * (1.0 - w) + self.ys[i + 1] * w
-    }
-
-    /// Overwrites the stored sample at `idx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] if `idx` is out of range or `value` is
-    /// non-finite; the table is left unchanged.
-    pub fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
-        set_checked(&mut self.ys, idx, value)
-    }
-
-    /// Re-runs the construction checks of [`Self::new`] on the current
-    /// contents. Serde deserialization fills the fields directly, so a table
-    /// decoded from untrusted bytes must be validated before use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] describing the first violated invariant.
-    pub fn validate(&self) -> Result<(), BuildTableError> {
-        Self::new(self.xs.clone(), self.ys.clone()).map(|_| ())
     }
 }
 
@@ -237,26 +283,6 @@ impl Table2d {
     /// The row-major value array (`values[ix * ay.len() + iy]`).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Overwrites the stored sample at row-major index `idx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] if `idx` is out of range or `value` is
-    /// non-finite; the table is left unchanged.
-    pub fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
-        set_checked(&mut self.values, idx, value)
-    }
-
-    /// Re-runs the construction checks of [`Self::new`] on the current
-    /// contents (see [`Table1d::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] describing the first violated invariant.
-    pub fn validate(&self) -> Result<(), BuildTableError> {
-        Self::new(self.ax.clone(), self.ay.clone(), self.values.clone()).map(|_| ())
     }
 }
 
@@ -381,32 +407,6 @@ impl Table3d {
     /// (`values[(ix * ay.len() + iy) * az.len() + iz]`).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Overwrites the stored sample at row-major index `idx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] if `idx` is out of range or `value` is
-    /// non-finite; the table is left unchanged.
-    pub fn set_value(&mut self, idx: usize, value: f64) -> Result<(), BuildTableError> {
-        set_checked(&mut self.values, idx, value)
-    }
-
-    /// Re-runs the construction checks of [`Self::new`] on the current
-    /// contents (see [`Table1d::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildTableError`] describing the first violated invariant.
-    pub fn validate(&self) -> Result<(), BuildTableError> {
-        Self::new(
-            self.ax.clone(),
-            self.ay.clone(),
-            self.az.clone(),
-            self.values.clone(),
-        )
-        .map(|_| ())
     }
 }
 

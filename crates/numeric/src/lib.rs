@@ -40,7 +40,7 @@ pub mod pwl;
 pub mod rootfind;
 pub mod stats;
 
-pub use interp::{Table1d, Table2d, Table3d};
+pub use interp::{GridTable, Table1d, Table2d, Table3d};
 pub use linalg::{LuFactors, Matrix, SparsityPattern, SymbolicLu};
 pub use pwl::Pwl;
 pub use stats::{Histogram, Summary};

@@ -11,7 +11,7 @@ use proxim_obs::json::{CodecError, FromJson, Json, ToJson};
 use std::fmt;
 
 /// The direction of a signal transition or threshold crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Edge {
     /// The signal increases through the threshold.
     Rising,

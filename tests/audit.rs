@@ -11,7 +11,7 @@ use proxim_cells::{Cell, Technology};
 use proxim_model::audit::{AuditOptions, TableRole};
 use proxim_model::characterize::CharacterizeOptions;
 use proxim_model::model::ProximityModel;
-use proxim_model::{DegradedReason, InputEvent, RunControl, SliceKind};
+use proxim_model::{CheckpointConfig, DegradedReason, InputEvent, RunControl, SliceKind};
 use proxim_numeric::pwl::Edge;
 use proxim_spice::FaultPlan;
 
@@ -256,4 +256,137 @@ fn fault_injected_characterization_audits_clean_and_repairs_to_clean_run_bytes()
         "the repaired point must equal the clean-run value bit-for-bit"
     );
     assert!(model.audit(&AuditOptions::default()).is_clean());
+}
+
+/// Tampers `Delay[1]` of the single-input slice (pin 1, rising) and
+/// repairs it, through `journal` when one is given.
+fn tamper_and_repair(
+    mut model: ProximityModel,
+    opts: &CharacterizeOptions,
+    journal: Option<&std::path::Path>,
+) -> (ProximityModel, proxim_model::RepairOutcome) {
+    model
+        .tamper_table_value(
+            SliceKind::Single,
+            1,
+            Edge::Rising,
+            TableRole::Delay,
+            1,
+            -1.0,
+        )
+        .expect("single slice exists");
+    let control = match journal {
+        Some(path) => RunControl::new().with_checkpoint(CheckpointConfig::every_job(path)),
+        None => RunControl::new(),
+    };
+    let (_, outcome) = model
+        .audit_and_repair(opts, &AuditOptions::default(), &control)
+        .expect("repair succeeds");
+    (model, outcome)
+}
+
+fn scratch_journal(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("proxim-audit-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("repair.journal")
+}
+
+#[test]
+fn repair_journal_is_bound_to_the_cell() {
+    let tech = Technology::demo_5v();
+    let opts = nand2_opts();
+    let nand2 = characterize_nand2();
+    let nor2 = ProximityModel::characterize(&Cell::nor(2), &tech, &opts).expect("characterizes");
+    let journal = scratch_journal("cell-key");
+
+    // The same stimulus repaired on another cell must not replay the first
+    // cell's outcome from the shared journal.
+    let _ = tamper_and_repair(nand2, &opts, Some(&journal));
+    let (through_journal, outcome) = tamper_and_repair(nor2.clone(), &opts, Some(&journal));
+    let (fresh, _) = tamper_and_repair(nor2, &opts, None);
+    assert!(outcome.sims_run > 0, "{outcome:?}");
+    assert_eq!(
+        through_journal.to_json().expect("serializes"),
+        fresh.to_json().expect("serializes"),
+        "a repair through another cell's journal must match a journal-less repair"
+    );
+    let _ = std::fs::remove_dir_all(journal.parent().expect("journal dir"));
+}
+
+#[test]
+fn resumed_repair_replays_every_slice_from_its_own_journal_phase() {
+    let opts = nand2_opts();
+    let clean = characterize_nand2();
+    let journal = scratch_journal("phases");
+    let repair = |model: &ProximityModel| {
+        let mut model = model.clone();
+        model
+            .tamper_table_value(
+                SliceKind::Dual,
+                0,
+                Edge::Falling,
+                TableRole::Delay,
+                DUAL_POSITIVE_W_IDX,
+                -0.5,
+            )
+            .expect("dual slice exists");
+        tamper_and_repair(model, &opts, Some(&journal))
+    };
+
+    let (first, first_outcome) = repair(&clean);
+    assert!(first_outcome.sims_run >= 2, "{first_outcome:?}");
+    let (second, second_outcome) = repair(&clean);
+    assert_eq!(
+        second_outcome.sims_run, 0,
+        "every suspect point of both slices must replay from the journal: {second_outcome:?}"
+    );
+    assert_eq!(
+        second.to_json().expect("serializes"),
+        first.to_json().expect("serializes")
+    );
+    let _ = std::fs::remove_dir_all(journal.parent().expect("journal dir"));
+}
+
+#[test]
+fn tampered_nldm_and_glitch_points_repair_byte_exactly() {
+    let opts = CharacterizeOptions {
+        glitch: true,
+        load_grid: Some(vec![20e-15, 100e-15, 300e-15]),
+        ..nand2_opts()
+    };
+    let mut model = ProximityModel::characterize(&Cell::nand(2), &Technology::demo_5v(), &opts)
+        .expect("characterizes");
+    let clean_json = model.to_json().expect("serializes");
+
+    model
+        .tamper_table_value(
+            SliceKind::LoadSlew,
+            0,
+            Edge::Falling,
+            TableRole::Delay,
+            4,
+            -1.0,
+        )
+        .expect("NLDM slice exists");
+    model
+        .tamper_table_value(SliceKind::Glitch, 1, Edge::Rising, TableRole::Peak, 3, 5.0)
+        .expect("glitch slice exists");
+    let report = model.audit(&AuditOptions::default());
+    for kind in [SliceKind::LoadSlew, SliceKind::Glitch] {
+        assert!(
+            report.findings.iter().any(|f| f.slice == kind),
+            "{kind:?} tamper not flagged: {report:?}"
+        );
+    }
+
+    let (_, outcome) = model
+        .audit_and_repair(&opts, &AuditOptions::default(), &RunControl::new())
+        .expect("repair succeeds");
+    assert!(outcome.repaired_points >= 2, "{outcome:?}");
+    assert_eq!(outcome.demoted_slices, 0, "{outcome:?}");
+    assert_eq!(
+        model.to_json().expect("serializes"),
+        clean_json,
+        "repair must restore the clean NLDM and glitch bytes exactly"
+    );
 }
